@@ -34,6 +34,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
 import yaml
 
 from .dynamics import LiftScenario, simulate_lift
@@ -489,7 +490,9 @@ _CONFIG_PARSERS = {
 }
 
 
-def parse_experiment(path: Path, strict: bool = False) -> ExperimentSpec:
+def parse_experiment(path: Union[str, Path],
+                     strict: bool = False) -> ExperimentSpec:
+    path = Path(path)
     doc = _read_yaml(path)
     sec = _Section(doc.get("experiment"), path, "experiment")
     kind_name = sec.take_str("kind")
@@ -665,16 +668,20 @@ def _expect(spec: ExperimentSpec, cls, what: str):
     return spec.model
 
 
-def _sweep_eval(fn, var_values, label: str):
-    """Evaluate fn over points, re-raising with the sweep coordinate."""
-    rows = []
-    for coords in var_values:
-        try:
-            rows.append(fn(*coords))
-        except ValueError as exc:
-            at = ", ".join(f"{v:g}" for v in coords)
-            raise ExperimentError(f"{label} at ({at}): {exc}") from exc
-    return rows
+def _sweep_eval(fn, label: str, *coords: np.ndarray):
+    """fn over whole coordinate arrays in one call. If that fails, the
+    points are re-run one at a time so the error names the first failing
+    sweep coordinate."""
+    try:
+        return fn(*coords)
+    except ValueError:
+        for point in zip(*(c.tolist() for c in coords)):
+            try:
+                fn(*point)
+            except ValueError as exc:
+                at = ", ".join(f"{v:g}" for v in point)
+                raise ExperimentError(f"{label} at ({at}): {exc}") from exc
+        raise
 
 
 def run_experiment(spec: ExperimentSpec, out_dir: Union[str, Path] = ".",
@@ -728,10 +735,10 @@ def _delta_of(spec: ExperimentSpec, loaded: LoadedJoint) -> float:
 def _run_force_displacement(spec: ExperimentSpec):
     actuator = _expect(spec, ActuatorModel, "actuator")
     bp = actuator.d_max_total
-    pts = _merge_exact(spec.sweeps["d"].points(), [bp])
-    rows = _sweep_eval(
-        lambda d: (d, force_from_displacement(actuator, d)),
-        [(d,) for d in pts], "force_from_displacement")
+    pts = np.array(_merge_exact(spec.sweeps["d"].points(), [bp]))
+    force = _sweep_eval(lambda d: force_from_displacement(actuator, d),
+                        "force_from_displacement", pts)
+    rows = list(zip(pts.tolist(), force.tolist()))
     h = min(0.01, bp / 100.0)
     slope_below = (force_from_displacement(actuator, bp)
                    - force_from_displacement(actuator, bp - h)) / h
@@ -753,15 +760,14 @@ def _run_stiffness_sweep(spec: ExperimentSpec):
     loaded = _expect(spec, LoadedJoint, "joint")
     joint, delta = loaded.joint, _delta_of(spec, loaded)
     bounds = stage_boundaries(joint, delta)
-    pts = _merge_exact(spec.sweeps["d_s"].points(), bounds)
-
-    def row(d_s):
-        return (d_s, classify_stage(joint, d_s, delta).value,
-                external_force(joint, delta, d_s),
-                joint_stiffness(joint, delta, d_s))
-
-    rows = _sweep_eval(row, [(d,) for d in pts], "joint_stiffness")
-    ks = [r[3] for r in rows]
+    pts = np.array(_merge_exact(spec.sweeps["d_s"].points(), bounds))
+    F_e, K_s = _sweep_eval(
+        lambda d_s: (external_force(joint, delta, d_s),
+                     joint_stiffness(joint, delta, d_s)),
+        "joint_stiffness", pts)
+    ks = K_s.tolist()
+    rows = [(d_s, classify_stage(joint, d_s, delta).value, f, k)
+            for d_s, f, k in zip(pts.tolist(), F_e.tolist(), ks)]
     summary = {
         "operation": "joint_stiffness",
         "delta_rad": delta,
@@ -777,10 +783,15 @@ def _run_acceleration(spec: ExperimentSpec):
     loaded = _expect(spec, LoadedJoint, "joint")
     joint = loaded.joint
     kink = joint.d_m / 2.0
-    pts = _merge_exact(spec.sweeps["d_s"].points(), [kink, joint.d_m])
-    rows = _sweep_eval(
-        lambda d_s: (d_s, max_allowable_acceleration(joint, d_s)),
-        [(d,) for d in pts], "max_allowable_acceleration")
+    pts = np.array(_merge_exact(spec.sweeps["d_s"].points(),
+                                [kink, joint.d_m]))
+    # one point at a time: the bound deflects the joint by d_s/R, and
+    # external_force takes a single deflection
+    acc = _sweep_eval(
+        np.vectorize(lambda d_s: max_allowable_acceleration(joint, d_s),
+                     otypes=[float]),
+        "max_allowable_acceleration", pts)
+    rows = list(zip(pts.tolist(), acc.tolist()))
     summary = {
         "operation": "max_allowable_acceleration",
         "slope_change_at_mm": kink,
@@ -794,10 +805,11 @@ def _run_torque_surface(spec: ExperimentSpec):
     joint = loaded.joint
     ds_pts = spec.sweeps["d_s"].points()
     dt_pts = spec.sweeps["d_t"].points()
-    coords = [(ds, dt) for ds in ds_pts for dt in dt_pts]
-    rows = _sweep_eval(
-        lambda ds, dt: (ds, dt, joint_torque(joint, ds, dt)),
-        coords, "joint_torque")
+    ds = np.repeat(ds_pts, len(dt_pts))
+    dt = np.tile(dt_pts, len(ds_pts))
+    tau = _sweep_eval(lambda ds, dt: joint_torque(joint, ds, dt),
+                      "joint_torque", ds, dt)
+    rows = list(zip(ds.tolist(), dt.tolist(), tau.tolist()))
     peak = max(rows, key=lambda r: r[2])
     summary = {
         "operation": "joint_torque",
@@ -811,11 +823,11 @@ def _run_torque_surface(spec: ExperimentSpec):
 def _run_max_torque(spec: ExperimentSpec):
     loaded = _expect(spec, LoadedJoint, "joint")
     joint = loaded.joint
-    pts = _merge_exact(spec.sweeps["d_s"].points(),
-                       [joint.d_m / 2.0, joint.d_m])
-    rows = _sweep_eval(
-        lambda d_s: (d_s, max_controllable_torque(joint, d_s)),
-        [(d,) for d in pts], "max_controllable_torque")
+    pts = np.array(_merge_exact(spec.sweeps["d_s"].points(),
+                                [joint.d_m / 2.0, joint.d_m]))
+    tau = _sweep_eval(lambda d_s: max_controllable_torque(joint, d_s),
+                      "max_controllable_torque", pts)
+    rows = list(zip(pts.tolist(), tau.tolist()))
     summary = {
         "operation": "max_controllable_torque",
         "absolute_max_torque_Nmm": absolute_max_torque(joint),

@@ -74,6 +74,12 @@ class LiftScenario:
     label: str = ""
 
     def __post_init__(self) -> None:
+        for name in ("payload_mass", "limb_mass", "limb_com_distance",
+                     "payload_distance", "joint_R", "theta_start",
+                     "theta_target", "dt", "t_max", "gravity"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.payload_mass < 0 or self.limb_mass < 0:
             raise ValueError("masses must be >= 0")
         if self.limb_com_distance <= 0 or self.payload_distance <= 0:

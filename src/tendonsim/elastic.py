@@ -25,6 +25,12 @@ computed from the element law at construction, never taken from user input,
 so the two branches meet continuously. A slack tendon (d < 0) carries no
 force.
 
+The inverse f_d(d) is closed-form for every kind. The tabulated law is
+piecewise linear in F_t with knots at the table forces, so its inverse is
+exactly the linear interpolation through the knots (d_i + f_i/k_t, f_i),
+built once per actuator. Both maps take a float (and return a float) or an
+array of any shape (and return an array of that shape).
+
 Units in this module are millimeters and newtons throughout.
 """
 
@@ -200,16 +206,16 @@ class ElasticElementSpec:
         raise ValueError("tabulated element has no single equivalent "
                          "stiffness; pass a displacement to effective_stiffness")
 
-    def displacement_at(self, F_t: float) -> float:
-        """Element-share displacement (mm) at tension F_t, tendon excluded.
+    def displacement_at(self, F_t):
+        """Element-share displacement (mm) at tension F_t (float or array),
+        tendon excluded.
 
         Past F_tm the element is pinned at its limit displacement.
         """
-        F = min(F_t, self.F_tm)
+        F = np.minimum(F_t, self.F_tm)
         if self.kind is ElementKind.TABULATED:
-            fs = [row[1] for row in self.table]
-            ds = [row[0] for row in self.table]
-            return float(np.interp(F, fs, ds))
+            ds, fs = np.array(self.table).T
+            return np.interp(F, fs, ds)
         # friction F_f = mu_p*F_t is taken off the element share only
         return F * (1.0 - self.mu_p) / self.tendon_equivalent_stiffness
 
@@ -233,6 +239,11 @@ class ActuatorModel:
     label: str = ""
     # displacement at F_tm including tendon stretch; derived, see module doc
     d_max_total: float = field(init=False, repr=False, compare=False)
+    # knots (d_i, F_i) of the exact tabulated inverse; None for linear kinds
+    knots_d: Optional[np.ndarray] = field(init=False, repr=False,
+                                          compare=False)
+    knots_F: Optional[np.ndarray] = field(init=False, repr=False,
+                                          compare=False)
 
     def __post_init__(self) -> None:
         _require(math.isfinite(self.k_t) and self.k_t > 0,
@@ -241,27 +252,36 @@ class ActuatorModel:
                  f"rated_force must be positive, got {self.rated_force}")
         _require(self.rated_speed > 0,
                  f"rated_speed must be positive, got {self.rated_speed}")
-        total = self.element.displacement_at(self.element.F_tm) \
-            + self.element.F_tm / self.k_t
+        el = self.element
+        total = float(el.displacement_at(el.F_tm) + el.F_tm / self.k_t)
         object.__setattr__(self, "d_max_total", total)
+        knots_d = knots_F = None
+        if el.kind is ElementKind.TABULATED:
+            ds, knots_F = np.array(el.table).T
+            knots_d = ds + knots_F / self.k_t
+            knots_d.flags.writeable = knots_F.flags.writeable = False
+        object.__setattr__(self, "knots_d", knots_d)
+        object.__setattr__(self, "knots_F", knots_F)
 
     @property
     def F_tm(self) -> float:
         return self.element.F_tm
 
 
-def displacement_from_force(actuator: ActuatorModel, F_t: float) -> float:
+def displacement_from_force(actuator: ActuatorModel, F_t):
     """Tendon displacement d (mm) at tension F_t (N). Strictly increasing.
 
     Element deflection plus tendon stretch up to F_tm; tendon-only stretch
-    beyond. F_t must be finite and >= 0.
+    beyond. F_t is a float or an array and must be finite and >= 0.
     """
-    if not math.isfinite(F_t) or F_t < 0:
-        raise ValueError(f"F_t must be finite and >= 0, got {F_t}")
+    F = np.asarray(F_t, dtype=float)
+    ok = np.isfinite(F) & (F >= 0)
+    if not ok.all():
+        raise ValueError(f"F_t must be finite and >= 0, got {F[~ok].flat[0]}")
     el = actuator.element
-    if F_t <= el.F_tm:
-        return el.displacement_at(F_t) + F_t / actuator.k_t
-    return actuator.d_max_total + (F_t - el.F_tm) / actuator.k_t
+    d = np.where(F <= el.F_tm, el.displacement_at(F) + F / actuator.k_t,
+                 actuator.d_max_total + (F - el.F_tm) / actuator.k_t)
+    return d if F.ndim else float(d)
 
 
 def _series_stiffness(actuator: ActuatorModel) -> float:
@@ -274,33 +294,24 @@ def _series_stiffness(actuator: ActuatorModel) -> float:
     return k_el * actuator.k_t / (actuator.k_t + k_el)
 
 
-def force_from_displacement(actuator: ActuatorModel, d: float) -> float:
-    """Tendon tension F_t (N) at displacement d (mm).
+def force_from_displacement(actuator: ActuatorModel, d):
+    """Tendon tension F_t (N) at displacement d (mm), a float or an array.
 
     Exact inverse of displacement_from_force for d >= 0. A slack tendon
     (d < 0) carries no compression: returns 0.
     """
-    if not math.isfinite(d):
-        raise ValueError(f"d must be finite, got {d}")
-    if d <= 0.0:
-        return 0.0
-    el = actuator.element
-    if d >= actuator.d_max_total:
-        return el.F_tm + (d - actuator.d_max_total) * actuator.k_t
-    if el.kind is not ElementKind.TABULATED:
-        return _series_stiffness(actuator) * d
-    # monotone bracketing root-find on the forward map
-    lo, hi = 0.0, el.F_tm
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        d_mid = displacement_from_force(actuator, mid)
-        if abs(d_mid - d) <= 1e-12:
-            return mid
-        if d_mid < d:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    d_arr = np.asarray(d, dtype=float)
+    finite = np.isfinite(d_arr)
+    if not finite.all():
+        raise ValueError(f"d must be finite, got {d_arr[~finite].flat[0]}")
+    if actuator.knots_d is None:
+        F = _series_stiffness(actuator) * d_arr
+    else:
+        F = np.interp(d_arr, actuator.knots_d, actuator.knots_F)
+    tendon_only = actuator.F_tm + (d_arr - actuator.d_max_total) * actuator.k_t
+    F = np.where(d_arr >= actuator.d_max_total, tendon_only, F)
+    F = np.where(d_arr <= 0.0, 0.0, F)
+    return F if d_arr.ndim else float(F)
 
 
 def effective_stiffness(actuator: ActuatorModel, d: Optional[float] = None) -> float:

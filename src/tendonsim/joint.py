@@ -26,6 +26,10 @@ Five regimes (stages) of d_s for a passive deflection delta:
 where d_m is the actuator displacement limit including tendon stretch
 (d_max_total) and ties go to the lower-numbered stage.
 
+pretension_force, external_force, joint_stiffness, joint_torque and
+max_controllable_torque take d_s (and d_t) as floats or as arrays that
+broadcast together; a float argument gives a float result.
+
 Units: millimeters and newtons internally; SI conversions (m, Nm, rad/s^2)
 happen only at the acceleration interface.
 """
@@ -36,6 +40,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
+
+import numpy as np
 
 from .elastic import ActuatorModel, force_from_displacement
 
@@ -74,6 +80,13 @@ def _actuators_match(a: ActuatorModel, b: ActuatorModel) -> bool:
             and a.rated_speed == b.rated_speed)
 
 
+def _require_nonnegative(name: str, value) -> None:
+    v = np.asarray(value)
+    neg = v < 0
+    if neg.any():
+        raise ValueError(f"{name} must be >= 0, got {v[neg].flat[0]}")
+
+
 @dataclass(frozen=True)
 class AntagonisticJointConfig:
     """Two identical actuators on a joint of moment arm R.
@@ -109,7 +122,7 @@ class AntagonisticJointConfig:
         """Displacement limit of either actuator incl. tendon stretch (mm)."""
         return self.actuator_1.d_max_total
 
-    def f_d(self, d: float) -> float:
+    def f_d(self, d):
         """Pair-shared force/displacement map with the slack clamp."""
         return force_from_displacement(self.actuator_1, d)
 
@@ -136,10 +149,9 @@ class StiffnessRange(NamedTuple):
     delta_K: float  # Nmm/rad
 
 
-def pretension_force(joint: AntagonisticJointConfig, d_s: float) -> float:
+def pretension_force(joint: AntagonisticJointConfig, d_s):
     """Tension F_tj (N) on both actuators at pre-tension d_s (mm)."""
-    if d_s < 0:
-        raise ValueError(f"d_s must be >= 0, got {d_s}")
+    _require_nonnegative("d_s", d_s)
     return joint.f_d(d_s)
 
 
@@ -173,22 +185,19 @@ def classify_stage(joint: AntagonisticJointConfig, d_s: float,
     return StageLabel.S5_TENDON_ONLY
 
 
-def external_force(joint: AntagonisticJointConfig, delta: float,
-                   d_s: float) -> float:
+def external_force(joint: AntagonisticJointConfig, delta: float, d_s):
     """Restoring tendon force F_e (N) against a passive deflection delta
     (rad) at pre-tension d_s (mm). Single computation path for all stages.
     """
     if delta <= 0:
         raise ValueError(f"delta must be > 0, got {delta}")
-    if d_s < 0:
-        raise ValueError(f"d_s must be >= 0, got {d_s}")
+    _require_nonnegative("d_s", d_s)
     dR = delta * joint.R
     return (joint.f_d(d_s + dR) - joint.f_d(d_s - dR)
             + joint.mu_s * joint.f_d(d_s))
 
 
-def joint_stiffness(joint: AntagonisticJointConfig, delta: float,
-                    d_s: float) -> float:
+def joint_stiffness(joint: AntagonisticJointConfig, delta: float, d_s):
     """Joint stiffness K_s = F_e*R/delta (Nmm/rad)."""
     return external_force(joint, delta, d_s) * joint.R / delta
 
@@ -224,46 +233,45 @@ def max_allowable_acceleration(joint: AntagonisticJointConfig,
     slack, so the available restoring force is F_e(d_s/R, d_s) and the
     acceleration bound is F_e*R/I (R converted to meters). Valid while the
     elastic element operates, 0 < d_s <= d_m; d_s = 0 returns 0 (any
-    acceleration slackens a tendon).
+    acceleration slackens a tendon), and so does a d_s so small that the
+    rotation d_s/R underflows to 0.
     """
     if d_s < 0:
         raise ValueError(f"d_s must be >= 0, got {d_s}")
-    if d_s == 0:
-        return 0.0
     if d_s > joint.d_m:
         raise ValueError(f"d_s={d_s} mm is past the elastic stage "
                          f"(d_m={joint.d_m} mm); the slack-avoidance bound "
                          f"is not defined there")
-    F_e = external_force(joint, d_s / joint.R, d_s)
+    delta = d_s / joint.R
+    if delta == 0:
+        return 0.0
+    F_e = external_force(joint, delta, d_s)
     return F_e * (joint.R / MM_PER_M) / joint.inertia_I
 
 
-def joint_torque(joint: AntagonisticJointConfig, d_s: float,
-                 d_t: float) -> float:
+def joint_torque(joint: AntagonisticJointConfig, d_s, d_t):
     """Joint output torque (Nmm) for torque displacement d_t at pre-tension
     d_s: one tendon contracts by d_t, the other pays out by d_t.
 
     tau = [f_d(d_s + d_t) - f_d(d_s - d_t) - mu_s*f_d(d_s)] * R, clamped at
     0 since static friction cannot drive the joint.
     """
-    if d_s < 0:
-        raise ValueError(f"d_s must be >= 0, got {d_s}")
-    if d_t < 0:
-        raise ValueError(f"d_t must be >= 0, got {d_t}")
+    _require_nonnegative("d_s", d_s)
+    _require_nonnegative("d_t", d_t)
     raw = (joint.f_d(d_s + d_t) - joint.f_d(d_s - d_t)
            - joint.mu_s * joint.f_d(d_s)) * joint.R
-    return max(raw, 0.0)
+    tau = np.maximum(raw, 0.0)
+    return tau if tau.ndim else float(tau)
 
 
-def max_controllable_torque(joint: AntagonisticJointConfig,
-                            d_s: float) -> float:
+def max_controllable_torque(joint: AntagonisticJointConfig, d_s):
     """Largest torque (Nmm) reachable without driving the loaded element
     past its limit: d_t = d_m - d_s. Nonincreasing in d_s."""
-    if d_s < 0:
-        raise ValueError(f"d_s must be >= 0, got {d_s}")
-    if d_s > joint.d_m:
-        raise ValueError(f"d_s={d_s} mm is past the elastic stage "
-                         f"(d_m={joint.d_m} mm)")
+    _require_nonnegative("d_s", d_s)
+    d = np.asarray(d_s)
+    if (d > joint.d_m).any():
+        raise ValueError(f"d_s={d[d > joint.d_m].flat[0]} mm is past the "
+                         f"elastic stage (d_m={joint.d_m} mm)")
     return joint_torque(joint, d_s, joint.d_m - d_s)
 
 

@@ -8,6 +8,7 @@ shipped file doubles as a test vector.
 import json
 
 import pytest
+import yaml
 
 from tendonsim.cli import (DATA_DIR, ENV_CONFIG_DIR, ConfigError,
                            ExperimentError, GridSpec, LoadedJoint,
@@ -343,6 +344,18 @@ def test_run_reports_sweep_coordinate_on_failure(tmp_path, capsys):
     assert "at (40)" in err
 
 
+def test_vector_sweep_failure_names_the_first_bad_coordinate(tmp_path,
+                                                             capsys):
+    spec = _write(tmp_path / "ts.yaml", (
+        "experiment:\n  kind: TorqueSurface\n  config: ica_joint.yaml\n"
+        "  sweep:\n    d_s: {start: -1.0, stop: 2.0, step: 1.0}\n"
+        "    d_t: {start: 0.0, stop: 2.0, step: 1.0}\n"
+        "  output: ts_bad\n"))
+    assert main(["run", str(spec), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        "error: joint_torque at (-1, 0): d_s must be >= 0, got -1.0\n")
+
+
 def test_run_rejects_wrong_config_type(tmp_path):
     spec = parse_experiment(_write(tmp_path / "fd.yaml", FD_SPEC))
     arm = parse_config(DATA_DIR / "arm.yaml")
@@ -350,6 +363,29 @@ def test_run_rejects_wrong_config_type(tmp_path):
     bad = dataclasses.replace(spec, model=arm)
     with pytest.raises(ExperimentError, match="needs a actuator config"):
         run_experiment(bad, out_dir=tmp_path)
+
+
+def test_parse_experiment_accepts_a_str_path(tmp_path):
+    spec = parse_experiment(str(_write(tmp_path / "fd.yaml", FD_SPEC)))
+    assert spec.source == tmp_path / "fd.yaml"
+
+
+@pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
+@pytest.mark.parametrize("field", [
+    "payload_mass", "limb_mass", "limb_com_distance", "payload_distance",
+    "joint_R", "theta_start_deg", "theta_target_deg", "dt", "t_max",
+    "gravity"])
+def test_lift_rejects_non_finite_fields(tmp_path, capsys, field, value):
+    doc = yaml.safe_load((DATA_DIR / "lift_dumbbell.yaml").read_text())
+    doc["lift"][field] = yaml.safe_load(value)
+    _write(tmp_path / "lift.yaml", yaml.safe_dump(doc))
+    spec = _write(tmp_path / "exp.yaml", (
+        "experiment:\n  kind: Lift\n  config: lift.yaml\n"
+        "  output: lift_bad\n"))
+    assert main(["run", str(spec), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{field.removesuffix('_deg')} must be finite" in err
 
 
 def test_unknown_experiment_kind(tmp_path):

@@ -167,6 +167,14 @@ def test_displacement_rejects_bad_force():
             displacement_from_force(a, bad)
 
 
+def test_array_arguments_name_the_first_bad_entry():
+    a = tabulated_actuator()
+    with pytest.raises(ValueError, match=r"got -2\.0$"):
+        displacement_from_force(a, np.array([[1.0, -2.0], [3.0, -4.0]]))
+    with pytest.raises(ValueError, match=r"d must be finite, got inf$"):
+        force_from_displacement(a, np.array([1.0, math.inf, math.nan]))
+
+
 def test_tabulated_displacement_interpolates():
     a = tabulated_actuator()
     # exact at knots (plus tendon share), linear between
@@ -253,6 +261,20 @@ def test_inverse_agrees_with_independent_bisection():
         expected = _bisect_forward(forward, float(d), F_hi=100.0)
         assert force_from_displacement(a, float(d)) == pytest.approx(
             expected, abs=1e-6)
+
+
+def test_tabulated_inverse_is_exact_at_every_knot(misa):
+    # the total law is linear between the table forces, so each knot
+    # (d_i + f_i/k_t, f_i) inverts without error
+    knots = [(d + f / misa.k_t, f) for d, f in misa.element.table]
+    tol = math.ulp(misa.d_max_total)
+    for d, f in knots:
+        assert force_from_displacement(misa, d) == f
+        assert abs(displacement_from_force(
+            misa, force_from_displacement(misa, d)) - d) <= tol
+    ds = np.array([d for d, _ in knots])
+    back = displacement_from_force(misa, force_from_displacement(misa, ds))
+    assert np.all(np.abs(back - ds) <= tol)
 
 
 def test_round_trip_both_directions():

@@ -270,6 +270,8 @@ def test_max_acceleration_frozen_value():
 def test_max_acceleration_domain():
     j = torsion_pair()
     assert max_allowable_acceleration(j, 0.0) == 0.0
+    # d_s/R underflows to 0 for a subnormal d_s: no room to rotate either
+    assert max_allowable_acceleration(j, 5e-324) == 0.0
     with pytest.raises(ValueError):
         max_allowable_acceleration(j, -0.1)
     with pytest.raises(ValueError, match="past the elastic stage"):
@@ -340,3 +342,36 @@ def test_max_controllable_torque_frozen_value(eca_pair):
 def test_absolute_max_torque_reference(ica_pair):
     assert absolute_max_torque(ica_pair.joint) == pytest.approx(
         R * 112.4, rel=1e-12)
+
+
+# --------------------------------------------------------------------------
+# whole grids
+
+
+def test_joint_operations_take_whole_grids(misa):
+    tabulated = AntagonisticJointConfig(actuator_1=misa, actuator_2=misa,
+                                        R=R, mu_s=MU_S, inertia_I=INERTIA)
+    for j in (torsion_pair(), compression_pair(), tabulated):
+        ds = np.linspace(0.0, 1.3 * j.d_m, 11)
+        dt = np.linspace(0.0, j.d_m, 7)
+        DS, DT = np.meshgrid(ds, dt, indexing="ij")
+        grid = joint_torque(j, DS, DT)
+        assert grid.shape == DS.shape
+        assert grid.tolist() == [[joint_torque(j, a, b) for b in dt.tolist()]
+                                 for a in ds.tolist()]
+        for op, args in ((pretension_force, ()),
+                         (external_force, (DELTA,)),
+                         (joint_stiffness, (DELTA,))):
+            assert op(j, *args, ds).tolist() == [op(j, *args, d)
+                                                 for d in ds.tolist()]
+        inside = ds[ds <= j.d_m]
+        assert max_controllable_torque(j, inside).tolist() == [
+            max_controllable_torque(j, d) for d in inside.tolist()]
+
+
+def test_grid_arguments_name_the_first_bad_entry():
+    j = torsion_pair()
+    with pytest.raises(ValueError, match=r"d_t must be >= 0, got -2\.0$"):
+        joint_torque(j, np.ones(3), np.array([0.0, -2.0, -3.0]))
+    with pytest.raises(ValueError, match="d_s=50.0 mm is past the elastic"):
+        max_controllable_torque(j, np.array([1.0, 50.0, 60.0]))

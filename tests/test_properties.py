@@ -108,6 +108,38 @@ def test_slack_region_is_forceless(actuator, scale):
     assert force_from_displacement(actuator, scale * actuator.d_max_total) == 0.0
 
 
+@settings(max_examples=100, deadline=None)
+@given(actuators(), st.data())
+def test_scalar_and_array_force_maps_agree_bitwise(actuator, data):
+    # probe where the map changes branch: the slack point, the table knots,
+    # the travel limit, and out on the tendon-only branch
+    dmt = actuator.d_max_total
+    anchors = [0.0, dmt]
+    if actuator.element.kind is ElementKind.TABULATED:
+        anchors += [d + f / actuator.k_t for d, f in actuator.element.table]
+    near = st.builds(lambda a, off: a + off, st.sampled_from(anchors),
+                     st.one_of(st.just(0.0), st.floats(-1e-9, 1e-9),
+                               st.floats(-1.0, 1.0)))
+    beyond = st.floats(1.0, 3.0).map(lambda s: s * dmt)
+    ds = np.array(data.draw(st.lists(st.one_of(near, beyond), min_size=1,
+                                     max_size=40)))
+
+    forces = force_from_displacement(actuator, ds)
+    assert forces.shape == ds.shape
+    one_by_one = [force_from_displacement(actuator, d) for d in ds.tolist()]
+    assert all(type(F) is float for F in one_by_one)
+    np.testing.assert_array_equal(forces.view(np.uint64),
+                                  np.array(one_by_one).view(np.uint64))
+
+    back = displacement_from_force(actuator, forces)
+    assert back.shape == ds.shape
+    one_by_one = [displacement_from_force(actuator, F)
+                  for F in forces.tolist()]
+    assert all(type(d) is float for d in one_by_one)
+    np.testing.assert_array_equal(back.view(np.uint64),
+                                  np.array(one_by_one).view(np.uint64))
+
+
 # --------------------------------------------------------------------------
 # joint invariants
 
