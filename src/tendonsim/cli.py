@@ -8,8 +8,10 @@ and other model breakpoints are merged into the grids exactly, so kinks
 are never aliased by the sampling step.
 
 Conventions:
-  * every CSV column name carries a unit suffix (validate_csv_schema
-    enforces the known set),
+  * every column name carries a unit suffix from UNIT_SUFFIXES; the writer
+    checks the names and the column arrays (nonempty labels, finite
+    numbers) before it opens the file, and validate_csv_schema checks the
+    same contract on a CSV file read from disk, such as one from outside,
   * CSV dialect: comma separated, LF line endings, '.' decimal, header row
     mandatory,
   * outputs are byte-identical for identical (spec, seed),
@@ -25,9 +27,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -89,7 +93,7 @@ class ExperimentError(Exception):
 
 
 class SchemaError(Exception):
-    """An emitted CSV violates the unit-suffix header schema."""
+    """A table to emit, or a CSV file, violates the unit-suffix schema."""
 
 
 class Experiment(Enum):
@@ -143,10 +147,22 @@ def _resolve(name: Union[str, Path], base_dir: Optional[Path]) -> Path:
     raise ConfigError(name, "file not found; tried " + ", ".join(tried))
 
 
+class _YamlLoader(yaml.SafeLoader):
+    """SafeLoader that also reads YAML 1.2 floats whose exponent follows
+    the digits without a dot (1e-4, -2E+3), which YAML 1.1 leaves as
+    strings."""
+
+
+_YamlLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"))
+
+
 def _read_yaml(path: Path) -> dict:
     try:
         with open(path, "r") as fh:
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(fh, Loader=_YamlLoader)
     except OSError as exc:
         raise ConfigError(path, f"cannot read: {exc}") from exc
     except yaml.YAMLError as exc:
@@ -311,8 +327,11 @@ class LoadedJoint:
 def parse_joint(path: Path, strict: bool = False) -> LoadedJoint:
     doc = _read_yaml(path)
     sec = _Section(doc.get("joint"), path, "joint")
-    a1 = parse_actuator(_resolve(sec.take_str("actuator_1"), path.parent), strict)
-    a2 = parse_actuator(_resolve(sec.take_str("actuator_2"), path.parent), strict)
+    p1 = _resolve(sec.take_str("actuator_1"), path.parent)
+    a1 = parse_actuator(p1, strict)
+    p2 = _resolve(sec.take_str("actuator_2"), path.parent)
+    # a symmetric pair names one file twice: read it (and its table) once
+    a2 = a1 if p2.resolve() == p1.resolve() else parse_actuator(p2, strict)
     R = sec.take_float("R")
     mu_s = sec.take_float("mu_s")
     inertia = sec.take_float("inertia_I")
@@ -534,6 +553,10 @@ def parse_experiment(path: Union[str, Path],
     if spec.fmt not in ("csv", "json"):
         raise ConfigError(path, f"section 'experiment': format must be csv "
                                 f"or json, got {spec.fmt!r}")
+    if spec.delta is not None and not (math.isfinite(spec.delta)
+                                       and spec.delta > 0):
+        raise ConfigError(path, f"section 'experiment': field 'delta' must "
+                                f"be finite and > 0, got {spec.delta}")
     if experiment is Experiment.WORKSPACE and (spec.n or 0) < 1:
         raise ConfigError(path, "section 'experiment': Workspace needs n >= 1")
     return spec
@@ -571,24 +594,83 @@ def parse_config(path: Union[str, Path], strict: bool = False):
 # emission
 
 
-def _fmt_num(v: float) -> str:
-    return format(float(v), ".12g")
+def _check_columns(header: Sequence[str], columns: Sequence) -> None:
+    """The schema of an emitted table, checked on its columns: every name
+    ends in a known unit suffix, all columns have the same length, *_label
+    cells are nonempty strings and every other cell is finite. Raises
+    SchemaError on the first violation."""
+    if not header or len(columns) != len(header):
+        raise SchemaError(f"{len(header)} column names for "
+                          f"{len(columns)} columns")
+    n = len(columns[0])
+    for name, col in zip(header, columns):
+        if not name.endswith(UNIT_SUFFIXES):
+            raise SchemaError(f"column '{name}' lacks a known unit suffix "
+                              f"{UNIT_SUFFIXES}")
+        if len(col) != n:
+            raise SchemaError(f"column '{name}' has {len(col)} cells, "
+                              f"expected {n}")
+        if name.endswith("_label"):
+            bad = next((i for i, s in enumerate(col)
+                        if not (isinstance(s, str) and s)), None)
+            what = "empty label"
+        else:
+            finite = np.isfinite(col)
+            bad = None if finite.all() else int(np.argmin(finite))
+            what = "non-finite cell"
+        if bad is not None:
+            raise SchemaError(f"row {bad + 1}: {what} in '{name}'")
 
 
-def _write_rows(path: Path, header: Sequence[str], rows: Sequence[Sequence],
+def _csv_cell(s: str) -> str:
+    """A string cell exactly as csv.writer quotes it inside a row."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([s])
+    return buf.getvalue()[:-1]
+
+
+def _write_rows(path: Path, header: Sequence[str], columns: Sequence,
                 fmt: str) -> None:
-    if fmt == "json":
-        payload = {"columns": list(header),
-                   "rows": [[c if isinstance(c, str) else float(c) for c in r]
-                            for r in rows]}
-        _write_json(path, payload)
+    """Write a table from its columns as CSV (cells formatted "%.12g") or
+    as JSON ({"columns", "rows"}, as json.dump with indent=2 and sorted keys
+    lays it out). The schema is checked before the file is opened.
+
+    columns are float arrays, or lists of str for *_label columns. Each row
+    is rendered by one %-template over Python scalars and streamed to the
+    file, so no row objects or joined text are held.
+    """
+    try:
+        _check_columns(header, columns)
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
+    quote = json.dumps if fmt == "json" else _csv_cell
+    cells, specs = [], []
+    for name, col in zip(header, columns):
+        if name.endswith("_label"):
+            quoted = {s: quote(s) for s in set(col)}
+            cells.append([quoted[s] for s in col])
+            specs.append("%s")
+        else:
+            cells.append(np.asarray(col, dtype=float).tolist())
+            specs.append("%r" if fmt == "json" else "%.12g")
+    rows = zip(*cells)
+    if fmt == "csv":
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerow(header)
+            fh.writelines(map((",".join(specs) + "\n").__mod__, rows))
         return
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([c if isinstance(c, str) else _fmt_num(c)
-                             for c in row])
+    # json.dump(indent=2) puts "rows" last (sorted keys), one cell per line
+    head, tail = json.dumps({"columns": list(header), "rows": []}, indent=2,
+                            sort_keys=True).rsplit("[]", 1)
+    row = ",\n    [\n      " + ",\n      ".join(specs) + "\n    ]"
+    with open(path, "w") as fh:
+        fh.write(head + "[")
+        first = next(rows, None)
+        if first is not None:
+            fh.write((row % first)[1:])
+            fh.writelines(map(row.__mod__, rows))
+            fh.write("\n  ")
+        fh.write("]" + tail + "\n")
 
 
 def _write_json(path: Path, obj: dict) -> None:
@@ -598,7 +680,7 @@ def _write_json(path: Path, obj: dict) -> None:
 
 
 def validate_csv_schema(path: Union[str, Path]) -> None:
-    """Check the unit-suffix header contract of an emitted CSV.
+    """Check the unit-suffix header contract of a CSV file on disk.
 
     Every column name must end in a documented unit suffix; *_label columns
     hold nonempty strings, all other cells parse as finite floats; rows are
@@ -699,29 +781,27 @@ def run_experiment(spec: ExperimentSpec, out_dir: Union[str, Path] = ".",
 
     exp = spec.experiment
     if exp is Experiment.FORCE_DISPLACEMENT:
-        header, rows, summary = _run_force_displacement(spec)
+        header, columns, summary = _run_force_displacement(spec)
     elif exp is Experiment.STIFFNESS_VS_PRETENSION:
-        header, rows, summary = _run_stiffness_sweep(spec)
+        header, columns, summary = _run_stiffness_sweep(spec)
     elif exp is Experiment.MAX_ACCELERATION:
-        header, rows, summary = _run_acceleration(spec)
+        header, columns, summary = _run_acceleration(spec)
     elif exp is Experiment.TORQUE_SURFACE:
-        header, rows, summary = _run_torque_surface(spec)
+        header, columns, summary = _run_torque_surface(spec)
     elif exp is Experiment.MAX_TORQUE_VS_PRETENSION:
-        header, rows, summary = _run_max_torque(spec)
+        header, columns, summary = _run_max_torque(spec)
     elif exp is Experiment.STIFFNESS_RANGE:
-        header, rows, summary = _run_stiffness_range(spec)
+        header, columns, summary = _run_stiffness_range(spec)
     elif exp is Experiment.WORKSPACE:
-        header, rows, summary = _run_workspace(spec, seed)
+        header, columns, summary = _run_workspace(spec, seed)
     elif exp is Experiment.LIFT:
-        header, rows, summary = _run_lift(spec)
+        header, columns, summary = _run_lift(spec)
     else:  # pragma: no cover - enum is closed
         raise ExperimentError(f"unhandled experiment {exp}")
 
     out_path = (out_dir / spec.output).with_suffix("." + fmt)
-    _write_rows(out_path, header, rows, fmt)
-    if fmt == "csv":
-        validate_csv_schema(out_path)
-    summary = {"experiment": exp.value, "rows": len(rows), **summary}
+    _write_rows(out_path, header, columns, fmt)
+    summary = {"experiment": exp.value, "rows": len(columns[0]), **summary}
     summary_path = out_path.with_name(out_path.stem + "_summary.json")
     _write_json(summary_path, summary)
     return ExperimentResult(output_path=out_path, summary_path=summary_path,
@@ -738,7 +818,6 @@ def _run_force_displacement(spec: ExperimentSpec):
     pts = np.array(_merge_exact(spec.sweeps["d"].points(), [bp]))
     force = _sweep_eval(lambda d: force_from_displacement(actuator, d),
                         "force_from_displacement", pts)
-    rows = list(zip(pts.tolist(), force.tolist()))
     h = min(0.01, bp / 100.0)
     slope_below = (force_from_displacement(actuator, bp)
                    - force_from_displacement(actuator, bp - h)) / h
@@ -751,9 +830,9 @@ def _run_force_displacement(spec: ExperimentSpec):
         "breakpoint_N": actuator.F_tm,
         "slope_below_N_per_mm": slope_below,
         "slope_above_N_per_mm": slope_above,
-        "force_max_N": rows[-1][1],
+        "force_max_N": float(force[-1]),
     }
-    return ["displacement_mm", "force_N"], rows, summary
+    return ["displacement_mm", "force_N"], [pts, force], summary
 
 
 def _run_stiffness_sweep(spec: ExperimentSpec):
@@ -765,18 +844,16 @@ def _run_stiffness_sweep(spec: ExperimentSpec):
         lambda d_s: (external_force(joint, delta, d_s),
                      joint_stiffness(joint, delta, d_s)),
         "joint_stiffness", pts)
-    ks = K_s.tolist()
-    rows = [(d_s, classify_stage(joint, d_s, delta).value, f, k)
-            for d_s, f, k in zip(pts.tolist(), F_e.tolist(), ks)]
+    stages = [classify_stage(joint, d_s, delta).value for d_s in pts.tolist()]
     summary = {
         "operation": "joint_stiffness",
         "delta_rad": delta,
         "stage_boundaries_mm": list(bounds),
-        "K_s_min_Nmm_per_rad": min(ks),
-        "K_s_max_Nmm_per_rad": max(ks),
+        "K_s_min_Nmm_per_rad": float(K_s.min()),
+        "K_s_max_Nmm_per_rad": float(K_s.max()),
     }
     return (["d_s_mm", "stage_label", "F_e_N", "K_s_Nmm_per_rad"],
-            rows, summary)
+            [pts, stages, F_e, K_s], summary)
 
 
 def _run_acceleration(spec: ExperimentSpec):
@@ -791,13 +868,12 @@ def _run_acceleration(spec: ExperimentSpec):
         np.vectorize(lambda d_s: max_allowable_acceleration(joint, d_s),
                      otypes=[float]),
         "max_allowable_acceleration", pts)
-    rows = list(zip(pts.tolist(), acc.tolist()))
     summary = {
         "operation": "max_allowable_acceleration",
         "slope_change_at_mm": kink,
-        "acc_max_rad_per_s2": max(r[1] for r in rows),
+        "acc_max_rad_per_s2": float(acc.max()),
     }
-    return ["d_s_mm", "theta_ddot_max_rad_per_s2"], rows, summary
+    return ["d_s_mm", "theta_ddot_max_rad_per_s2"], [pts, acc], summary
 
 
 def _run_torque_surface(spec: ExperimentSpec):
@@ -809,15 +885,14 @@ def _run_torque_surface(spec: ExperimentSpec):
     dt = np.tile(dt_pts, len(ds_pts))
     tau = _sweep_eval(lambda ds, dt: joint_torque(joint, ds, dt),
                       "joint_torque", ds, dt)
-    rows = list(zip(ds.tolist(), dt.tolist(), tau.tolist()))
-    peak = max(rows, key=lambda r: r[2])
+    peak = int(np.argmax(tau))  # the first maximum, in row order
     summary = {
         "operation": "joint_torque",
-        "tau_max_Nmm": peak[2],
-        "tau_max_at_d_s_mm": peak[0],
-        "tau_max_at_d_t_mm": peak[1],
+        "tau_max_Nmm": float(tau[peak]),
+        "tau_max_at_d_s_mm": float(ds[peak]),
+        "tau_max_at_d_t_mm": float(dt[peak]),
     }
-    return ["d_s_mm", "d_t_mm", "tau_Nmm"], rows, summary
+    return ["d_s_mm", "d_t_mm", "tau_Nmm"], [ds, dt, tau], summary
 
 
 def _run_max_torque(spec: ExperimentSpec):
@@ -827,13 +902,12 @@ def _run_max_torque(spec: ExperimentSpec):
                                 [joint.d_m / 2.0, joint.d_m]))
     tau = _sweep_eval(lambda d_s: max_controllable_torque(joint, d_s),
                       "max_controllable_torque", pts)
-    rows = list(zip(pts.tolist(), tau.tolist()))
     summary = {
         "operation": "max_controllable_torque",
         "absolute_max_torque_Nmm": absolute_max_torque(joint),
-        "tau_at_zero_pretension_Nmm": rows[0][1],
+        "tau_at_zero_pretension_Nmm": float(tau[0]),
     }
-    return ["d_s_mm", "tau_max_Nmm"], rows, summary
+    return ["d_s_mm", "tau_max_Nmm"], [pts, tau], summary
 
 
 def _run_stiffness_range(spec: ExperimentSpec):
@@ -843,7 +917,6 @@ def _run_stiffness_range(spec: ExperimentSpec):
         rng = controllable_stiffness_range(joint, delta)
     except ValueError as exc:
         raise ExperimentError(f"controllable_stiffness_range: {exc}") from exc
-    rows = [(rng.K_smin, rng.K_smax, rng.delta_K)]
     summary = {
         "operation": "controllable_stiffness_range",
         "delta_rad": delta,
@@ -856,7 +929,8 @@ def _run_stiffness_range(spec: ExperimentSpec):
         "evaluated_at_d_s_mm": [delta * joint.R, joint.d_m / 2.0],
     }
     return (["K_smin_Nmm_per_rad", "K_smax_Nmm_per_rad",
-             "delta_K_Nmm_per_rad"], rows, summary)
+             "delta_K_Nmm_per_rad"],
+            [[rng.K_smin], [rng.K_smax], [rng.delta_K]], summary)
 
 
 def _run_workspace(spec: ExperimentSpec, seed: Optional[int]):
@@ -864,21 +938,18 @@ def _run_workspace(spec: ExperimentSpec, seed: Optional[int]):
     if seed is None:
         raise ExperimentError("Workspace needs a seed (spec field or --seed)")
     cloud = sample_workspace(chain, spec.n, seed)
-    rows = [tuple(p) for p in cloud.points]
     summary = {
         "operation": "sample_workspace",
         "seed": seed,
         "n_samples": cloud.n_samples,
         **cloud.stats,
     }
-    return ["x_m", "y_m", "z_m"], rows, summary
+    return ["x_m", "y_m", "z_m"], cloud.points.T, summary
 
 
 def _run_lift(spec: ExperimentSpec):
     scenario = _expect(spec, LiftScenario, "lift")
     trace = simulate_lift(scenario)
-    rows = list(zip(trace.t, trace.theta, trace.omega, trace.tau,
-                    trace.tau_gravity, trace.power))
     summary = {
         "operation": "simulate_lift",
         "peak_power_W": trace.peak_power,
@@ -887,7 +958,9 @@ def _run_lift(spec: ExperimentSpec):
         "reached_target": trace.reached_target,
     }
     return (["t_s", "theta_rad", "omega_rad_per_s", "tau_Nm",
-             "tau_gravity_Nm", "power_W"], rows, summary)
+             "tau_gravity_Nm", "power_W"],
+            [trace.t, trace.theta, trace.omega, trace.tau, trace.tau_gravity,
+             trace.power], summary)
 
 
 # --------------------------------------------------------------------------

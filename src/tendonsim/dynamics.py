@@ -208,19 +208,18 @@ def simulate_lift(scenario: LiftScenario) -> LiftTrace:
     v_cmd = s.rated_tendon_speed
     n_max = int(math.ceil(s.t_max / s.dt))
 
-    t_col: List[float] = []
     th_col: List[float] = []
     om_col: List[float] = []
     tau_col: List[float] = []
     tg_col: List[float] = []
 
-    t, theta, omega = 0.0, s.theta_start, 0.0
+    theta, omega = s.theta_start, 0.0
     reached = False
     time_to_target: Optional[float] = None
-    for _ in range(n_max + 1):
+    for i in range(n_max + 1):
+        t = i * s.dt  # not a running sum, which drifts from i*dt
         tau, omega_next = _applied_torque_and_next(s, theta, omega, v_cmd,
                                                    direction)
-        t_col.append(t)
         th_col.append(theta)
         om_col.append(omega)
         tau_col.append(tau)
@@ -233,7 +232,6 @@ def simulate_lift(scenario: LiftScenario) -> LiftTrace:
             break
         theta = theta + omega * s.dt
         omega = omega_next
-        t = t + s.dt
         if not (math.isfinite(theta) and math.isfinite(omega)):
             raise FloatingPointError("non-finite state; integration fault")
 
@@ -241,8 +239,8 @@ def simulate_lift(scenario: LiftScenario) -> LiftTrace:
     om_arr = np.asarray(om_col)
     power = tau_arr * om_arr
     return LiftTrace(
-        t=np.asarray(t_col), theta=np.asarray(th_col), omega=om_arr,
-        tau=tau_arr, tau_gravity=np.asarray(tg_col), power=power,
+        t=np.arange(len(th_col)) * s.dt, theta=np.asarray(th_col),
+        omega=om_arr, tau=tau_arr, tau_gravity=np.asarray(tg_col), power=power,
         peak_power=float(power.max()),
         peak_torque=float(np.abs(tau_arr).max()),
         time_to_target=time_to_target, reached_target=reached)

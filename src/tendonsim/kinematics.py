@@ -64,6 +64,10 @@ DEFAULT_ROM_DEG: Dict[str, Tuple[float, float]] = {
 
 _HALF_PI = math.pi / 2.0
 
+# samples per batched-FK slice: the (chunk, 4, 4) transform temporaries of
+# one slice stay in cache, where whole-cloud ones would stream through memory
+FK_CHUNK = 4096
+
 
 class RomError(ValueError):
     """A joint value violates its range of motion."""
@@ -270,17 +274,20 @@ def sample_workspace(chain: KinematicChain, n: int, seed: int) -> WorkspaceCloud
 
     Each joint variable is drawn uniformly over its ROM interval, in row
     order, from numpy's default_rng(seed); results are deterministic in
-    (chain, n, seed).
+    (chain, n, seed). FK runs over slices of FK_CHUNK samples; each pose is
+    computed alone, so the slicing does not change a bit of the result.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
-    cols = []
-    for row in chain.rows:
+    samples = np.empty((n, len(chain.rows)))
+    for j, row in enumerate(chain.rows):
         lo, hi = chain.rom[row.joint_name]
-        cols.append(rng.uniform(lo, hi, n))
-    samples = np.column_stack(cols)
-    points = _batch_fk_positions(chain, samples)
+        samples[:, j] = rng.uniform(lo, hi, n)
+    points = np.empty((n, 3))
+    for i in range(0, n, FK_CHUNK):
+        points[i:i + FK_CHUNK] = _batch_fk_positions(chain,
+                                                     samples[i:i + FK_CHUNK])
     reach = np.linalg.norm(points, axis=1)
     max_reach = float(reach.max())
     if max_reach > chain.reach_limit + 1e-9:

@@ -12,8 +12,9 @@ import yaml
 
 from tendonsim.cli import (DATA_DIR, ENV_CONFIG_DIR, ConfigError,
                            ExperimentError, GridSpec, LoadedJoint,
-                           _merge_exact, main, parse_config, parse_experiment,
-                           run_experiment, validate_csv_schema)
+                           _merge_exact, _read_yaml, main, parse_config,
+                           parse_experiment, run_experiment,
+                           validate_csv_schema)
 
 ACT_TPL = """\
 actuator:
@@ -127,6 +128,16 @@ def test_non_numeric_field(tmp_path):
         parse_config(p)
 
 
+def test_exponent_floats_without_a_dot(tmp_path):
+    p = _write(tmp_path / "x.yaml", "a: 1e-4\nb: -2E+3\nc: '1e-4'\nd: 7\n")
+    assert _read_yaml(p) == {"a": 1e-4, "b": -2000.0, "c": "1e-4", "d": 7}
+    lift = (DATA_DIR / "lift_dumbbell.yaml").read_text()
+    assert "dt: 0.0001 " in lift
+    p = _write(tmp_path / "lift.yaml",
+               lift.replace("dt: 0.0001 ", "dt: 1e-4 "))
+    assert parse_config(p).dt == 1e-4
+
+
 def test_strict_rejects_unknown_keys(tmp_path):
     p = _write(tmp_path / "a.yaml",
                ACT_TPL.format(label="x") + "  typo_key: 3\n")
@@ -164,6 +175,12 @@ def test_joint_label_difference_is_allowed(tmp_path):
     loaded = parse_config(p)
     assert isinstance(loaded, LoadedJoint)
     assert loaded.delta == 0.087   # documented default test deflection
+
+
+@pytest.mark.parametrize("name", ["ica_joint.yaml", "eca_joint.yaml"])
+def test_joint_naming_one_file_twice_shares_the_actuator(name):
+    joint = parse_config(DATA_DIR / name).joint
+    assert joint.actuator_1 is joint.actuator_2
 
 
 def test_joint_rejects_nonpositive_delta(tmp_path):
@@ -386,6 +403,20 @@ def test_lift_rejects_non_finite_fields(tmp_path, capsys, field, value):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"{field.removesuffix('_deg')} must be finite" in err
+
+
+@pytest.mark.parametrize("spec_name", ["exp_stiffness_vs_pretension.yaml",
+                                       "exp_stiffness_range.yaml"])
+@pytest.mark.parametrize("value", ["-0.1", "0.0", ".nan", ".inf"])
+def test_experiment_delta_must_be_finite_and_positive(tmp_path, capsys,
+                                                      spec_name, value):
+    doc = yaml.safe_load((DATA_DIR / spec_name).read_text())
+    doc["experiment"]["delta"] = yaml.safe_load(value)
+    spec = _write(tmp_path / "exp.yaml", yaml.safe_dump(doc))
+    assert main(["run", str(spec), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "field 'delta' must be finite and > 0" in err
 
 
 def test_unknown_experiment_kind(tmp_path):

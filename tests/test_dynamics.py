@@ -128,6 +128,13 @@ def test_bundled_lift_reaches_target(lift):
     assert tr.theta[-2] < lift.theta_target
 
 
+def test_lift_time_is_step_index_times_dt(lift):
+    tr = simulate_lift(lift)
+    assert tr.t.tolist() == [i * lift.dt for i in range(len(tr.t))]
+    assert tr.t[3552] == 0.3552   # a running sum of dt drifts off it
+    assert tr.time_to_target == 7101 * lift.dt
+
+
 def test_bundled_lift_saturations(lift):
     tr = simulate_lift(lift)
     assert tr.peak_torque == lift.max_torque

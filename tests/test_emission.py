@@ -1,0 +1,147 @@
+"""The data-file writer: pinned bytes of every bundled experiment, JSON
+layout against the json module, and the schema check on the columns.
+
+The sha256 goldens pin each bundled spec's data and summary file in the
+spec's own format (Workspace at its spec seed 42), so any change in how a
+number is formatted or a row is laid out shows as a mismatch.
+"""
+
+import csv
+import hashlib
+import json
+import math
+
+import numpy as np
+import pytest
+
+import tendonsim.cli as cli
+from tendonsim.cli import (DATA_DIR, SchemaError, _write_rows, main,
+                           parse_experiment, run_experiment)
+
+GOLDEN_SHA256 = {
+    "eca_stiffness_range.json":
+        "76260eb3869090579058b65be59975edbce296edfc7998112f1f80e989af0749",
+    "eca_stiffness_range_summary.json":
+        "8f7d0867b52862aa91e4bca1a4c3b0776ec62c1d8cffeb564c9254c08a81938a",
+    "ica_force_displacement.csv":
+        "b4baea7ad23859f45875ccabbc07652b4587d89d0e42def07652ddee62dff0c6",
+    "ica_force_displacement_summary.json":
+        "b5b1cf456f79ef0494edc3ca3c01731a9851d4190eb943ee44d4e578f3c6e94a",
+    "ica_max_acceleration.csv":
+        "29d1575a8080f7802b5c8b17bfb351032f45bfe71527ab588c1f1eb582598075",
+    "ica_max_acceleration_summary.json":
+        "ddcacffbe98728434e917905218c322749034b05fb01e84880a589fda176f187",
+    "ica_max_torque.csv":
+        "2f1cddecaba3dca9204869a62193d32ea761678539195dd409e42d3f72fe5431",
+    "ica_max_torque_summary.json":
+        "5de9cc2fdeffbc9896424a5136f81919efa7115e539e1e72619ff4a92ca6d4ce",
+    "ica_stiffness_vs_pretension.csv":
+        "9976d9da55950666dc40efb23604e95c304ccc2b785932fd3f00852d7115b130",
+    "ica_stiffness_vs_pretension_summary.json":
+        "f75156e18ee386cc07a5845eef150e30bc884d9116e50d95f9aec825aa90fe95",
+    "ica_torque_surface.csv":
+        "caab8055e80645d299cf0e5f5c37c114a2bdd4095c8515d2a1d5cbe181504c4a",
+    "ica_torque_surface_summary.json":
+        "9cf8bbbad88af2f4927446ea2f4a0cf55f63328c3c5f2a995fb92549f9030fa8",
+    "lift_trace.csv":
+        "3523ebbc92069aee3592f3f6f02d18061dd7997642d9db9f6f73ba1a218fe8c1",
+    "lift_trace_summary.json":
+        "0f961797861f54ec320d24adf7035454afbb24c6ad4730b5581e42e232e69d5f",
+    "workspace_points.csv":
+        "931c1f740fca252ad3eb4b9561c620c17eb955545a98617e84c2856e0a73e921",
+    "workspace_points_summary.json":
+        "9b512746a4b1f4ec6dacdee1ec7cdfb339af35af67a8728e80af5d340f260465",
+}
+
+
+def test_bundled_outputs_match_pinned_sha256(tmp_path):
+    specs = sorted(DATA_DIR.glob("exp_*.yaml"))
+    assert len(specs) == 8
+    for path in specs:
+        run_experiment(parse_experiment(path), out_dir=tmp_path)
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in tmp_path.iterdir()}
+    assert got == GOLDEN_SHA256
+
+
+# --------------------------------------------------------------------------
+# _write_rows against the csv and json modules
+
+TABLES = [
+    (["d_mm"], [np.array([0.0, -0.0, 1e-300, 2.5e17])]),
+    (["d_s_mm", "stage_label", "F_e_N", "K_s_Nmm_per_rad"],
+     [np.array([0.0, 0.1, 1.0 / 3.0]), ["S1", "S2", "S3"],
+      np.array([5.0, math.pi, -1e-7]), np.array([320.5, 7.0, 1e20])]),
+    (["x_m", "y_m"], np.array([[0.1, 0.2], [-0.3, 123456789.123456789]]).T),
+    (["t_s", "note_label"], [np.array([1.0, 2.0]),
+                             ['a,b', 'say "hi"']]),
+]
+
+
+@pytest.mark.parametrize("header,columns", TABLES)
+def test_json_rows_equal_json_dump(tmp_path, header, columns):
+    path = tmp_path / "t.json"
+    _write_rows(path, header, columns, "json")
+    rows = [[c if isinstance(c, str) else float(c) for c in r]
+            for r in zip(*columns)]
+    expected = json.dumps({"columns": header, "rows": rows}, indent=2,
+                          sort_keys=True) + "\n"
+    assert path.read_text() == expected
+
+
+@pytest.mark.parametrize("header,columns", TABLES)
+def test_csv_rows_equal_csv_writer_with_12g_cells(tmp_path, header, columns):
+    path = tmp_path / "t.csv"
+    _write_rows(path, header, columns, "csv")
+    expected = tmp_path / "expected.csv"
+    with open(expected, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for r in zip(*columns):
+            writer.writerow([c if isinstance(c, str) else format(c, ".12g")
+                             for c in r])
+    assert path.read_bytes() == expected.read_bytes()
+
+
+# --------------------------------------------------------------------------
+# the schema check on the columns
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("header,columns,fragment", [
+    (["d_mm", "F_N"], [np.array([1.0, 2.0]), np.array([3.0, math.nan])],
+     "row 2: non-finite cell in 'F_N'"),
+    (["d_mm"], [np.array([-math.inf])], "row 1: non-finite cell in 'd_mm'"),
+    (["d_mm", "stage_label"], [np.array([1.0, 2.0]), ["S1", ""]],
+     "row 2: empty label in 'stage_label'"),
+    (["displacement", "F_N"], [np.array([1.0]), np.array([2.0])],
+     "lacks a known unit suffix"),
+    (["d_mm", "F_N"], [np.array([1.0]), np.array([2.0, 3.0])],
+     "column 'F_N' has 2 cells, expected 1"),
+    (["d_mm", "F_N"], [np.array([1.0])], "2 column names for 1 columns"),
+])
+def test_schema_violation_writes_no_file(tmp_path, fmt, header, columns,
+                                         fragment):
+    path = tmp_path / f"bad.{fmt}"
+    with pytest.raises(SchemaError, match=fragment):
+        _write_rows(path, header, columns, fmt)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_run_with_a_nan_cell_fails_before_any_file(tmp_path, monkeypatch,
+                                                   capsys, fmt):
+    real = cli.simulate_lift
+
+    def nan_lift(scenario):
+        trace = real(scenario)
+        trace.power[3] = math.nan
+        return trace
+
+    monkeypatch.setattr(cli, "simulate_lift", nan_lift)
+    out = tmp_path / "o"
+    assert main(["run", str(DATA_DIR / "exp_lift.yaml"), "--out", str(out),
+                 "--format", fmt]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {out / ('lift_trace.' + fmt)}: row 4: non-finite cell in "
+        f"'power_W'\n")
+    assert list(out.iterdir()) == []

@@ -13,7 +13,8 @@ import pytest
 from tendonsim import (DHRow, KinematicChain, RomError, default_arm,
                        dh_transform, forward_kinematics,
                        full_extension_joint_values, sample_workspace)
-from tendonsim.kinematics import DEFAULT_ROM_DEG, JOINT_ORDER
+from tendonsim.kinematics import (DEFAULT_ROM_DEG, FK_CHUNK, JOINT_ORDER,
+                                  _batch_fk_positions)
 
 B, C, D = 0.30, 0.25, 0.08
 
@@ -208,6 +209,16 @@ def test_workspace_batch_matches_single_pose_path(arm):
         q = {row.joint_name: cols[j][i] for j, row in enumerate(arm.rows)}
         p = forward_kinematics(arm, q).position
         np.testing.assert_allclose(cloud.points[i], p, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [FK_CHUNK - 1, FK_CHUNK, 10001])
+def test_chunked_workspace_fk_equals_one_batch_bitwise(arm, n):
+    seed = 11
+    rng = np.random.default_rng(seed)
+    samples = np.column_stack([rng.uniform(*arm.rom[row.joint_name], n)
+                               for row in arm.rows])
+    whole = _batch_fk_positions(arm, samples)
+    assert sample_workspace(arm, n, seed).points.tobytes() == whole.tobytes()
 
 
 def test_workspace_stats_and_bounds(arm):
