@@ -32,6 +32,7 @@ import json
 import math
 import os
 import re
+import reprlib
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -71,6 +72,13 @@ __all__ = [
 
 DATA_DIR = Path(__file__).parent / "data"
 ENV_CONFIG_DIR = "TENDONSIM_CONFIG_DIR"
+
+# Most points one run may evaluate: the points of its sweep grid (the
+# product of both axes for TorqueSurface), its Workspace n or its Lift
+# steps. 100x the largest bundled run (Workspace, n = 1e5); a Workspace
+# peaks at 180 MB RSS for n = 1e6, so near 1.5 GB at this size. Checked on
+# the computed size, at parse time.
+MAX_RUN_POINTS = 10_000_000
 
 # every emitted column must end in one of these
 UNIT_SUFFIXES = (
@@ -147,26 +155,53 @@ def _resolve(name: Union[str, Path], base_dir: Optional[Path]) -> Path:
     raise ConfigError(name, "file not found; tried " + ", ".join(tried))
 
 
-class _YamlLoader(yaml.SafeLoader):
-    """SafeLoader that also reads YAML 1.2 floats whose exponent follows
-    the digits without a dot (1e-4, -2E+3), which YAML 1.1 leaves as
-    strings."""
+def _with_yaml12_floats(base: type) -> type:
+    """A safe loader class on base that also reads YAML 1.2 floats whose
+    exponent follows the digits without a dot (1e-4, -2E+3), which YAML 1.1
+    leaves as strings."""
+    class Loader(base):
+        pass
+
+    Loader.add_implicit_resolver(
+        "tag:yaml.org,2002:float",
+        re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+        list("-+.0123456789"))
+    return Loader
 
 
-_YamlLoader.add_implicit_resolver(
-    "tag:yaml.org,2002:float",
-    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
-    list("-+.0123456789"))
+# libyaml's C parser when PyYAML was built with it, else the pure-Python one
+_YamlLoader = _with_yaml12_floats(getattr(yaml, "CSafeLoader",
+                                          yaml.SafeLoader))
+_PyYamlLoader = _with_yaml12_floats(yaml.SafeLoader)
+
+# The C loader composes nodes by recursing in C, once per nesting level, and
+# overflows the C stack (a crash, not an exception) somewhere past 20000
+# levels on an 8 MB stack. Every level opens with one of these bytes, so a
+# document with few of them goes to the C loader; any other goes to the
+# pure-Python one, whose deepest documents end in RecursionError.
+_NESTING_BYTES = b"[{-?:"
+_C_LOADER_MAX_NESTING_BYTES = 1000
 
 
 def _read_yaml(path: Path) -> dict:
     try:
-        with open(path, "r") as fh:
-            doc = yaml.load(fh, Loader=_YamlLoader)
+        with open(path, "rb") as fh:
+            data = fh.read()
+            fh.seek(0)
+            shallow = (sum(map(data.count, _NESTING_BYTES))
+                       <= _C_LOADER_MAX_NESTING_BYTES)
+            doc = yaml.load(fh, Loader=_YamlLoader if shallow
+                            else _PyYamlLoader)
     except OSError as exc:
         raise ConfigError(path, f"cannot read: {exc}") from exc
-    except yaml.YAMLError as exc:
-        raise ConfigError(path, f"YAML parse error: {exc}") from exc
+    except RecursionError:
+        raise ConfigError(path, "YAML parse error: nested too "
+                                "deeply") from None
+    except (yaml.YAMLError, ValueError) as exc:
+        # ValueError: a well-formed scalar the constructor cannot build,
+        # such as the date 2001-13-01 or an int of more than 4300 digits
+        raise ConfigError(path, "YAML parse error: "
+                                + " ".join(str(exc).split())) from exc
     if not isinstance(doc, dict):
         raise ConfigError(path, "top level must be a mapping")
     return doc
@@ -195,35 +230,39 @@ class _Section:
             raise self._fail(f"missing field '{key}'")
         return default
 
+    def _take_typed(self, key: str, required: bool, default, types: tuple,
+                    what: str):
+        """A field of one of types; a null is a missing value, so it takes
+        the default of an optional field and fails a required one."""
+        v = self.take(key, required, default)
+        if v is None and not required:
+            return default
+        if isinstance(v, bool) or not isinstance(v, types):
+            raise self._fail(f"field '{key}' must be {what}, got "
+                             f"{reprlib.repr(v)}")
+        return v
+
     def take_float(self, key: str, required: bool = True,
                    default: Optional[float] = None) -> Optional[float]:
-        v = self.take(key, required, default)
+        v = self._take_typed(key, required, default, (int, float), "a number")
         if v is None:
             return None
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise self._fail(f"field '{key}' must be a number, got {v!r}")
-        return float(v)
+        try:
+            return float(v)
+        except OverflowError:  # an int past the float range
+            raise self._fail(f"field '{key}' is out of range, got "
+                             f"{reprlib.repr(v)}") from None
 
     def take_int(self, key: str, required: bool = True,
                  default: Optional[int] = None) -> Optional[int]:
-        v = self.take(key, required, default)
-        if v is None:
-            return None
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise self._fail(f"field '{key}' must be an integer, got {v!r}")
-        return v
+        return self._take_typed(key, required, default, (int,), "an integer")
 
     def take_str(self, key: str, required: bool = True,
                  default: Optional[str] = None) -> Optional[str]:
-        v = self.take(key, required, default)
-        if v is None:
-            return None
-        if not isinstance(v, str):
-            raise self._fail(f"field '{key}' must be a string, got {v!r}")
-        return v
+        return self._take_typed(key, required, default, (str,), "a string")
 
     def finish(self, strict: bool) -> None:
-        extra = sorted(set(self.data) - self.used)
+        extra = sorted(set(self.data) - self.used, key=str)
         if extra and strict:
             raise self._fail(f"unknown keys {extra}")
 
@@ -231,7 +270,7 @@ class _Section:
 def _load_table_csv(path: Path) -> Tuple[Tuple[float, float], ...]:
     """Two-column (displacement_mm, force_N) curve with a mandatory header."""
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
@@ -251,6 +290,10 @@ def _load_table_csv(path: Path) -> Tuple[Tuple[float, float], ...]:
                     raise ConfigError(path, f"line {i}: {exc}") from exc
     except OSError as exc:
         raise ConfigError(path, f"cannot read: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(path, f"not UTF-8 text: {exc}") from exc
+    except csv.Error as exc:  # such as a field past csv's size limit
+        raise ConfigError(path, f"CSV error: {exc}") from exc
     return tuple(rows)
 
 
@@ -258,8 +301,11 @@ def _load_table_csv(path: Path) -> Tuple[Tuple[float, float], ...]:
 # typed config parsers
 
 
-def parse_actuator(path: Path, strict: bool = False) -> ActuatorModel:
-    doc = _read_yaml(path)
+# Each typed parser takes the loaded document of the file at path, so that
+# parse_config reads a file once to find its type and to parse it.
+
+
+def _parse_actuator(doc: dict, path: Path, strict: bool) -> ActuatorModel:
     sec = _Section(doc.get("actuator"), path, "actuator")
     label = sec.take_str("label", required=False, default=path.stem)
     kind = sec.take_str("kind")
@@ -297,7 +343,9 @@ def parse_actuator(path: Path, strict: bool = False) -> ActuatorModel:
         return ActuatorModel(element=element, k_t=k_t,
                              rated_force=rated_force,
                              rated_speed=rated_speed, label=label)
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
+        # ArithmeticError: a value so extreme that the element law
+        # overflows or divides by zero
         raise ConfigError(path, f"section 'actuator': {exc}") from exc
 
 
@@ -324,14 +372,26 @@ class LoadedJoint:
     delta: float
 
 
-def parse_joint(path: Path, strict: bool = False) -> LoadedJoint:
-    doc = _read_yaml(path)
+def _actuator_reader(base_dir: Path, strict: bool):
+    """A function from an actuator file name, resolved against base_dir, to
+    its parsed model. A file named twice, as by a symmetric pair, is read
+    (with its table) once, and both names get the same model."""
+    parsed: Dict[Path, ActuatorModel] = {}
+
+    def read(name: str) -> ActuatorModel:
+        path = _resolve(name, base_dir)
+        key = path.resolve()
+        if key not in parsed:
+            parsed[key] = _parse_actuator(_read_yaml(path), path, strict)
+        return parsed[key]
+    return read
+
+
+def _parse_joint(doc: dict, path: Path, strict: bool) -> LoadedJoint:
     sec = _Section(doc.get("joint"), path, "joint")
-    p1 = _resolve(sec.take_str("actuator_1"), path.parent)
-    a1 = parse_actuator(p1, strict)
-    p2 = _resolve(sec.take_str("actuator_2"), path.parent)
-    # a symmetric pair names one file twice: read it (and its table) once
-    a2 = a1 if p2.resolve() == p1.resolve() else parse_actuator(p2, strict)
+    read_actuator = _actuator_reader(path.parent, strict)
+    a1 = read_actuator(sec.take_str("actuator_1"))
+    a2 = read_actuator(sec.take_str("actuator_2"))
     R = sec.take_float("R")
     mu_s = sec.take_float("mu_s")
     inertia = sec.take_float("inertia_I")
@@ -350,8 +410,7 @@ def parse_joint(path: Path, strict: bool = False) -> LoadedJoint:
 _LINK_NAMES = ("b", "c", "d")
 
 
-def parse_chain(path: Path, strict: bool = False) -> KinematicChain:
-    doc = _read_yaml(path)
+def _parse_chain(doc: dict, path: Path, strict: bool) -> KinematicChain:
     sec = _Section(doc.get("chain"), path, "chain")
     links_raw = sec.take("link_lengths")
     links = _Section(links_raw, path, "chain.link_lengths")
@@ -420,16 +479,15 @@ def _length_field(rsec: _Section, key: str, lengths: Dict[str, float],
     return float(v)
 
 
-def parse_lift(path: Path, strict: bool = False) -> LiftScenario:
-    doc = _read_yaml(path)
+def _parse_lift(doc: dict, path: Path, strict: bool) -> LiftScenario:
     sec = _Section(doc.get("lift"), path, "lift")
     label = sec.take_str("label", required=False, default=path.stem)
     act_names = sec.take("actuators")
-    if not isinstance(act_names, list) or not act_names:
+    if (not isinstance(act_names, list) or not act_names
+            or not all(isinstance(n, str) for n in act_names)):
         raise ConfigError(path, "section 'lift': 'actuators' must be a "
                                 "nonempty list of actuator config files")
-    actuators = tuple(parse_actuator(_resolve(n, path.parent), strict)
-                      for n in act_names)
+    actuators = tuple(map(_actuator_reader(path.parent, strict), act_names))
     kwargs = dict(
         payload_mass=sec.take_float("payload_mass"),
         limb_mass=sec.take_float("limb_mass"),
@@ -444,9 +502,13 @@ def parse_lift(path: Path, strict: bool = False) -> LiftScenario:
     )
     sec.finish(strict)
     try:
-        return LiftScenario(actuators=actuators, label=label, **kwargs)
-    except ValueError as exc:
+        scenario = LiftScenario(actuators=actuators, label=label, **kwargs)
+    except (ValueError, ArithmeticError) as exc:
         raise ConfigError(path, f"section 'lift': {exc}") from exc
+    if scenario.t_max / scenario.dt + 1 > MAX_RUN_POINTS:
+        raise ConfigError(path, f"section 'lift': t_max/dt allows more than "
+                                f"{MAX_RUN_POINTS} steps")
+    return scenario
 
 
 @dataclass(frozen=True)
@@ -464,11 +526,25 @@ class GridSpec:
             raise ValueError(f"grid step must be > 0, got {self.step}")
         if self.stop < self.start:
             raise ValueError(f"grid stop {self.stop} below start {self.start}")
+        if not math.isfinite((self.stop - self.start) / self.step):
+            raise ValueError("grid (stop - start)/step overflows")
+
+    def _extent(self) -> Tuple[int, bool]:
+        """(n, tail): the grid is start + i*step for i = 0..n, followed by
+        stop when tail is true."""
+        n = int(math.floor((self.stop - self.start) / self.step + 1e-9))
+        last = self.start + n * self.step
+        return n, self.stop - last > 1e-9 * max(1.0, abs(self.stop))
+
+    def count(self) -> int:
+        """Number of grid points, computed without building them."""
+        n, tail = self._extent()
+        return n + 1 + tail
 
     def points(self) -> List[float]:
-        n = int(math.floor((self.stop - self.start) / self.step + 1e-9))
+        n, tail = self._extent()
         pts = [self.start + i * self.step for i in range(n + 1)]
-        if self.stop - pts[-1] > 1e-9 * max(1.0, abs(self.stop)):
+        if tail:
             pts.append(self.stop)
         return pts
 
@@ -498,21 +574,25 @@ _SWEEP_VARS = {
 }
 
 _CONFIG_PARSERS = {
-    Experiment.FORCE_DISPLACEMENT: parse_actuator,
-    Experiment.STIFFNESS_VS_PRETENSION: parse_joint,
-    Experiment.MAX_ACCELERATION: parse_joint,
-    Experiment.TORQUE_SURFACE: parse_joint,
-    Experiment.MAX_TORQUE_VS_PRETENSION: parse_joint,
-    Experiment.STIFFNESS_RANGE: parse_joint,
-    Experiment.WORKSPACE: parse_chain,
-    Experiment.LIFT: parse_lift,
+    Experiment.FORCE_DISPLACEMENT: _parse_actuator,
+    Experiment.STIFFNESS_VS_PRETENSION: _parse_joint,
+    Experiment.MAX_ACCELERATION: _parse_joint,
+    Experiment.TORQUE_SURFACE: _parse_joint,
+    Experiment.MAX_TORQUE_VS_PRETENSION: _parse_joint,
+    Experiment.STIFFNESS_RANGE: _parse_joint,
+    Experiment.WORKSPACE: _parse_chain,
+    Experiment.LIFT: _parse_lift,
 }
 
 
 def parse_experiment(path: Union[str, Path],
                      strict: bool = False) -> ExperimentSpec:
+    """Parse an experiment spec file and the config file it names."""
     path = Path(path)
-    doc = _read_yaml(path)
+    return _parse_experiment(_read_yaml(path), path, strict)
+
+
+def _parse_experiment(doc: dict, path: Path, strict: bool) -> ExperimentSpec:
     sec = _Section(doc.get("experiment"), path, "experiment")
     kind_name = sec.take_str("kind")
     try:
@@ -521,8 +601,8 @@ def parse_experiment(path: Union[str, Path],
         known = ", ".join(e.value for e in Experiment)
         raise ConfigError(path, f"section 'experiment': unknown kind "
                                 f"{kind_name!r}; one of {known}") from None
-    config_name = sec.take_str("config")
-    model = _CONFIG_PARSERS[experiment](_resolve(config_name, path.parent),
+    config_path = _resolve(sec.take_str("config"), path.parent)
+    model = _CONFIG_PARSERS[experiment](_read_yaml(config_path), config_path,
                                         strict)
 
     sweeps: Dict[str, GridSpec] = {}
@@ -557,17 +637,22 @@ def parse_experiment(path: Union[str, Path],
                                        and spec.delta > 0):
         raise ConfigError(path, f"section 'experiment': field 'delta' must "
                                 f"be finite and > 0, got {spec.delta}")
-    if experiment is Experiment.WORKSPACE and (spec.n or 0) < 1:
-        raise ConfigError(path, "section 'experiment': Workspace needs n >= 1")
+    if (experiment is Experiment.WORKSPACE
+            and not 1 <= (spec.n or 0) <= MAX_RUN_POINTS):
+        raise ConfigError(path, f"section 'experiment': Workspace needs "
+                                f"1 <= n <= {MAX_RUN_POINTS}")
+    if math.prod(g.count() for g in sweeps.values()) > MAX_RUN_POINTS:
+        raise ConfigError(path, f"section 'experiment': the sweep grid has "
+                                f"more than {MAX_RUN_POINTS} points")
     return spec
 
 
 _PARSE_DISPATCH = {
-    "actuator": parse_actuator,
-    "joint": parse_joint,
-    "chain": parse_chain,
-    "lift": parse_lift,
-    "experiment": parse_experiment,
+    "actuator": _parse_actuator,
+    "joint": _parse_joint,
+    "chain": _parse_chain,
+    "lift": _parse_lift,
+    "experiment": _parse_experiment,
 }
 
 
@@ -584,10 +669,10 @@ def parse_config(path: Union[str, Path], strict: bool = False):
         raise ConfigError(path, f"expected exactly one of the sections "
                                 f"{sorted(_PARSE_DISPATCH)}, found {kinds}")
     if strict:
-        extra = sorted(set(doc) - set(kinds))
+        extra = sorted(set(doc) - set(kinds), key=str)
         if extra:
             raise ConfigError(path, f"unknown top-level keys {extra}")
-    return _PARSE_DISPATCH[kinds[0]](path, strict)
+    return _PARSE_DISPATCH[kinds[0]](doc, path, strict)
 
 
 # --------------------------------------------------------------------------
@@ -862,12 +947,8 @@ def _run_acceleration(spec: ExperimentSpec):
     kink = joint.d_m / 2.0
     pts = np.array(_merge_exact(spec.sweeps["d_s"].points(),
                                 [kink, joint.d_m]))
-    # one point at a time: the bound deflects the joint by d_s/R, and
-    # external_force takes a single deflection
-    acc = _sweep_eval(
-        np.vectorize(lambda d_s: max_allowable_acceleration(joint, d_s),
-                     otypes=[float]),
-        "max_allowable_acceleration", pts)
+    acc = _sweep_eval(lambda d_s: max_allowable_acceleration(joint, d_s),
+                      "max_allowable_acceleration", pts)
     summary = {
         "operation": "max_allowable_acceleration",
         "slope_change_at_mm": kink,
@@ -935,8 +1016,9 @@ def _run_stiffness_range(spec: ExperimentSpec):
 
 def _run_workspace(spec: ExperimentSpec, seed: Optional[int]):
     chain = _expect(spec, KinematicChain, "chain")
-    if seed is None:
-        raise ExperimentError("Workspace needs a seed (spec field or --seed)")
+    if seed is None or seed < 0:
+        raise ExperimentError(f"Workspace needs a seed >= 0 (spec field or "
+                              f"--seed), got {seed}")
     cloud = sample_workspace(chain, spec.n, seed)
     summary = {
         "operation": "sample_workspace",

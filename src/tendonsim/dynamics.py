@@ -111,11 +111,16 @@ class LiftScenario:
         """Slowest rated tendon speed in the set, in m/s."""
         return min(a.rated_speed for a in self.actuators) / MM_PER_M
 
+    @property
+    def gravity_moment(self) -> float:
+        """Mass moment about the joint, m_limb*L_com + m_payload*L_payload
+        (kg*m)."""
+        return (self.limb_mass * self.limb_com_distance
+                + self.payload_mass * self.payload_distance)
+
     def gravity_torque(self, theta: float) -> float:
         """Load torque opposing positive rotation at angle theta (Nm)."""
-        return (self.gravity * math.cos(theta)
-                * (self.limb_mass * self.limb_com_distance
-                   + self.payload_mass * self.payload_distance))
+        return self.gravity * math.cos(theta) * self.gravity_moment
 
 
 @dataclass(frozen=True)
@@ -154,33 +159,37 @@ def mechanical_power(tau: float, omega: float) -> float:
     return tau * omega
 
 
-def _applied_torque_and_next(scenario: LiftScenario, theta: float,
-                             omega: float, v_cmd: float,
-                             direction: float) -> Tuple[float, float]:
-    """One control/physics step: returns (applied torque, next omega).
+def _step_law(scenario: LiftScenario, v_cmd: float, direction: float):
+    """The explicit-Euler step of the lift under tendon speed v_cmd (m/s)
+    toward direction (+1 or -1), with the scenario constants computed once.
 
+    Returns step(theta, omega) -> (tau_g, tau, next theta, next omega).
     Full rated force drives toward the target while below the speed cap.
     The cap itself is kinematic, so the torque that puts omega exactly on
-    it is back-computed from the motion constraint; either way the result
-    is clamped to what the pair can exert (|tau| <= max_torque, negative
-    torque meaning the antagonist brakes).
+    it is back-computed from the motion constraint; either way the applied
+    torque tau is clamped to what the pair can exert (|tau| <= max_torque,
+    negative torque meaning the antagonist brakes).
     """
     I = scenario.total_inertia
     dt = scenario.dt
-    tau_g = scenario.gravity_torque(theta)
+    g = scenario.gravity
+    moment = scenario.gravity_moment
     tau_max = scenario.max_torque
     omega_cap = direction * v_cmd / scenario.joint_R
 
-    # torque that lands omega exactly on the cap after this step
-    tau_hold = I * (omega_cap - omega) / dt + tau_g
-    if direction * omega < direction * omega_cap:
-        tau = direction * tau_max
-        if direction * tau > direction * tau_hold:
-            tau = tau_hold  # full force would cross the cap: ride it
-    else:
-        tau = tau_hold
-    tau = min(max(tau, -tau_max), tau_max)
-    return tau, omega + (tau - tau_g) / I * dt
+    def step(theta: float, omega: float) -> Tuple[float, float, float, float]:
+        tau_g = g * math.cos(theta) * moment
+        # torque that lands omega exactly on the cap after this step
+        tau_hold = I * (omega_cap - omega) / dt + tau_g
+        if direction * omega < direction * omega_cap:
+            tau = direction * tau_max
+            if direction * tau > direction * tau_hold:
+                tau = tau_hold  # full force would cross the cap: ride it
+        else:
+            tau = tau_hold
+        tau = min(max(tau, -tau_max), tau_max)
+        return tau_g, tau, theta + omega * dt, omega + (tau - tau_g) / I * dt
+    return step
 
 
 def step_dynamics(scenario: LiftScenario, state: LiftState,
@@ -193,11 +202,9 @@ def step_dynamics(scenario: LiftScenario, state: LiftState,
                          f"{scenario.rated_tendon_speed} m/s")
     direction = math.copysign(1.0, commanded_tendon_speed) \
         if commanded_tendon_speed != 0.0 else 1.0
-    tau, omega_next = _applied_torque_and_next(scenario, state.theta,
-                                               state.omega, v, direction)
-    return LiftState(t=state.t + scenario.dt,
-                     theta=state.theta + state.omega * scenario.dt,
-                     omega=omega_next)
+    _, _, theta, omega = _step_law(scenario, v, direction)(state.theta,
+                                                          state.omega)
+    return LiftState(t=state.t + scenario.dt, theta=theta, omega=omega)
 
 
 def simulate_lift(scenario: LiftScenario) -> LiftTrace:
@@ -213,25 +220,24 @@ def simulate_lift(scenario: LiftScenario) -> LiftTrace:
     tau_col: List[float] = []
     tg_col: List[float] = []
 
+    step = _step_law(s, v_cmd, direction)
     theta, omega = s.theta_start, 0.0
     reached = False
     time_to_target: Optional[float] = None
     for i in range(n_max + 1):
         t = i * s.dt  # not a running sum, which drifts from i*dt
-        tau, omega_next = _applied_torque_and_next(s, theta, omega, v_cmd,
-                                                   direction)
+        tau_g, tau, theta_next, omega_next = step(theta, omega)
         th_col.append(theta)
         om_col.append(omega)
         tau_col.append(tau)
-        tg_col.append(s.gravity_torque(theta))
+        tg_col.append(tau_g)
         if direction * (theta - s.theta_target) >= 0.0:
             reached = True
             time_to_target = t
             break
         if t >= s.t_max:
             break
-        theta = theta + omega * s.dt
-        omega = omega_next
+        theta, omega = theta_next, omega_next
         if not (math.isfinite(theta) and math.isfinite(omega)):
             raise FloatingPointError("non-finite state; integration fault")
 

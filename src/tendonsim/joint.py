@@ -26,8 +26,9 @@ Five regimes (stages) of d_s for a passive deflection delta:
 where d_m is the actuator displacement limit including tendon stretch
 (d_max_total) and ties go to the lower-numbered stage.
 
-pretension_force, external_force, joint_stiffness, joint_torque and
-max_controllable_torque take d_s (and d_t) as floats or as arrays that
+pretension_force, external_force, joint_stiffness, joint_torque,
+max_controllable_torque and max_allowable_acceleration take d_s (and d_t,
+and the deflection delta of external_force) as floats or as arrays that
 broadcast together; a float argument gives a float result.
 
 Units: millimeters and newtons internally; SI conversions (m, Nm, rad/s^2)
@@ -185,12 +186,13 @@ def classify_stage(joint: AntagonisticJointConfig, d_s: float,
     return StageLabel.S5_TENDON_ONLY
 
 
-def external_force(joint: AntagonisticJointConfig, delta: float, d_s):
+def external_force(joint: AntagonisticJointConfig, delta, d_s):
     """Restoring tendon force F_e (N) against a passive deflection delta
     (rad) at pre-tension d_s (mm). Single computation path for all stages.
     """
-    if delta <= 0:
-        raise ValueError(f"delta must be > 0, got {delta}")
+    d = np.asarray(delta)
+    if (d <= 0).any():
+        raise ValueError(f"delta must be > 0, got {d[d <= 0].flat[0]}")
     _require_nonnegative("d_s", d_s)
     dR = delta * joint.R
     return (joint.f_d(d_s + dR) - joint.f_d(d_s - dR)
@@ -225,8 +227,7 @@ def controllable_stiffness_range(joint: AntagonisticJointConfig,
     return StiffnessRange(k_min, k_max, k_max - k_min)
 
 
-def max_allowable_acceleration(joint: AntagonisticJointConfig,
-                               d_s: float) -> float:
+def max_allowable_acceleration(joint: AntagonisticJointConfig, d_s):
     """Largest joint acceleration (rad/s^2) that keeps both tendons taut.
 
     The joint may rotate by at most d_s/R before the trailing tendon goes
@@ -234,19 +235,20 @@ def max_allowable_acceleration(joint: AntagonisticJointConfig,
     acceleration bound is F_e*R/I (R converted to meters). Valid while the
     elastic element operates, 0 < d_s <= d_m; d_s = 0 returns 0 (any
     acceleration slackens a tendon), and so does a d_s so small that the
-    rotation d_s/R underflows to 0.
+    rotation d_s/R underflows to 0. d_s is a float or an array.
     """
-    if d_s < 0:
-        raise ValueError(f"d_s must be >= 0, got {d_s}")
-    if d_s > joint.d_m:
-        raise ValueError(f"d_s={d_s} mm is past the elastic stage "
-                         f"(d_m={joint.d_m} mm); the slack-avoidance bound "
-                         f"is not defined there")
-    delta = d_s / joint.R
-    if delta == 0:
-        return 0.0
-    F_e = external_force(joint, delta, d_s)
-    return F_e * (joint.R / MM_PER_M) / joint.inertia_I
+    _require_nonnegative("d_s", d_s)
+    d = np.asarray(d_s)
+    if (d > joint.d_m).any():
+        raise ValueError(f"d_s={d[d > joint.d_m].flat[0]} mm is past the "
+                         f"elastic stage (d_m={joint.d_m} mm); the "
+                         f"slack-avoidance bound is not defined there")
+    delta = d / joint.R
+    taut = delta != 0
+    acc = np.zeros(d.shape)
+    acc[taut] = (external_force(joint, delta[taut], d[taut])
+                 * (joint.R / MM_PER_M) / joint.inertia_I)
+    return acc if acc.ndim else float(acc)
 
 
 def joint_torque(joint: AntagonisticJointConfig, d_s, d_t):

@@ -6,15 +6,23 @@ shipped file doubles as a test vector.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
-from tendonsim.cli import (DATA_DIR, ENV_CONFIG_DIR, ConfigError,
-                           ExperimentError, GridSpec, LoadedJoint,
+from tendonsim import cli
+from tendonsim.cli import (DATA_DIR, ENV_CONFIG_DIR, MAX_RUN_POINTS,
+                           ConfigError, ExperimentError, GridSpec,
+                           LoadedJoint, _PyYamlLoader, _YamlLoader,
                            _merge_exact, _read_yaml, main, parse_config,
                            parse_experiment, run_experiment,
                            validate_csv_schema)
+
+BENCH_DATA = Path(__file__).resolve().parents[1] / "bench" / "data"
 
 ACT_TPL = """\
 actuator:
@@ -456,18 +464,22 @@ def test_schema_rejections(tmp_path, text, fragment):
 
 
 def test_grid_points_inclusive_when_step_divides():
-    assert GridSpec(0.0, 1.0, 0.25).points() == [0.0, 0.25, 0.5, 0.75, 1.0]
+    g = GridSpec(0.0, 1.0, 0.25)
+    assert g.points() == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert g.count() == 5
 
 
 def test_grid_appends_stop_when_step_does_not_divide():
-    pts = GridSpec(0.0, 1.0, 0.3).points()
+    g = GridSpec(0.0, 1.0, 0.3)
+    pts = g.points()
     assert pts[0] == 0.0 and pts[-1] == 1.0
-    assert len(pts) == 5
+    assert len(pts) == 5 == g.count()
 
 
 def test_grid_handles_float_noise():
-    pts = GridSpec(0.0, 35.0, 0.25).points()
-    assert len(pts) == 141
+    g = GridSpec(0.0, 35.0, 0.25)
+    pts = g.points()
+    assert len(pts) == 141 == g.count()
     assert pts[-1] == 35.0
 
 
@@ -476,6 +488,8 @@ def test_grid_handles_float_noise():
     dict(start=0.0, stop=1.0, step=-0.5),
     dict(start=2.0, stop=1.0, step=0.5),
     dict(start=float("nan"), stop=1.0, step=0.5),
+    dict(start=-1e308, stop=1e308, step=1.0),    # (stop - start) overflows
+    dict(start=0.0, stop=1e300, step=1e-300),    # the count overflows
 ])
 def test_grid_validation(kw):
     with pytest.raises(ValueError):
@@ -493,3 +507,140 @@ def test_merge_exact_collapses_near_duplicates_onto_exact_value():
 
 def test_merge_exact_with_empty_base():
     assert _merge_exact([], [2.0, 1.0]) == [1.0, 2.0]
+
+
+# --------------------------------------------------------------------------
+# the YAML loader, reading each file once, and malformed input
+
+
+def test_c_loader_is_used_when_pyyaml_has_libyaml():
+    assert issubclass(_PyYamlLoader, yaml.SafeLoader)
+    if yaml.__with_libyaml__:
+        assert issubclass(_YamlLoader, yaml.CSafeLoader)
+
+
+def test_c_and_python_loaders_give_equal_documents():
+    texts = [p.read_bytes() for p in sorted(DATA_DIR.glob("*.yaml"))
+             + sorted(BENCH_DATA.glob("*.yaml"))]
+    assert len(texts) == 17
+    texts += [t.encode() for t in (ACT_TPL.format(label="x"), FD_SPEC,
+                                   WS_SPEC, "a: 1e-4\nb: -2E+3\nc: '1e-4'\n")]
+    for text in texts:
+        c_doc = yaml.load(text, Loader=_YamlLoader)
+        assert c_doc == yaml.load(text, Loader=_PyYamlLoader)
+        assert isinstance(c_doc, dict)
+
+
+@pytest.mark.parametrize("path, reads", [
+    (DATA_DIR / "lift_dumbbell.yaml", ["lift_dumbbell.yaml", "eca.yaml"]),
+    (DATA_DIR / "ica_joint.yaml", ["ica_joint.yaml", "ica.yaml"]),
+    (DATA_DIR / "exp_lift.yaml",
+     ["exp_lift.yaml", "lift_dumbbell.yaml", "eca.yaml"]),
+    (BENCH_DATA / "misa_like_joint.yaml",
+     ["misa_like_joint.yaml", "misa_like.yaml", "misa_like_curve.csv"]),
+])
+def test_each_config_file_is_read_once(monkeypatch, path, reads):
+    seen = []
+
+    def counting(read):
+        def wrapper(p):
+            seen.append(p.name)
+            return read(p)
+        return wrapper
+
+    for name in ("_read_yaml", "_load_table_csv"):
+        monkeypatch.setattr(cli, name, counting(getattr(cli, name)))
+    parse_config(path)
+    assert seen == reads
+
+
+def _one_line_error(capsys, prefix="invalid: "):
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+    return err
+
+
+def test_invalid_utf8_yaml_is_a_one_line_error(tmp_path, capsys):
+    p = tmp_path / "a.yaml"
+    p.write_bytes(ACT_TPL.format(label="x").encode().replace(
+        b"label: x", b"label: x\xff\xfe"))
+    assert main(["validate", str(p)]) == 1
+    assert "a.yaml: YAML parse error" in _one_line_error(capsys)
+
+
+def test_invalid_utf8_table_is_a_one_line_error(tmp_path, capsys):
+    curve = (DATA_DIR / "misa_like_curve.csv").read_bytes()
+    (tmp_path / "misa_like_curve.csv").write_bytes(curve + b"\xff\xfe,1\n")
+    # the bundled actuator names its curve bare, so the copy here wins
+    p = _write(tmp_path / "misa.yaml",
+               (DATA_DIR / "misa_like.yaml").read_text())
+    assert main(["validate", str(p)]) == 1
+    assert "misa_like_curve.csv: not UTF-8 text" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("text", [b"a: " + b"[" * 50000,
+                                  b"- " * 40000 + b"a\n"])
+def test_deeply_nested_yaml_is_a_one_line_error(tmp_path, text):
+    # in a child process, since the C parser would crash the interpreter
+    # on these documents rather than raise
+    p = tmp_path / "deep.yaml"
+    p.write_bytes(text)
+    code = ("import sys; from tendonsim.cli import main; "
+            "sys.exit(main(sys.argv[1:]))")
+    proc = subprocess.run([sys.executable, "-c", code, "validate", str(p)],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(
+                              Path(cli.__file__).parents[1])})
+    assert proc.returncode == 1
+    assert proc.stderr == (f"invalid: {p}: YAML parse error: nested too "
+                           f"deeply\n")
+
+
+@pytest.mark.parametrize("name, old, new, fragment", [
+    ("ica.yaml", "pulley_radius_r: 5.0", "pulley_radius_r: 1e308",
+     "section 'actuator'"),
+    ("ica.yaml", "k_t: 30.0", "k_t: 0", "section 'actuator'"),
+    ("ica.yaml", "k_t: 30.0", "k_t: 1" + "0" * 400,
+     "field 'k_t' is out of range"),
+    ("ica.yaml", "label: ica", "label: 2001-13-01", "YAML parse error"),
+    ("ica.yaml", "mu_p: 0.1", "mu_p: " + "9" * 5000, "YAML parse error"),
+    ("lift_dumbbell.yaml", "payload_distance: 0.25",
+     "payload_distance: 1e308", "section 'lift'"),
+    ("lift_dumbbell.yaml", "[eca.yaml, eca.yaml]", "[eca.yaml, 7]",
+     "'actuators' must be a nonempty list"),
+    ("lift_dumbbell.yaml", "dt: 0.0001", "dt: 1e-320",
+     f"t_max/dt allows more than {MAX_RUN_POINTS} steps"),
+    ("lift_dumbbell.yaml", "dt: 0.0001", "dt: 1e-7",
+     f"t_max/dt allows more than {MAX_RUN_POINTS} steps"),
+    ("exp_lift.yaml", "config: lift_dumbbell.yaml", "config: ~",
+     "field 'config' must be a string, got None"),
+    ("exp_workspace.yaml", "n: 100000", f"n: {MAX_RUN_POINTS + 1}",
+     f"Workspace needs 1 <= n <= {MAX_RUN_POINTS}"),
+    ("exp_workspace.yaml", "n: 100000", "n: 1" + "0" * 400,
+     f"Workspace needs 1 <= n <= {MAX_RUN_POINTS}"),
+    # 3334 x 3334 points: each axis is small, their product is not
+    ("exp_torque_surface.yaml", "step: 2.0}", "step: 0.009}",
+     f"the sweep grid has more than {MAX_RUN_POINTS} points"),
+    ("exp_force_displacement.yaml", "step: 0.1}", "step: 1e-310}",
+     "(stop - start)/step overflows"),
+])
+def test_malformed_configs_are_one_line_errors(tmp_path, capsys, name, old,
+                                               new, fragment):
+    text = (DATA_DIR / name).read_text()
+    assert old in text
+    p = _write(tmp_path / name, text.replace(old, new))
+    assert main(["validate", str(p)]) == 1
+    assert fragment in _one_line_error(capsys)
+
+
+def test_null_optional_field_takes_its_default(tmp_path):
+    text = (DATA_DIR / "lift_dumbbell.yaml").read_text()
+    p = _write(tmp_path / "lift.yaml", text + "  gravity: ~\n")
+    assert parse_config(p).gravity == 9.81
+
+
+def test_workspace_seed_must_be_nonnegative(tmp_path, capsys):
+    spec = _write(tmp_path / "ws.yaml", WS_SPEC)
+    assert main(["run", str(spec), "--out", str(tmp_path / "o"),
+                 "--seed", "-1"]) == 1
+    assert "needs a seed >= 0" in _one_line_error(capsys, "error: ")

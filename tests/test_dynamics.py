@@ -105,6 +105,15 @@ def test_first_step_from_rest_uses_full_torque(lift):
     assert nxt.t == lift.dt
 
 
+def test_step_dynamics_retraces_simulate_lift(lift):
+    # one step law serves both: stepping by hand replays the trace bitwise
+    trace = simulate_lift(lift)
+    state = LiftState(t=0.0, theta=lift.theta_start, omega=0.0)
+    for theta, omega in zip(trace.theta.tolist(), trace.omega.tolist()):
+        assert (state.theta, state.omega) == (theta, omega)
+        state = step_dynamics(lift, state, lift.rated_tendon_speed)
+
+
 def test_zero_speed_command_holds_position(lift):
     # commanding zero tendon speed back-computes gravity compensation
     state = LiftState(t=0.0, theta=0.3, omega=0.0)

@@ -367,6 +367,14 @@ def test_joint_operations_take_whole_grids(misa):
         inside = ds[ds <= j.d_m]
         assert max_controllable_torque(j, inside).tolist() == [
             max_controllable_torque(j, d) for d in inside.tolist()]
+        # the deflection is an array too: d_s/R differs at every point
+        inside = np.append(inside, 5e-324)
+        assert max_allowable_acceleration(j, inside).tolist() == [
+            max_allowable_acceleration(j, d) for d in inside.tolist()]
+        deltas = np.linspace(0.01, 0.2, ds.size)
+        assert external_force(j, deltas, ds).tolist() == [
+            external_force(j, a, b)
+            for a, b in zip(deltas.tolist(), ds.tolist())]
 
 
 def test_grid_arguments_name_the_first_bad_entry():
@@ -375,3 +383,9 @@ def test_grid_arguments_name_the_first_bad_entry():
         joint_torque(j, np.ones(3), np.array([0.0, -2.0, -3.0]))
     with pytest.raises(ValueError, match="d_s=50.0 mm is past the elastic"):
         max_controllable_torque(j, np.array([1.0, 50.0, 60.0]))
+    with pytest.raises(ValueError, match="d_s=50.0 mm is past the elastic"):
+        max_allowable_acceleration(j, np.array([1.0, 50.0, 60.0]))
+    with pytest.raises(ValueError, match=r"d_s must be >= 0, got -2\.0$"):
+        max_allowable_acceleration(j, np.array([1.0, -2.0, -3.0]))
+    with pytest.raises(ValueError, match=r"delta must be > 0, got 0\.0$"):
+        external_force(j, np.array([0.1, 0.0, -1.0]), 1.0)

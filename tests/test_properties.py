@@ -5,6 +5,12 @@ actuators and joints; tolerances are relative where the quantities scale
 with the drawn parameters.
 """
 
+import contextlib
+import io
+import shutil
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -18,6 +24,7 @@ from tendonsim import (ActuatorModel, AntagonisticJointConfig,
                        joint_stiffness, joint_torque,
                        max_allowable_acceleration, max_controllable_torque,
                        mechanical_power, sample_workspace, stage_boundaries)
+from tendonsim.cli import DATA_DIR, main
 from tendonsim.joint import StageLabel
 from tendonsim.kinematics import JOINT_ORDER, default_arm
 
@@ -254,3 +261,49 @@ def test_workspace_depends_only_on_seed(seed):
 @given(st.floats(-1e6, 1e6), st.floats(-1e3, 1e3))
 def test_power_is_the_exact_product(tau, omega):
     assert mechanical_power(tau, omega) == tau * omega
+
+
+BUNDLED_YAML = sorted(p.name for p in DATA_DIR.glob("*.yaml"))
+# bytes that steer YAML and number syntax, besides any byte at all
+SYNTAX_BYTES = b"0123456789.-+eE:[]{},#&*!|>'\"?%@ \t\n~"
+
+
+@st.composite
+def byte_edits(draw):
+    """(position, byte or None) pairs: None deletes, a byte overwrites or,
+    with the flag, inserts."""
+    byte = st.one_of(st.sampled_from(list(SYNTAX_BYTES)), st.integers(0, 255))
+    return draw(st.lists(st.tuples(st.integers(0, 10 ** 6),
+                                   st.one_of(st.none(), byte), st.booleans()),
+                         min_size=1, max_size=4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(BUNDLED_YAML + ["misa_like_curve.csv"]), byte_edits(),
+       st.booleans())
+def test_mutated_bundled_configs_end_in_ok_or_one_line_error(target, edits,
+                                                             strict):
+    data = bytearray((DATA_DIR / target).read_bytes())
+    for pos, byte, insert in edits:
+        pos %= len(data) + 1
+        if byte is None:
+            del data[pos:pos + 1]
+        elif insert or pos == len(data):
+            data[pos:pos] = bytes([byte])
+        else:
+            data[pos] = byte
+    validated = target if target.endswith(".yaml") else "misa_like.yaml"
+    with tempfile.TemporaryDirectory() as tmp:
+        # bare names resolve against the referencing file's directory first
+        for p in DATA_DIR.iterdir():
+            shutil.copy(p, tmp)
+        (Path(tmp) / target).write_bytes(bytes(data))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(["validate", str(Path(tmp) / validated)]
+                        + ["--strict"] * strict)
+    assert code in (0, 1)
+    if code == 1:
+        assert err.getvalue().startswith("invalid: ")
+        assert err.getvalue().count("\n") == 1
