@@ -14,8 +14,8 @@ rad, W) at their interfaces.
 from .elastic import (ActuatorModel, ElasticElementSpec, ElementKind,
                       displacement_from_force, effective_stiffness,
                       force_from_displacement)
-from .joint import (AntagonisticJointConfig, JointState, StageLabel,
-                    StiffnessRange, absolute_max_torque, classify_stage,
+from .joint import (AntagonisticJointConfig, StageLabel, StiffnessRange,
+                    absolute_max_torque, classify_stage,
                     controllable_stiffness_range, external_force,
                     joint_stiffness, joint_torque, max_allowable_acceleration,
                     max_controllable_torque, pretension_force,
@@ -36,7 +36,7 @@ __all__ = [
     "displacement_from_force", "effective_stiffness",
     "force_from_displacement",
     # joint
-    "AntagonisticJointConfig", "JointState", "StageLabel", "StiffnessRange",
+    "AntagonisticJointConfig", "StageLabel", "StiffnessRange",
     "absolute_max_torque", "classify_stage", "controllable_stiffness_range",
     "external_force", "joint_stiffness", "joint_torque",
     "max_allowable_acceleration", "max_controllable_torque",

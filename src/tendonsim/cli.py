@@ -18,6 +18,13 @@ Conventions:
   * config paths resolve against the referencing file's directory, then
     $TENDONSIM_CONFIG_DIR, then the bundled data directory.
 
+Each config type is one row of CONFIG_TYPES (section name -> parser, model
+class, the `validate` description) and each experiment kind one row of
+EXPERIMENTS (name, note, config section, sweep variables, runner). A new
+kind is one row plus its runner, a function of the spec that returns
+(header, columns, summary). The runners stay in this module: the
+benchmark's tracer patches the layer functions they call here.
+
 The bundled data directory ships reference parameter sets for the two
 prototype actuators, a tabulated nonlinear stand-in, joint/arm/lift
 scenarios, and one experiment spec per experiment kind.
@@ -34,10 +41,10 @@ import os
 import re
 import reprlib
 import sys
-from dataclasses import dataclass
-from enum import Enum
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 import yaml
@@ -57,7 +64,6 @@ __all__ = [
     "ConfigError",
     "ExperimentError",
     "SchemaError",
-    "Experiment",
     "GridSpec",
     "ExperimentSpec",
     "LoadedJoint",
@@ -102,29 +108,6 @@ class ExperimentError(Exception):
 
 class SchemaError(Exception):
     """A table to emit, or a CSV file, violates the unit-suffix schema."""
-
-
-class Experiment(Enum):
-    FORCE_DISPLACEMENT = "ForceDisplacement"
-    STIFFNESS_VS_PRETENSION = "StiffnessVsPretension"
-    MAX_ACCELERATION = "MaxAcceleration"
-    TORQUE_SURFACE = "TorqueSurface"
-    MAX_TORQUE_VS_PRETENSION = "MaxTorqueVsPretension"
-    STIFFNESS_RANGE = "StiffnessRange"
-    WORKSPACE = "Workspace"
-    LIFT = "Lift"
-
-
-EXPERIMENT_NOTES = {
-    Experiment.FORCE_DISPLACEMENT: "tendon force vs displacement curve of one actuator",
-    Experiment.STIFFNESS_VS_PRETENSION: "joint stiffness and stage vs pre-tension",
-    Experiment.MAX_ACCELERATION: "slack-avoidance acceleration bound vs pre-tension",
-    Experiment.TORQUE_SURFACE: "joint torque over (pre-tension, torque displacement)",
-    Experiment.MAX_TORQUE_VS_PRETENSION: "controllable torque ceiling vs pre-tension",
-    Experiment.STIFFNESS_RANGE: "controllable stiffness range endpoints",
-    Experiment.WORKSPACE: "Monte Carlo end-effector point cloud of the arm",
-    Experiment.LIFT: "single-joint payload lift trace under saturation",
-}
 
 
 # --------------------------------------------------------------------------
@@ -551,38 +534,15 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    experiment: Experiment
+    experiment: _ExperimentKind        # its row of EXPERIMENTS
     model: object                      # parsed config object
     sweeps: Dict[str, GridSpec]
     output: str
     fmt: str = "csv"
     seed: Optional[int] = None
-    delta: Optional[float] = None
+    delta: Optional[float] = None      # the spec's delta, else the joint's
     n: Optional[int] = None
     source: Optional[Path] = None
-
-
-_SWEEP_VARS = {
-    Experiment.FORCE_DISPLACEMENT: ("d",),
-    Experiment.STIFFNESS_VS_PRETENSION: ("d_s",),
-    Experiment.MAX_ACCELERATION: ("d_s",),
-    Experiment.TORQUE_SURFACE: ("d_s", "d_t"),
-    Experiment.MAX_TORQUE_VS_PRETENSION: ("d_s",),
-    Experiment.STIFFNESS_RANGE: (),
-    Experiment.WORKSPACE: (),
-    Experiment.LIFT: (),
-}
-
-_CONFIG_PARSERS = {
-    Experiment.FORCE_DISPLACEMENT: _parse_actuator,
-    Experiment.STIFFNESS_VS_PRETENSION: _parse_joint,
-    Experiment.MAX_ACCELERATION: _parse_joint,
-    Experiment.TORQUE_SURFACE: _parse_joint,
-    Experiment.MAX_TORQUE_VS_PRETENSION: _parse_joint,
-    Experiment.STIFFNESS_RANGE: _parse_joint,
-    Experiment.WORKSPACE: _parse_chain,
-    Experiment.LIFT: _parse_lift,
-}
 
 
 def parse_experiment(path: Union[str, Path],
@@ -595,20 +555,19 @@ def parse_experiment(path: Union[str, Path],
 def _parse_experiment(doc: dict, path: Path, strict: bool) -> ExperimentSpec:
     sec = _Section(doc.get("experiment"), path, "experiment")
     kind_name = sec.take_str("kind")
-    try:
-        experiment = Experiment(kind_name)
-    except ValueError:
-        known = ", ".join(e.value for e in Experiment)
+    kind = EXPERIMENTS.get(kind_name)
+    if kind is None:
         raise ConfigError(path, f"section 'experiment': unknown kind "
-                                f"{kind_name!r}; one of {known}") from None
+                                f"{kind_name!r}; one of "
+                                f"{', '.join(EXPERIMENTS)}")
     config_path = _resolve(sec.take_str("config"), path.parent)
-    model = _CONFIG_PARSERS[experiment](_read_yaml(config_path), config_path,
-                                        strict)
+    model = CONFIG_TYPES[kind.config].parse(_read_yaml(config_path),
+                                            config_path, strict)
 
     sweeps: Dict[str, GridSpec] = {}
     sweep_raw = sec.take("sweep", required=False, default={})
     ssec = _Section(sweep_raw, path, "experiment.sweep")
-    for var in _SWEEP_VARS[experiment]:
+    for var in kind.sweeps:
         gdata = ssec.take(var)
         gsec = _Section(gdata, path, f"experiment.sweep.{var}")
         try:
@@ -621,38 +580,57 @@ def _parse_experiment(doc: dict, path: Path, strict: bool) -> ExperimentSpec:
         gsec.finish(strict)
     ssec.finish(strict)
 
-    spec = ExperimentSpec(
-        experiment=experiment, model=model, sweeps=sweeps,
-        output=sec.take_str("output"),
-        fmt=sec.take_str("format", required=False, default="csv"),
-        seed=sec.take_int("seed", required=False),
-        delta=sec.take_float("delta", required=False),
-        n=sec.take_int("n", required=False),
-        source=path)
+    output = sec.take_str("output")
+    fmt = sec.take_str("format", required=False, default="csv")
+    seed = sec.take_int("seed", required=False)
+    delta = sec.take_float("delta", required=False)
+    n = sec.take_int("n", required=False)
     sec.finish(strict)
-    if spec.fmt not in ("csv", "json"):
+    if fmt not in ("csv", "json"):
         raise ConfigError(path, f"section 'experiment': format must be csv "
-                                f"or json, got {spec.fmt!r}")
-    if spec.delta is not None and not (math.isfinite(spec.delta)
-                                       and spec.delta > 0):
+                                f"or json, got {fmt!r}")
+    if delta is not None and not (math.isfinite(delta) and delta > 0):
         raise ConfigError(path, f"section 'experiment': field 'delta' must "
-                                f"be finite and > 0, got {spec.delta}")
-    if (experiment is Experiment.WORKSPACE
-            and not 1 <= (spec.n or 0) <= MAX_RUN_POINTS):
-        raise ConfigError(path, f"section 'experiment': Workspace needs "
+                                f"be finite and > 0, got {delta}")
+    if kind.sampled and not 1 <= (n or 0) <= MAX_RUN_POINTS:
+        raise ConfigError(path, f"section 'experiment': {kind.name} needs "
                                 f"1 <= n <= {MAX_RUN_POINTS}")
     if math.prod(g.count() for g in sweeps.values()) > MAX_RUN_POINTS:
         raise ConfigError(path, f"section 'experiment': the sweep grid has "
                                 f"more than {MAX_RUN_POINTS} points")
-    return spec
+    if delta is None and isinstance(model, LoadedJoint):
+        delta = model.delta
+    return ExperimentSpec(experiment=kind, model=model, sweeps=sweeps,
+                          output=output, fmt=fmt, seed=seed, delta=delta,
+                          n=n, source=path)
 
 
-_PARSE_DISPATCH = {
-    "actuator": _parse_actuator,
-    "joint": _parse_joint,
-    "chain": _parse_chain,
-    "lift": _parse_lift,
-    "experiment": _parse_experiment,
+class _ConfigType(NamedTuple):
+    """A config file type, named by its one top-level section."""
+
+    parse: Callable[[dict, Path, bool], object]
+    model: type
+    describe: Callable[[object], str]      # the `validate` OK line
+
+
+CONFIG_TYPES = {
+    "actuator": _ConfigType(
+        _parse_actuator, ActuatorModel,
+        lambda a: f"actuator '{a.label}' (d_max_total "
+                  f"{a.d_max_total:.4f} mm)"),
+    "joint": _ConfigType(
+        _parse_joint, LoadedJoint,
+        lambda j: f"joint pair '{j.joint.actuator_1.label}' "
+                  f"(R {j.joint.R} mm, delta {j.delta} rad)"),
+    "chain": _ConfigType(
+        _parse_chain, KinematicChain,
+        lambda c: f"chain with 7 joints (reach limit "
+                  f"{c.reach_limit:.3f} m)"),
+    "lift": _ConfigType(_parse_lift, LiftScenario,
+                        lambda s: f"lift scenario '{s.label}'"),
+    "experiment": _ConfigType(
+        _parse_experiment, ExperimentSpec,
+        lambda e: f"experiment {e.experiment.name} -> {e.output}"),
 }
 
 
@@ -664,15 +642,15 @@ def parse_config(path: Union[str, Path], strict: bool = False):
     """
     path = Path(path)
     doc = _read_yaml(path)
-    kinds = [k for k in _PARSE_DISPATCH if k in doc]
+    kinds = [k for k in CONFIG_TYPES if k in doc]
     if len(kinds) != 1:
         raise ConfigError(path, f"expected exactly one of the sections "
-                                f"{sorted(_PARSE_DISPATCH)}, found {kinds}")
+                                f"{sorted(CONFIG_TYPES)}, found {kinds}")
     if strict:
         extra = sorted(set(doc) - set(kinds), key=str)
         if extra:
             raise ConfigError(path, f"unknown top-level keys {extra}")
-    return _PARSE_DISPATCH[kinds[0]](doc, path, strict)
+    return CONFIG_TYPES[kinds[0]].parse(doc, path, strict)
 
 
 # --------------------------------------------------------------------------
@@ -828,13 +806,6 @@ class ExperimentResult:
     summary: dict
 
 
-def _expect(spec: ExperimentSpec, cls, what: str):
-    if not isinstance(spec.model, cls):
-        raise ExperimentError(f"{spec.experiment.value} needs a {what} "
-                              f"config, got {type(spec.model).__name__}")
-    return spec.model
-
-
 def _sweep_eval(fn, label: str, *coords: np.ndarray):
     """fn over whole coordinate arrays in one call. If that fails, the
     points are re-run one at a time so the error names the first failing
@@ -861,44 +832,25 @@ def run_experiment(spec: ExperimentSpec, out_dir: Union[str, Path] = ".",
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    fmt = fmt or spec.fmt
-    seed = seed if seed is not None else spec.seed
+    kind = spec.experiment
+    if not isinstance(spec.model, CONFIG_TYPES[kind.config].model):
+        raise ExperimentError(f"{kind.name} needs a {kind.config} config, "
+                              f"got {type(spec.model).__name__}")
+    spec = replace(spec, fmt=fmt or spec.fmt,
+                   seed=spec.seed if seed is None else seed)
+    header, columns, summary = kind.run(spec)
 
-    exp = spec.experiment
-    if exp is Experiment.FORCE_DISPLACEMENT:
-        header, columns, summary = _run_force_displacement(spec)
-    elif exp is Experiment.STIFFNESS_VS_PRETENSION:
-        header, columns, summary = _run_stiffness_sweep(spec)
-    elif exp is Experiment.MAX_ACCELERATION:
-        header, columns, summary = _run_acceleration(spec)
-    elif exp is Experiment.TORQUE_SURFACE:
-        header, columns, summary = _run_torque_surface(spec)
-    elif exp is Experiment.MAX_TORQUE_VS_PRETENSION:
-        header, columns, summary = _run_max_torque(spec)
-    elif exp is Experiment.STIFFNESS_RANGE:
-        header, columns, summary = _run_stiffness_range(spec)
-    elif exp is Experiment.WORKSPACE:
-        header, columns, summary = _run_workspace(spec, seed)
-    elif exp is Experiment.LIFT:
-        header, columns, summary = _run_lift(spec)
-    else:  # pragma: no cover - enum is closed
-        raise ExperimentError(f"unhandled experiment {exp}")
-
-    out_path = (out_dir / spec.output).with_suffix("." + fmt)
-    _write_rows(out_path, header, columns, fmt)
-    summary = {"experiment": exp.value, "rows": len(columns[0]), **summary}
+    out_path = (out_dir / spec.output).with_suffix("." + spec.fmt)
+    _write_rows(out_path, header, columns, spec.fmt)
+    summary = {"experiment": kind.name, "rows": len(columns[0]), **summary}
     summary_path = out_path.with_name(out_path.stem + "_summary.json")
     _write_json(summary_path, summary)
     return ExperimentResult(output_path=out_path, summary_path=summary_path,
                             summary=summary)
 
 
-def _delta_of(spec: ExperimentSpec, loaded: LoadedJoint) -> float:
-    return spec.delta if spec.delta is not None else loaded.delta
-
-
 def _run_force_displacement(spec: ExperimentSpec):
-    actuator = _expect(spec, ActuatorModel, "actuator")
+    actuator = spec.model
     bp = actuator.d_max_total
     pts = np.array(_merge_exact(spec.sweeps["d"].points(), [bp]))
     force = _sweep_eval(lambda d: force_from_displacement(actuator, d),
@@ -921,8 +873,7 @@ def _run_force_displacement(spec: ExperimentSpec):
 
 
 def _run_stiffness_sweep(spec: ExperimentSpec):
-    loaded = _expect(spec, LoadedJoint, "joint")
-    joint, delta = loaded.joint, _delta_of(spec, loaded)
+    joint, delta = spec.model.joint, spec.delta
     bounds = stage_boundaries(joint, delta)
     pts = np.array(_merge_exact(spec.sweeps["d_s"].points(), bounds))
     F_e, K_s = _sweep_eval(
@@ -942,8 +893,7 @@ def _run_stiffness_sweep(spec: ExperimentSpec):
 
 
 def _run_acceleration(spec: ExperimentSpec):
-    loaded = _expect(spec, LoadedJoint, "joint")
-    joint = loaded.joint
+    joint = spec.model.joint
     kink = joint.d_m / 2.0
     pts = np.array(_merge_exact(spec.sweeps["d_s"].points(),
                                 [kink, joint.d_m]))
@@ -958,8 +908,7 @@ def _run_acceleration(spec: ExperimentSpec):
 
 
 def _run_torque_surface(spec: ExperimentSpec):
-    loaded = _expect(spec, LoadedJoint, "joint")
-    joint = loaded.joint
+    joint = spec.model.joint
     ds_pts = spec.sweeps["d_s"].points()
     dt_pts = spec.sweeps["d_t"].points()
     ds = np.repeat(ds_pts, len(dt_pts))
@@ -977,8 +926,7 @@ def _run_torque_surface(spec: ExperimentSpec):
 
 
 def _run_max_torque(spec: ExperimentSpec):
-    loaded = _expect(spec, LoadedJoint, "joint")
-    joint = loaded.joint
+    joint = spec.model.joint
     pts = np.array(_merge_exact(spec.sweeps["d_s"].points(),
                                 [joint.d_m / 2.0, joint.d_m]))
     tau = _sweep_eval(lambda d_s: max_controllable_torque(joint, d_s),
@@ -992,8 +940,7 @@ def _run_max_torque(spec: ExperimentSpec):
 
 
 def _run_stiffness_range(spec: ExperimentSpec):
-    loaded = _expect(spec, LoadedJoint, "joint")
-    joint, delta = loaded.joint, _delta_of(spec, loaded)
+    joint, delta = spec.model.joint, spec.delta
     try:
         rng = controllable_stiffness_range(joint, delta)
     except ValueError as exc:
@@ -1014,15 +961,14 @@ def _run_stiffness_range(spec: ExperimentSpec):
             [[rng.K_smin], [rng.K_smax], [rng.delta_K]], summary)
 
 
-def _run_workspace(spec: ExperimentSpec, seed: Optional[int]):
-    chain = _expect(spec, KinematicChain, "chain")
-    if seed is None or seed < 0:
+def _run_workspace(spec: ExperimentSpec):
+    if spec.seed is None or spec.seed < 0:
         raise ExperimentError(f"Workspace needs a seed >= 0 (spec field or "
-                              f"--seed), got {seed}")
-    cloud = sample_workspace(chain, spec.n, seed)
+                              f"--seed), got {spec.seed}")
+    cloud = sample_workspace(spec.model, spec.n, spec.seed)
     summary = {
         "operation": "sample_workspace",
-        "seed": seed,
+        "seed": spec.seed,
         "n_samples": cloud.n_samples,
         **cloud.stats,
     }
@@ -1030,8 +976,7 @@ def _run_workspace(spec: ExperimentSpec, seed: Optional[int]):
 
 
 def _run_lift(spec: ExperimentSpec):
-    scenario = _expect(spec, LiftScenario, "lift")
-    trace = simulate_lift(scenario)
+    trace = simulate_lift(spec.model)
     summary = {
         "operation": "simulate_lift",
         "peak_power_W": trace.peak_power,
@@ -1045,23 +990,46 @@ def _run_lift(spec: ExperimentSpec):
              trace.power], summary)
 
 
+class _ExperimentKind(NamedTuple):
+    """An experiment kind: its `list-experiments` line, the config section
+    it runs on, its sweep variables and its runner."""
+
+    name: str
+    note: str
+    config: str                       # a key of CONFIG_TYPES
+    sweeps: Tuple[str, ...]
+    run: Callable[[ExperimentSpec], tuple]
+    sampled: bool = False             # draws n samples from a seed
+
+
+EXPERIMENTS = {kind.name: kind for kind in (
+    _ExperimentKind("ForceDisplacement",
+                    "tendon force vs displacement curve of one actuator",
+                    "actuator", ("d",), _run_force_displacement),
+    _ExperimentKind("StiffnessVsPretension",
+                    "joint stiffness and stage vs pre-tension",
+                    "joint", ("d_s",), _run_stiffness_sweep),
+    _ExperimentKind("MaxAcceleration",
+                    "slack-avoidance acceleration bound vs pre-tension",
+                    "joint", ("d_s",), _run_acceleration),
+    _ExperimentKind("TorqueSurface",
+                    "joint torque over (pre-tension, torque displacement)",
+                    "joint", ("d_s", "d_t"), _run_torque_surface),
+    _ExperimentKind("MaxTorqueVsPretension",
+                    "controllable torque ceiling vs pre-tension",
+                    "joint", ("d_s",), _run_max_torque),
+    _ExperimentKind("StiffnessRange", "controllable stiffness range endpoints",
+                    "joint", (), _run_stiffness_range),
+    _ExperimentKind("Workspace",
+                    "Monte Carlo end-effector point cloud of the arm",
+                    "chain", (), _run_workspace, sampled=True),
+    _ExperimentKind("Lift", "single-joint payload lift trace under saturation",
+                    "lift", (), _run_lift),
+)}
+
+
 # --------------------------------------------------------------------------
 # command line
-
-
-def _describe(obj) -> str:
-    if isinstance(obj, ActuatorModel):
-        return f"actuator '{obj.label}' (d_max_total {obj.d_max_total:.4f} mm)"
-    if isinstance(obj, LoadedJoint):
-        return (f"joint pair '{obj.joint.actuator_1.label}' "
-                f"(R {obj.joint.R} mm, delta {obj.delta} rad)")
-    if isinstance(obj, KinematicChain):
-        return f"chain with 7 joints (reach limit {obj.reach_limit:.3f} m)"
-    if isinstance(obj, LiftScenario):
-        return f"lift scenario '{obj.label}'"
-    if isinstance(obj, ExperimentSpec):
-        return f"experiment {obj.experiment.value} -> {obj.output}"
-    return type(obj).__name__  # pragma: no cover
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -1093,8 +1061,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "list-experiments":
-        for exp in Experiment:
-            print(f"{exp.value}: {EXPERIMENT_NOTES[exp]}")
+        for kind in EXPERIMENTS.values():
+            print(f"{kind.name}: {kind.note}")
         return 0
 
     if args.command == "validate":
@@ -1103,7 +1071,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except ConfigError as exc:
             print(f"invalid: {exc}", file=sys.stderr)
             return 1
-        print(f"OK: {_describe(obj)}")
+        describe = next(t.describe for t in CONFIG_TYPES.values()
+                        if isinstance(obj, t.model))
+        print(f"OK: {describe(obj)}")
         return 0
 
     # run

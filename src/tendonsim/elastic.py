@@ -141,6 +141,8 @@ class ElasticElementSpec:
             # The quoted (d_max, F_tm) pair must agree with the element's own
             # law; published prototype tables are only ~2% self-consistent.
             law = self.displacement_at(self.F_tm)
+            _require(law > 0, f"the element law's travel at F_tm={self.F_tm} "
+                              f"N is {law} mm; it must be > 0")
             rel = abs(self.d_max - law) / law
             _require(rel <= CONSISTENCY_TOL,
                      f"d_max={self.d_max} mm is {rel:.1%} away from the "

@@ -49,7 +49,6 @@ from .elastic import ActuatorModel, force_from_displacement
 __all__ = [
     "AntagonisticJointConfig",
     "StageLabel",
-    "JointState",
     "StiffnessRange",
     "pretension_force",
     "stage_boundaries",
@@ -126,22 +125,6 @@ class AntagonisticJointConfig:
     def f_d(self, d):
         """Pair-shared force/displacement map with the slack clamp."""
         return force_from_displacement(self.actuator_1, d)
-
-
-@dataclass(frozen=True)
-class JointState:
-    """Joint operating point: pre-tension d_s (mm), angle theta (rad), and
-    commanded torque displacement d_t (mm)."""
-
-    d_s: float
-    theta: float
-    d_t: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.d_s < 0:
-            raise ValueError(f"d_s must be >= 0, got {self.d_s}")
-        if self.d_t < 0:
-            raise ValueError(f"d_t must be >= 0, got {self.d_t}")
 
 
 class StiffnessRange(NamedTuple):

@@ -119,6 +119,12 @@ class KinematicChain:
             if not lo <= hi:
                 raise ValueError(f"empty ROM interval for '{row.joint_name}': "
                                  f"({lo}, {hi})")
+        # the norm of a position squares its coordinates, each up to the reach
+        reach = self.reach_limit
+        if not math.isfinite(3.0 * reach * reach):
+            raise ValueError(f"link lengths give a reach limit of {reach:g} "
+                             f"m, too large for the norm of a position to "
+                             f"stay finite")
 
     @property
     def joint_names(self) -> Tuple[str, ...]:
@@ -290,7 +296,9 @@ def sample_workspace(chain: KinematicChain, n: int, seed: int) -> WorkspaceCloud
                                                      samples[i:i + FK_CHUNK])
     reach = np.linalg.norm(points, axis=1)
     max_reach = float(reach.max())
-    if max_reach > chain.reach_limit + 1e-9:
+    # FK rounds each coordinate to a few ulps of the reach, so the slack
+    # scales with it
+    if max_reach > chain.reach_limit * (1 + 1e-12) + 1e-9:
         raise AssertionError(f"max reach {max_reach} exceeds the chain's "
                              f"geometric limit {chain.reach_limit}")
     stats = {

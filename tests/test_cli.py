@@ -5,16 +5,18 @@ Bare config names must fall back to the bundled data directory so every
 shipped file doubles as a test vector.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 import yaml
 
-from tendonsim import cli
+from tendonsim import cli, elastic, joint
 from tendonsim.cli import (DATA_DIR, ENV_CONFIG_DIR, MAX_RUN_POINTS,
                            ConfigError, ExperimentError, GridSpec,
                            LoadedJoint, _PyYamlLoader, _YamlLoader,
@@ -22,7 +24,9 @@ from tendonsim.cli import (DATA_DIR, ENV_CONFIG_DIR, MAX_RUN_POINTS,
                            parse_experiment, run_experiment,
                            validate_csv_schema)
 
-BENCH_DATA = Path(__file__).resolve().parents[1] / "bench" / "data"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH_DATA = ROOT / "bench" / "data"
+README = ROOT / "README.md"
 
 ACT_TPL = """\
 actuator:
@@ -81,6 +85,15 @@ def test_list_experiments(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 8
     assert any(line.startswith("ForceDisplacement:") for line in lines)
+    # README's kinds table says the same, row for row
+    table = README.read_text().split("| kind | data |\n| --- | --- |\n",
+                                      1)[1].split("\n\n", 1)[0]
+    assert lines == [": ".join(row.strip("| ").split(" | "))
+                     for row in table.splitlines()]
+    # and each kind has a bundled spec
+    bundled = {yaml.safe_load(p.read_text())["experiment"]["kind"]
+               for p in DATA_DIR.glob("exp_*.yaml")}
+    assert {line.split(":")[0] for line in lines} == bundled
 
 
 def test_argparse_usage_errors():
@@ -600,6 +613,9 @@ def test_deeply_nested_yaml_is_a_one_line_error(tmp_path, text):
     ("ica.yaml", "pulley_radius_r: 5.0", "pulley_radius_r: 1e308",
      "section 'actuator'"),
     ("ica.yaml", "k_t: 30.0", "k_t: 0", "section 'actuator'"),
+    # the law's travel F_tm*(1-mu_p)/k_ts underflows to 0
+    ("ica.yaml", "k_ts: 3.2 ", "k_ts: 1e308 ",
+     "law's travel at F_tm=112.4 N is 0.0 mm; it must be > 0"),
     ("ica.yaml", "k_t: 30.0", "k_t: 1" + "0" * 400,
      "field 'k_t' is out of range"),
     ("ica.yaml", "label: ica", "label: 2001-13-01", "YAML parse error"),
@@ -629,7 +645,9 @@ def test_malformed_configs_are_one_line_errors(tmp_path, capsys, name, old,
     text = (DATA_DIR / name).read_text()
     assert old in text
     p = _write(tmp_path / name, text.replace(old, new))
-    assert main(["validate", str(p)]) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would print more lines
+        assert main(["validate", str(p)]) == 1
     assert fragment in _one_line_error(capsys)
 
 
@@ -639,8 +657,75 @@ def test_null_optional_field_takes_its_default(tmp_path):
     assert parse_config(p).gravity == 9.81
 
 
+def test_reach_that_overflows_the_norm_is_a_one_line_error(tmp_path,
+                                                          capsys):
+    arm = (DATA_DIR / "arm.yaml").read_text()
+    assert "b: 0.30" in arm
+    _write(tmp_path / "arm.yaml", arm.replace("b: 0.30", "b: 1e308"))
+    spec = _write(tmp_path / "ws.yaml",
+                  (DATA_DIR / "exp_workspace.yaml").read_text())
+    assert main(["validate", str(tmp_path / "arm.yaml")]) == 1
+    assert "too large for the norm" in _one_line_error(capsys)
+    assert main(["run", str(spec), "--out", str(tmp_path / "o")]) == 1
+    assert "too large for the norm" in _one_line_error(capsys, "error: ")
+
+
 def test_workspace_seed_must_be_nonnegative(tmp_path, capsys):
     spec = _write(tmp_path / "ws.yaml", WS_SPEC)
     assert main(["run", str(spec), "--out", str(tmp_path / "o"),
                  "--seed", "-1"]) == 1
     assert "needs a seed >= 0" in _one_line_error(capsys, "error: ")
+
+
+# --------------------------------------------------------------------------
+# the benchmark's tracer
+
+
+def _bench_tracer():
+    path = ROOT / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class _PatchLog:
+    """Stands in for a module: reads go through, writes are only noted."""
+
+    def __init__(self, module):
+        object.__setattr__(self, "module", module)
+        object.__setattr__(self, "patched", set())
+
+    def __getattr__(self, name):
+        return getattr(self.module, name)
+
+    def __setattr__(self, name, value):
+        self.patched.add(name)
+
+
+def test_names_the_benchmark_tracer_patches_are_cli_callables():
+    # the tracer wraps these names in cli's namespace; were a runner to
+    # call them from elsewhere, its per-layer spans would read 0
+    tracer = _bench_tracer()
+    log = _PatchLog(cli)
+    with tracer.Tracer().installed(log, _PatchLog(joint), _PatchLog(elastic)):
+        pass
+    assert log.patched >= set(tracer.JOINT_OPS) | {
+        "force_from_displacement", "sample_workspace", "simulate_lift",
+        "validate_csv_schema"}
+    for name in log.patched:
+        assert callable(vars(cli).get(name)), name
+
+
+def test_traced_runs_reach_every_model_layer(tmp_path):
+    t = _bench_tracer().Tracer()
+    specs = [DATA_DIR / "exp_force_displacement.yaml",
+             DATA_DIR / "exp_max_torque.yaml",
+             _write(tmp_path / "ws.yaml", WS_SPEC),
+             DATA_DIR / "exp_lift.yaml"]
+    with t.installed(cli, joint, elastic):
+        for path in specs:
+            run_experiment(parse_experiment(path), out_dir=tmp_path / "o",
+                           seed=1)
+    assert t.force_calls > 0 and t.joint_calls > 0
+    assert t.samples == 200 and t.steps > 0

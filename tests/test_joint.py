@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from tendonsim import (ActuatorModel, AntagonisticJointConfig,
-                       ElasticElementSpec, JointState, StageLabel,
+                       ElasticElementSpec, StageLabel,
                        absolute_max_torque, classify_stage,
                        controllable_stiffness_range, external_force,
                        joint_stiffness, joint_torque,
@@ -95,14 +95,6 @@ def test_joint_rejects_bad_parameters(field, value):
     kwargs[field] = value
     with pytest.raises(ValueError):
         AntagonisticJointConfig(**kwargs)
-
-
-def test_joint_state_validation():
-    JointState(d_s=5.0, theta=0.1)
-    with pytest.raises(ValueError):
-        JointState(d_s=-1.0, theta=0.0)
-    with pytest.raises(ValueError):
-        JointState(d_s=1.0, theta=0.0, d_t=-0.5)
 
 
 def test_pretension_force():

@@ -85,6 +85,11 @@ def test_chain_validation():
         KinematicChain(rows=arm.rows, link_lengths=arm.link_lengths, rom=rom)
     with pytest.raises(ValueError, match="link length"):
         default_arm(b=0.0)
+    # past ~7.7e153 m the squared coordinates of a position overflow
+    for b in (1e308, 1e154, math.inf):
+        with pytest.raises(ValueError, match="too large for the norm"):
+            default_arm(b=b)
+    default_arm(b=7e153)
 
 
 def test_reach_limit_is_link_sum():
@@ -231,6 +236,16 @@ def test_workspace_stats_and_bounds(arm):
                                cloud.points.min(axis=0), atol=1e-15)
     np.testing.assert_allclose(cloud.stats["bbox_max_m"],
                                cloud.points.max(axis=0), atol=1e-15)
+
+
+@pytest.mark.parametrize("b, c, d", [(1e8, 1e-300, 1e-300),
+                                     (4e153, 0.1, 0.1)])
+def test_workspace_of_long_links_stays_within_the_reach(b, c, d):
+    # nearly every pose sits at the reach limit, and FK rounds the
+    # positions of such long links past it by an ulp
+    arm = default_arm(b=b, c=c, d=d)
+    cloud = sample_workspace(arm, 2000, seed=1)
+    assert cloud.stats["max_reach_m"] <= arm.reach_limit * (1 + 1e-12)
 
 
 def test_workspace_points_are_read_only(arm):
