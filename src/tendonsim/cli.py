@@ -14,6 +14,9 @@ Conventions:
     same contract on a CSV file read from disk, such as one from outside,
   * CSV dialect: comma separated, LF line endings, '.' decimal, header row
     mandatory,
+  * rows are rendered _BLOCK_ROWS at a time by one %-template over that
+    block's cells and streamed to a temporary file in the output
+    directory, renamed onto the output name once complete,
   * outputs are byte-identical for identical (spec, seed),
   * config paths resolve against the referencing file's directory, then
     $TENDONSIM_CONFIG_DIR, then the bundled data directory.
@@ -41,10 +44,11 @@ import os
 import re
 import reprlib
 import sys
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
-                    Tuple, Union)
+from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
+                    Sequence, TextIO, Tuple, Union)
 
 import numpy as np
 import yaml
@@ -103,7 +107,8 @@ class ConfigError(Exception):
 
 
 class ExperimentError(Exception):
-    """An experiment failed while evaluating a sweep point."""
+    """An experiment failed: a sweep point did not evaluate, or its output
+    could not be written."""
 
 
 class SchemaError(Exception):
@@ -561,8 +566,13 @@ def _parse_experiment(doc: dict, path: Path, strict: bool) -> ExperimentSpec:
                                 f"{kind_name!r}; one of "
                                 f"{', '.join(EXPERIMENTS)}")
     config_path = _resolve(sec.take_str("config"), path.parent)
-    model = CONFIG_TYPES[kind.config].parse(_read_yaml(config_path),
-                                            config_path, strict)
+    config_doc = _read_yaml(config_path)
+    config_type = _config_section(config_doc, config_path, strict)
+    if config_type != kind.config:
+        raise ConfigError(path, f"section 'experiment': {config_path} is "
+                                f"{_a(config_type)} config; {kind.name} "
+                                f"needs {_a(kind.config)} config")
+    model = CONFIG_TYPES[kind.config].parse(config_doc, config_path, strict)
 
     sweeps: Dict[str, GridSpec] = {}
     sweep_raw = sec.take("sweep", required=False, default={})
@@ -581,6 +591,11 @@ def _parse_experiment(doc: dict, path: Path, strict: bool) -> ExperimentSpec:
     ssec.finish(strict)
 
     output = sec.take_str("output")
+    # without a separator a name is never absolute; without a dot the
+    # format suffix is the only one
+    if not output or any(c in output for c in "/\\.\0"):
+        raise sec._fail(f"field 'output' must be a nonempty file name "
+                        f"without '/', '\\', '.' or NUL, got {output!r}")
     fmt = sec.take_str("format", required=False, default="csv")
     seed = sec.take_int("seed", required=False)
     delta = sec.take_float("delta", required=False)
@@ -642,6 +657,13 @@ def parse_config(path: Union[str, Path], strict: bool = False):
     """
     path = Path(path)
     doc = _read_yaml(path)
+    return CONFIG_TYPES[_config_section(doc, path, strict)].parse(doc, path,
+                                                                  strict)
+
+
+def _config_section(doc: dict, path: Path, strict: bool) -> str:
+    """The one top-level section of a config document, which names its
+    type; strict also rejects any other top-level key."""
     kinds = [k for k in CONFIG_TYPES if k in doc]
     if len(kinds) != 1:
         raise ConfigError(path, f"expected exactly one of the sections "
@@ -650,7 +672,11 @@ def parse_config(path: Union[str, Path], strict: bool = False):
         extra = sorted(set(doc) - set(kinds), key=str)
         if extra:
             raise ConfigError(path, f"unknown top-level keys {extra}")
-    return CONFIG_TYPES[kinds[0]].parse(doc, path, strict)
+    return kinds[0]
+
+
+def _a(word: str) -> str:
+    return ("an " if word[0] in "aeiou" else "a ") + word
 
 
 # --------------------------------------------------------------------------
@@ -692,15 +718,60 @@ def _csv_cell(s: str) -> str:
     return buf.getvalue()[:-1]
 
 
+# rows rendered by one % call: the row template repeated this many times
+_BLOCK_ROWS = 256
+
+
+def _row_blocks(columns: Sequence, row: str) -> Iterator[str]:
+    """The text of a table's rows, _BLOCK_ROWS rows per % call of row
+    repeated over their cells, and one shorter call for the rest.
+
+    columns are float arrays, or lists of already quoted str. The Python
+    cells are built one block at a time, each column's slice interleaved
+    into one reused list, so only one block of them exists at once.
+    """
+    k = len(columns)
+    n = len(columns[0])
+    block = row * _BLOCK_ROWS
+    cells: list = [None] * (k * _BLOCK_ROWS)
+    for start in range(0, n, _BLOCK_ROWS):
+        m = min(_BLOCK_ROWS, n - start)
+        if m < _BLOCK_ROWS:
+            block = row * m
+            del cells[k * m:]
+        for j, col in enumerate(columns):
+            part = col[start:start + m]
+            cells[j::k] = part if isinstance(part, list) else part.tolist()
+        yield block % tuple(cells)
+
+
+@contextmanager
+def _replacing(path: Path,
+               newline: Optional[str] = None) -> Iterator[TextIO]:
+    """A text file written under a temporary name in path's directory and
+    moved onto path when the block ends; on an exception it is removed, so
+    a failed write leaves no truncated file at path."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            tmp.unlink()
+        raise
+
+
 def _write_rows(path: Path, header: Sequence[str], columns: Sequence,
                 fmt: str) -> None:
     """Write a table from its columns as CSV (cells formatted "%.12g") or
     as JSON ({"columns", "rows"}, as json.dump with indent=2 and sorted keys
     lays it out). The schema is checked before the file is opened.
 
-    columns are float arrays, or lists of str for *_label columns. Each row
-    is rendered by one %-template over Python scalars and streamed to the
-    file, so no row objects or joined text are held.
+    columns are float arrays, or lists of str for *_label columns. The rows
+    are rendered by _row_blocks, 256 at a time from one %-template, and
+    streamed to the file, so neither the table's Python cells nor its text
+    are held whole. The file appears at path only once it is complete.
     """
     try:
         _check_columns(header, columns)
@@ -714,30 +785,30 @@ def _write_rows(path: Path, header: Sequence[str], columns: Sequence,
             cells.append([quoted[s] for s in col])
             specs.append("%s")
         else:
-            cells.append(np.asarray(col, dtype=float).tolist())
+            cells.append(np.asarray(col, dtype=float))
             specs.append("%r" if fmt == "json" else "%.12g")
-    rows = zip(*cells)
     if fmt == "csv":
-        with open(path, "w", newline="") as fh:
+        with _replacing(path, newline="") as fh:
             csv.writer(fh, lineterminator="\n").writerow(header)
-            fh.writelines(map((",".join(specs) + "\n").__mod__, rows))
+            fh.writelines(_row_blocks(cells, ",".join(specs) + "\n"))
         return
     # json.dump(indent=2) puts "rows" last (sorted keys), one cell per line
     head, tail = json.dumps({"columns": list(header), "rows": []}, indent=2,
                             sort_keys=True).rsplit("[]", 1)
     row = ",\n    [\n      " + ",\n      ".join(specs) + "\n    ]"
-    with open(path, "w") as fh:
+    blocks = _row_blocks(cells, row)
+    with _replacing(path) as fh:
         fh.write(head + "[")
-        first = next(rows, None)
+        first = next(blocks, None)
         if first is not None:
-            fh.write((row % first)[1:])
-            fh.writelines(map(row.__mod__, rows))
+            fh.write(first[1:])
+            fh.writelines(blocks)
             fh.write("\n  ")
         fh.write("]" + tail + "\n")
 
 
 def _write_json(path: Path, obj: dict) -> None:
-    with open(path, "w") as fh:
+    with _replacing(path) as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -831,7 +902,11 @@ def run_experiment(spec: ExperimentSpec, out_dir: Union[str, Path] = ".",
     (spec, seed) produce byte-identical files.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ExperimentError(f"{out_dir}: cannot create the output "
+                              f"directory: {exc.strerror or exc}") from exc
     kind = spec.experiment
     if not isinstance(spec.model, CONFIG_TYPES[kind.config].model):
         raise ExperimentError(f"{kind.name} needs a {kind.config} config, "
@@ -840,11 +915,17 @@ def run_experiment(spec: ExperimentSpec, out_dir: Union[str, Path] = ".",
                    seed=spec.seed if seed is None else seed)
     header, columns, summary = kind.run(spec)
 
-    out_path = (out_dir / spec.output).with_suffix("." + spec.fmt)
-    _write_rows(out_path, header, columns, spec.fmt)
+    out_path = out_dir / f"{spec.output}.{spec.fmt}"
+    summary_path = out_dir / f"{spec.output}_summary.json"
     summary = {"experiment": kind.name, "rows": len(columns[0]), **summary}
-    summary_path = out_path.with_name(out_path.stem + "_summary.json")
-    _write_json(summary_path, summary)
+    path = out_path
+    try:
+        _write_rows(out_path, header, columns, spec.fmt)
+        path = summary_path
+        _write_json(summary_path, summary)
+    except OSError as exc:
+        raise ExperimentError(f"{path}: cannot write: "
+                              f"{exc.strerror or exc}") from exc
     return ExperimentResult(output_path=out_path, summary_path=summary_path,
                             summary=summary)
 

@@ -253,12 +253,15 @@ def default_arm(b: float = 0.30, c: float = 0.25, d: float = 0.08,
 def _batch_fk_positions(chain: KinematicChain, samples: np.ndarray) -> np.ndarray:
     """End-effector positions (n, 3) for joint samples (n, 7) in row order."""
     n = samples.shape[0]
-    T = np.broadcast_to(np.eye(4), (n, 4, 4)).copy()
+    # one transform buffer per slice: its last row and M[:, 2, 0] stay
+    # (0, 0, 0, 1) and 0, and each row overwrites the other 11 entries
+    M = np.zeros((n, 4, 4))
+    M[:, 3, 3] = 1.0
+    T = None
     for j, row in enumerate(chain.rows):
         theta = row.theta_offset + row.joint_sign * samples[:, j]
         ct, st = np.cos(theta), np.sin(theta)
         ca, sa = math.cos(row.alpha), math.sin(row.alpha)
-        M = np.zeros((n, 4, 4))
         M[:, 0, 0] = ct
         M[:, 0, 1] = -st * ca
         M[:, 0, 2] = st * sa
@@ -270,8 +273,7 @@ def _batch_fk_positions(chain: KinematicChain, samples: np.ndarray) -> np.ndarra
         M[:, 2, 1] = sa
         M[:, 2, 2] = ca
         M[:, 2, 3] = row.d
-        M[:, 3, 3] = 1.0
-        T = T @ M
+        T = M.copy() if T is None else T @ M
     return T[:, :3, 3]
 
 

@@ -403,6 +403,78 @@ def test_run_rejects_wrong_config_type(tmp_path):
         run_experiment(bad, out_dir=tmp_path)
 
 
+@pytest.mark.parametrize("spec_name,config,message", [
+    ("exp_workspace.yaml", "ica.yaml",
+     "is an actuator config; Workspace needs a chain config"),
+    ("exp_lift.yaml", "ica_joint.yaml",
+     "is a joint config; Lift needs a lift config"),
+    ("exp_force_displacement.yaml", "arm.yaml",
+     "is a chain config; ForceDisplacement needs an actuator config"),
+])
+def test_spec_naming_a_config_of_another_type(tmp_path, capsys, spec_name,
+                                              config, message):
+    doc = yaml.safe_load((DATA_DIR / spec_name).read_text())
+    doc["experiment"]["config"] = config
+    spec = _write(tmp_path / "exp.yaml", yaml.safe_dump(doc))
+    assert main(["validate", str(spec)]) == 1
+    assert _one_line_error(capsys) == (
+        f"invalid: {spec}: section 'experiment': {DATA_DIR / config} "
+        f"{message}\n")
+
+
+@pytest.mark.parametrize("output", ["fd.v2", "nosuchdir/fd", "a\\b",
+                                    "/abs/fd", "", ".", "..", "fd\0"])
+def test_output_must_be_a_bare_name(tmp_path, capsys, output):
+    doc = yaml.safe_load(FD_SPEC)
+    doc["experiment"]["output"] = output
+    spec = _write(tmp_path / "fd.yaml", yaml.safe_dump(doc))
+    out = tmp_path / "o"
+    assert main(["run", str(spec), "--out", str(out)]) == 1
+    assert ("section 'experiment': field 'output' must be a nonempty file "
+            "name without '/', '\\', '.' or NUL, got "
+            in _one_line_error(capsys, "error: "))
+    assert not out.exists()
+
+
+def test_out_naming_a_file_is_a_one_line_error(tmp_path, capsys):
+    spec = _write(tmp_path / "fd.yaml", FD_SPEC)
+    out = _write(tmp_path / "o", "")
+    assert main(["run", str(spec), "--out", str(out)]) == 1
+    assert _one_line_error(capsys, "error: ") == (
+        f"error: {out}: cannot create the output directory: File exists\n")
+
+
+def test_unwritable_output_is_a_one_line_error(tmp_path, capsys):
+    spec = _write(tmp_path / "fd.yaml", FD_SPEC)
+    out = tmp_path / "o"
+    (out / "fd_small.csv").mkdir(parents=True)  # a directory in the way
+    assert main(["run", str(spec), "--out", str(out)]) == 1
+    assert _one_line_error(capsys, "error: ").startswith(
+        f"error: {out / 'fd_small.csv'}: cannot write: ")
+    assert sorted(p.name for p in out.iterdir()) == ["fd_small.csv"]
+
+
+@pytest.mark.parametrize("fault", [OSError(28, "No space left on device"),
+                                   KeyboardInterrupt()])
+def test_write_failing_mid_render_leaves_no_data_file(tmp_path, monkeypatch,
+                                                      fault):
+    real = cli._row_blocks
+
+    def failing_blocks(columns, row):
+        blocks = real(columns, row)
+        yield next(blocks)
+        raise fault
+
+    monkeypatch.setattr(cli, "_row_blocks", failing_blocks)
+    spec = parse_experiment(DATA_DIR / "exp_lift.yaml")
+    out = tmp_path / "o"
+    expected = (ExperimentError if isinstance(fault, OSError)
+                else KeyboardInterrupt)
+    with pytest.raises(expected):
+        run_experiment(spec, out_dir=out)
+    assert list(out.iterdir()) == []
+
+
 def test_parse_experiment_accepts_a_str_path(tmp_path):
     spec = parse_experiment(str(_write(tmp_path / "fd.yaml", FD_SPEC)))
     assert spec.source == tmp_path / "fd.yaml"

@@ -64,6 +64,30 @@ def test_bundled_outputs_match_pinned_sha256(tmp_path):
     assert got == GOLDEN_SHA256
 
 
+# the formats and seed of the benchmark's pass: the Lift as JSON, the
+# Workspace at seed 7
+BENCH_GOLDEN_SHA256 = {
+    "lift_trace.json":
+        "031a16b29d0ed98a925421d0af3576867d0ed3a0aa5109767de513e06d31dc9d",
+    "lift_trace_summary.json":
+        "0f961797861f54ec320d24adf7035454afbb24c6ad4730b5581e42e232e69d5f",
+    "workspace_points.csv":
+        "38a22600f7d503bdc6c1912107e16e6b8889c2e454229e59962c5b802b0a7557",
+    "workspace_points_summary.json":
+        "0d18542c235f13c59299d70d7a5c643929a61f6ef7945f6c327fc52cce5bbc14",
+}
+
+
+def test_benchmark_outputs_match_pinned_sha256(tmp_path):
+    run_experiment(parse_experiment(DATA_DIR / "exp_lift.yaml"),
+                   out_dir=tmp_path, fmt="json")
+    run_experiment(parse_experiment(DATA_DIR / "exp_workspace.yaml"),
+                   out_dir=tmp_path, seed=7)
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in tmp_path.iterdir()}
+    assert got == BENCH_GOLDEN_SHA256
+
+
 # --------------------------------------------------------------------------
 # _write_rows against the csv and json modules
 
@@ -76,6 +100,26 @@ TABLES = [
     (["t_s", "note_label"], [np.array([1.0, 2.0]),
                              ['a,b', 'say "hi"']]),
 ]
+
+
+def _block_table(n_rows, label):
+    """n_rows of two float columns over many decades, and with label a
+    *_label column between them whose cells need quoting now and then."""
+    rng = np.random.default_rng(n_rows)
+    x = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-30, 30, n_rows)
+    y = np.arange(n_rows) / 7.0
+    y[::5] = -0.0
+    if not label:
+        return ["x_m", "y_s"], [x, y]
+    notes = ["S1", "a,b", 'say "hi"', "S2"]
+    return (["x_m", "note_label", "y_s"],
+            [x, [notes[i % 4] for i in range(n_rows)], y])
+
+
+# tables around the block size B: 0, 1, B-1, B, B+1 and 2B+1 rows
+B = cli._BLOCK_ROWS
+TABLES += [_block_table(n, label) for label in (False, True)
+           for n in (0, 1, B - 1, B, B + 1, 2 * B + 1)]
 
 
 @pytest.mark.parametrize("header,columns", TABLES)
