@@ -141,8 +141,9 @@ class ElasticElementSpec:
             # The quoted (d_max, F_tm) pair must agree with the element's own
             # law; published prototype tables are only ~2% self-consistent.
             law = self.displacement_at(self.F_tm)
-            _require(law > 0, f"the element law's travel at F_tm={self.F_tm} "
-                              f"N is {law} mm; it must be > 0")
+            _require(law > 0 and math.isfinite(law),
+                     f"the element law's travel at F_tm={self.F_tm} N is "
+                     f"{law} mm; it must be > 0 and finite")
             rel = abs(self.d_max - law) / law
             _require(rel <= CONSISTENCY_TOL,
                      f"d_max={self.d_max} mm is {rel:.1%} away from the "
@@ -248,14 +249,14 @@ class ActuatorModel:
                                           compare=False)
 
     def __post_init__(self) -> None:
-        _require(math.isfinite(self.k_t) and self.k_t > 0,
-                 f"k_t must be positive, got {self.k_t}")
-        _require(self.rated_force > 0,
-                 f"rated_force must be positive, got {self.rated_force}")
-        _require(self.rated_speed > 0,
-                 f"rated_speed must be positive, got {self.rated_speed}")
+        for name in ("k_t", "rated_force", "rated_speed"):
+            v = getattr(self, name)
+            _require(math.isfinite(v) and v > 0,
+                     f"{name} must be finite and positive, got {v}")
         el = self.element
         total = float(el.displacement_at(el.F_tm) + el.F_tm / self.k_t)
+        _require(math.isfinite(total),
+                 f"d_max_total must be finite, got {total} mm")
         object.__setattr__(self, "d_max_total", total)
         knots_d = knots_F = None
         if el.kind is ElementKind.TABULATED:

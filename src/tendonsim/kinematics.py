@@ -112,10 +112,17 @@ class KinematicChain:
     def __post_init__(self) -> None:
         if len(self.rows) != 7:
             raise ValueError(f"chain must have exactly 7 rows, got {len(self.rows)}")
+        unknown = sorted(set(self.rom) - set(self.joint_names), key=str)
+        if unknown:
+            raise ValueError(f"ROM intervals for unknown joints {unknown}; "
+                             f"the joints are {', '.join(self.joint_names)}")
         for row in self.rows:
             if row.joint_name not in self.rom:
                 raise ValueError(f"no ROM interval for joint '{row.joint_name}'")
             lo, hi = self.rom[row.joint_name]
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"ROM interval for '{row.joint_name}' must "
+                                 f"be finite, got ({lo}, {hi})")
             if not lo <= hi:
                 raise ValueError(f"empty ROM interval for '{row.joint_name}': "
                                  f"({lo}, {hi})")

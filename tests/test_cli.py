@@ -8,6 +8,7 @@ shipped file doubles as a test vector.
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -209,7 +210,8 @@ def test_joint_rejects_nonpositive_delta(tmp_path):
     p = _write(tmp_path / "j.yaml", (
         "joint:\n  actuator_1: a1.yaml\n  actuator_2: a1.yaml\n"
         "  R: 10.0\n  mu_s: 0.1\n  inertia_I: 0.001\n  delta: 0.0\n"))
-    with pytest.raises(ConfigError, match="delta must be > 0"):
+    with pytest.raises(ConfigError,
+                       match="field 'delta' must be finite and > 0, got 0.0"):
         parse_config(p)
 
 
@@ -711,6 +713,26 @@ def test_deeply_nested_yaml_is_a_one_line_error(tmp_path, text):
      f"the sweep grid has more than {MAX_RUN_POINTS} points"),
     ("exp_force_displacement.yaml", "step: 0.1}", "step: 1e-310}",
      "(stop - start)/step overflows"),
+    # a derived travel that overflows to inf
+    ("eca.yaml", "k_cs: 10.4 ", "k_cs: 5e-324 ",
+     "law's travel at F_tm=252.9 N is inf mm; it must be > 0 and finite"),
+    ("misa_like.yaml", "k_t: 60.0", "k_t: 5e-324",
+     "d_max_total must be finite, got inf mm"),
+    # ints past the float range, read by the typed-field path
+    ("arm.yaml", "theta_31: [-40, 65]", "theta_31: [-40, 1" + "0" * 400 + "]",
+     "section 'chain.rom_deg': field 'theta_31' is out of range, got 1000"),
+    ("arm.yaml", "d: b,", "d: 1" + "0" * 400 + ",",
+     "section 'chain.rows[3]': field 'd' is out of range, got 1000"),
+    # wrong types, in the form of every typed field
+    ("arm.yaml", "theta_21: [0, 138]", "theta_21: [0]",
+     "field 'theta_21' must be a [lo, hi] pair of numbers, got [0]"),
+    ("arm.yaml", "d: b,", "d: [1],",
+     "field 'd' must be a number or a link-length name, got [1]"),
+    ("arm.yaml", "  rows:\n", "  rows: 5\n  old_rows:\n",
+     "section 'chain': field 'rows' must be a list, got 5"),
+    ("lift_dumbbell.yaml", "[eca.yaml, eca.yaml]", "eca.yaml",
+     "field 'actuators' must be a nonempty list of actuator config files, "
+     "got 'eca.yaml'"),
 ])
 def test_malformed_configs_are_one_line_errors(tmp_path, capsys, name, old,
                                                new, fragment):
@@ -721,6 +743,57 @@ def test_malformed_configs_are_one_line_errors(tmp_path, capsys, name, old,
         warnings.simplefilter("error")  # a warning would print more lines
         assert main(["validate", str(p)]) == 1
     assert fragment in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("name, spec, old, new, fragment", [
+    ("eca_joint.yaml", "exp_stiffness_range.yaml", "delta: 0.087",
+     "delta: .inf", "section 'joint': field 'delta' must be finite and > 0, "
+                    "got inf"),
+    ("arm.yaml", "exp_workspace.yaml", "theta_21: [0, 138]",
+     "theta_21: [0, 1e400]",
+     "section 'chain': ROM interval for 'theta_21' must be finite, got "
+     "(0.0, inf)"),
+    ("arm.yaml", "exp_workspace.yaml", "theta_21: [0, 138]",
+     "theta_21: [.nan, 138]",
+     "section 'chain': ROM interval for 'theta_21' must be finite, got "
+     "(nan, "),
+    ("arm.yaml", "exp_workspace.yaml", "theta_31: [-40, 65]",
+     "theta_3l: [-40, 65]",
+     "section 'chain': ROM intervals for unknown joints ['theta_3l']; the "
+     "joints are theta_31, "),
+    ("eca.yaml", "exp_lift.yaml", "rated_force: 250.0", "rated_force: .inf",
+     "section 'actuator': rated_force must be finite and positive, got inf"),
+    ("eca.yaml", "exp_lift.yaml", "rated_speed: 110.0", "rated_speed: .inf",
+     "section 'actuator': rated_speed must be finite and positive, got inf"),
+])
+def test_config_boundary_rejects_what_a_run_would_misreport(
+        tmp_path, capsys, name, spec, old, new, fragment):
+    # each of these once passed validate, and run then blamed the model,
+    # ran without a cap, or ended in a traceback
+    for p in DATA_DIR.iterdir():
+        _write(tmp_path / p.name, p.read_text())
+    text = (DATA_DIR / name).read_text()
+    assert old in text
+    _write(tmp_path / name, text.replace(old, new))
+    assert main(["validate", str(tmp_path / name)]) == 1
+    assert fragment in _one_line_error(capsys)
+    out = tmp_path / "o"
+    assert main(["run", str(tmp_path / spec), "--out", str(out)]) == 1
+    assert fragment in _one_line_error(capsys, "error: ")
+    assert not out.exists()
+
+
+def test_chain_rows_with_their_own_joint_names(tmp_path):
+    # the default ROM table covers the default joint names only
+    arm = (DATA_DIR / "arm.yaml").read_text()
+    p = _write(tmp_path / "arm.yaml", re.sub(r"theta_(\d\d)", r"q_\1", arm))
+    chain = parse_config(p)
+    assert chain.joint_names[0] == "q_31"
+    assert set(chain.rom) == set(chain.joint_names)
+    rows_only = arm.split("  rom_deg:")[0] + "  rows:" + arm.split("rows:")[1]
+    p = _write(tmp_path / "arm.yaml", rows_only.replace("theta_31", "q_31"))
+    with pytest.raises(ConfigError, match="no ROM interval for joint 'q_31'"):
+        parse_config(p)
 
 
 def test_null_optional_field_takes_its_default(tmp_path):

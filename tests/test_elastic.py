@@ -108,6 +108,17 @@ def test_actuator_validation():
         ActuatorModel(element=el, k_t=10.0, rated_force=0.0, rated_speed=1.0)
     with pytest.raises(ValueError, match="rated_speed"):
         ActuatorModel(element=el, k_t=10.0, rated_force=1.0, rated_speed=-2.0)
+    for field in ("k_t", "rated_force", "rated_speed"):
+        for value in (math.inf, math.nan):
+            kwargs = dict(k_t=10.0, rated_force=1.0, rated_speed=1.0)
+            kwargs[field] = value
+            with pytest.raises(ValueError, match=f"{field} must be finite "
+                                                 f"and positive, got {value}"):
+                ActuatorModel(element=el, **kwargs)
+    # F_tm/k_t overflows, so the travel limit would be infinite
+    with pytest.raises(ValueError, match="d_max_total must be finite"):
+        ActuatorModel(element=el, k_t=5e-324, rated_force=1.0,
+                      rated_speed=1.0)
 
 
 def test_specs_are_immutable():

@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 
 import tendonsim.cli as cli
-from tendonsim.cli import (DATA_DIR, SchemaError, _write_rows, main,
-                           parse_experiment, run_experiment)
+from tendonsim.cli import (DATA_DIR, SchemaError, _check_columns, _write_rows,
+                           main, parse_experiment, run_experiment,
+                           validate_csv_schema)
 
 GOLDEN_SHA256 = {
     "eca_stiffness_range.json":
@@ -169,6 +170,41 @@ def test_schema_violation_writes_no_file(tmp_path, fmt, header, columns,
     with pytest.raises(SchemaError, match=fragment):
         _write_rows(path, header, columns, fmt)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("header,columns", TABLES)
+def test_written_and_on_disk_tables_share_one_contract(tmp_path, header,
+                                                       columns):
+    path = tmp_path / "t.csv"
+    _write_rows(path, header, columns, "csv")
+    validate_csv_schema(path)
+    if not len(columns[0]):
+        return
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    # the middle cell of the first number column, then of the first label
+    # column, spoiled in the columns and in the file alike
+    mid = len(columns[0]) // 2
+    number = next(j for j, n in enumerate(header) if not n.endswith("_label"))
+    label = next((j for j, n in enumerate(header) if n.endswith("_label")),
+                 None)
+    for j, value, cell in ((number, math.nan, "nan"), (label, "", "")):
+        if j is None:
+            continue
+        bad_columns = [list(col) for col in columns]
+        bad_columns[j][mid] = value
+        rows_copy = [list(row) for row in rows]
+        rows_copy[1 + mid][j] = cell
+        bad = tmp_path / "bad.csv"
+        with open(bad, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows_copy)
+        with pytest.raises(SchemaError) as emitted:
+            _check_columns(bad, header, bad_columns)
+        with pytest.raises(SchemaError) as on_disk:
+            validate_csv_schema(bad)
+        assert str(on_disk.value) == str(emitted.value)
+        assert str(emitted.value).startswith(f"{bad}: row {mid + 1}: ")
+        assert str(emitted.value).endswith(f" in '{header[j]}'")
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

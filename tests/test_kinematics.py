@@ -90,6 +90,16 @@ def test_chain_validation():
         with pytest.raises(ValueError, match="too large for the norm"):
             default_arm(b=b)
     default_arm(b=7e153)
+    rom = {**arm.rom, "theta_3l": (-0.5, 0.5)}    # a typo of theta_31
+    with pytest.raises(ValueError,
+                       match=r"ROM intervals for unknown joints \['theta_3l'\]"):
+        KinematicChain(rows=arm.rows, link_lengths=arm.link_lengths, rom=rom)
+    for bounds in ((0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan)):
+        rom = {**arm.rom, "theta_21": bounds}
+        with pytest.raises(ValueError, match="ROM interval for 'theta_21' "
+                                             "must be finite"):
+            KinematicChain(rows=arm.rows, link_lengths=arm.link_lengths,
+                           rom=rom)
 
 
 def test_reach_limit_is_link_sum():

@@ -7,8 +7,10 @@ with the drawn parameters.
 
 import contextlib
 import io
+import re
 import shutil
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +26,7 @@ from tendonsim import (ActuatorModel, AntagonisticJointConfig,
                        joint_stiffness, joint_torque,
                        max_allowable_acceleration, max_controllable_torque,
                        mechanical_power, sample_workspace, stage_boundaries)
+from tendonsim import cli
 from tendonsim.cli import DATA_DIR, main
 from tendonsim.joint import StageLabel
 from tendonsim.kinematics import JOINT_ORDER, default_arm
@@ -278,12 +281,8 @@ def byte_edits(draw):
                          min_size=1, max_size=4))
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.sampled_from(BUNDLED_YAML + ["misa_like_curve.csv"]), byte_edits(),
-       st.booleans())
-def test_mutated_bundled_configs_end_in_ok_or_one_line_error(target, edits,
-                                                             strict):
-    data = bytearray((DATA_DIR / target).read_bytes())
+def _mutate(path, edits):
+    data = bytearray(path.read_bytes())
     for pos, byte, insert in edits:
         pos %= len(data) + 1
         if byte is None:
@@ -292,12 +291,20 @@ def test_mutated_bundled_configs_end_in_ok_or_one_line_error(target, edits,
             data[pos:pos] = bytes([byte])
         else:
             data[pos] = byte
+    path.write_bytes(bytes(data))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(BUNDLED_YAML + ["misa_like_curve.csv"]), byte_edits(),
+       st.booleans())
+def test_mutated_bundled_configs_end_in_ok_or_one_line_error(target, edits,
+                                                             strict):
     validated = target if target.endswith(".yaml") else "misa_like.yaml"
     with tempfile.TemporaryDirectory() as tmp:
         # bare names resolve against the referencing file's directory first
         for p in DATA_DIR.iterdir():
             shutil.copy(p, tmp)
-        (Path(tmp) / target).write_bytes(bytes(data))
+        _mutate(Path(tmp) / target, edits)
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(err):
@@ -307,3 +314,95 @@ def test_mutated_bundled_configs_end_in_ok_or_one_line_error(target, edits,
     if code == 1:
         assert err.getvalue().startswith("invalid: ")
         assert err.getvalue().count("\n") == 1
+
+
+# each spec the run fuzz starts from, with the files its run reads
+RUN_INPUTS = {
+    "exp_force_displacement.yaml": ("ica.yaml",),
+    "exp_stiffness_vs_pretension.yaml": ("ica_joint.yaml", "ica.yaml"),
+    "exp_max_acceleration.yaml": ("ica_joint.yaml", "ica.yaml"),
+    "exp_torque_surface.yaml": ("ica_joint.yaml", "ica.yaml"),
+    "exp_max_torque.yaml": ("ica_joint.yaml", "ica.yaml"),
+    "exp_stiffness_range.yaml": ("eca_joint.yaml", "eca.yaml"),
+    "exp_workspace.yaml": ("arm.yaml",),
+    "exp_lift.yaml": ("lift_dumbbell.yaml", "eca.yaml"),
+    "exp_tabulated_surface.yaml": ("misa_like_joint.yaml", "misa_like.yaml",
+                                   "misa_like_curve.csv"),
+}
+BENCH_DATA = Path(__file__).resolve().parents[1] / "bench" / "data"
+# the run bound while fuzzing, and the two bundled runs it would refuse
+# shrunk to fit under it, so that no example allocates much
+RUN_POINTS = 20_000
+SHRUNK = {"exp_workspace.yaml": ("n: 100000", "n: 2000"),
+          "lift_dumbbell.yaml": ("t_max: 5.0", "t_max: 1.0")}
+
+
+# a number of a file, and what the number mutations put in its place
+NUMBER = re.compile(rb"-?[0-9]+(?:\.[0-9]*)?(?:[eE][-+]?[0-9]+)?")
+LITERALS = [b"0", b"-1", b"1e-7", b"1e308", b"5e-324", b".inf", b"-.inf",
+            b".nan", b"1" + b"0" * 400, b"~", b"x", b"[1]", b"{}"]
+
+
+@st.composite
+def number_edits(draw):
+    """(k, literal) pairs: the k-th number of a file, counted modulo their
+    number, becomes literal."""
+    return draw(st.lists(st.tuples(st.integers(0, 10 ** 3),
+                                   st.sampled_from(LITERALS)),
+                         min_size=1, max_size=3))
+
+
+def _replace_numbers(path, edits):
+    data = path.read_bytes()
+    spans = [m.span() for m in NUMBER.finditer(data)]
+    chosen = {spans[k % len(spans)]: lit for k, lit in edits} if spans else {}
+    for (start, stop), lit in sorted(chosen.items(), reverse=True):
+        data = data[:start] + lit + data[stop:]
+    path.write_bytes(data)
+
+
+@st.composite
+def run_inputs(draw):
+    """A spec, and the file of its run to mutate."""
+    spec = draw(st.sampled_from(sorted(RUN_INPUTS)))
+    return spec, draw(st.sampled_from((spec,) + RUN_INPUTS[spec]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(run_inputs(), st.one_of(byte_edits().map(lambda e: (_mutate, e)),
+                              number_edits().map(
+                                  lambda e: (_replace_numbers, e))),
+       st.booleans())
+def test_mutated_bundled_runs_end_in_clean_files_or_one_line_error(
+        inputs, mutation, strict):
+    spec, target = inputs
+    mutate, edits = mutation
+    with tempfile.TemporaryDirectory() as tmp, \
+            pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would print more lines
+        mp.setattr(cli, "MAX_RUN_POINTS", RUN_POINTS)
+        tmp = Path(tmp)
+        for p in [*DATA_DIR.iterdir(), *BENCH_DATA.iterdir()]:
+            shutil.copy(p, tmp)
+        for name, (old, new) in SHRUNK.items():
+            text = (tmp / name).read_text()
+            assert old in text
+            (tmp / name).write_text(text.replace(old, new))
+        mutate(tmp / target, edits)
+        out = tmp / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(["run", str(tmp / spec), "--out", str(out)]
+                        + ["--strict"] * strict)
+        written = sorted(out.iterdir()) if out.exists() else []
+        if code == 1:
+            assert err.getvalue().startswith("error: ")
+            assert err.getvalue().count("\n") == 1
+            assert written == []
+        else:
+            assert code == 0 and err.getvalue() == ""
+            assert len(written) == 2
+            for path in written:
+                if path.suffix == ".csv":
+                    cli.validate_csv_schema(path)
