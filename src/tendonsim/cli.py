@@ -17,9 +17,12 @@ Conventions:
     after the checks only a file can fail (header, ragged rows, numbers),
   * CSV dialect: comma separated, LF line endings, '.' decimal, header row
     mandatory,
-  * rows are rendered _BLOCK_ROWS at a time by one %-template over that
-    block's cells and streamed to a temporary file in the output
-    directory, renamed onto the output name once complete,
+  * rows are rendered _BLOCK_ROWS at a time and streamed to a temporary
+    file in the output directory, renamed onto the output name once
+    complete; a CSV block by numpy, each float cell's "%.12g" text built
+    from its 12-digit significand (Python's "%.12g" renders the cells
+    outside 1e-4 <= |x| < 1e11 and those near a rounding tie), a JSON block
+    by one %-template over its cells,
   * outputs are byte-identical for identical (spec, seed),
   * config paths resolve against the referencing file's directory, then
     $TENDONSIM_CONFIG_DIR, then the bundled data directory.
@@ -49,6 +52,7 @@ import reprlib
 import sys
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
                     Sequence, TextIO, Tuple, Union)
@@ -716,31 +720,149 @@ def _csv_cell(s: str) -> str:
     return buf.getvalue()[:-1]
 
 
-# rows rendered by one % call: the row template repeated this many times
-_BLOCK_ROWS = 256
+# rows of a table rendered at once, by one numpy pass (CSV) or one % call
+# (JSON)
+_BLOCK_ROWS = 4096
 
 
-def _row_blocks(columns: Sequence, row: str) -> Iterator[str]:
-    """The text of a table's rows, _BLOCK_ROWS rows per % call of row
-    repeated over their cells, and one shorter call for the rest.
+def _row_blocks(columns: Sequence, render: Callable[[list], str]
+                ) -> Iterator[str]:
+    """The text of a table's rows, render of each _BLOCK_ROWS-row slice of
+    the columns in turn, so only one block of cells and text exists at
+    once."""
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        yield render([col[start:start + _BLOCK_ROWS] for col in columns])
 
-    columns are float arrays, or lists of already quoted str. The Python
-    cells are built one block at a time, each column's slice interleaved
-    into one reused list, so only one block of them exists at once.
+
+def _json_rows(row: str, block: list) -> str:
+    """The rows of a block by one % call of the row template repeated over
+    their cells: float arrays, or lists of already quoted str."""
+    k, m = len(block), len(block[0])
+    cells: list = [None] * (k * m)
+    for j, part in enumerate(block):
+        cells[j::k] = part if isinstance(part, list) else part.tolist()
+    return row * m % tuple(cells)
+
+
+# A CSV block is laid out as uint8 slots, a fixed number per cell, that
+# hold its text or _FILL; dropping the _FILL bytes leaves the rows. 0xFF is
+# in no UTF-8 text, so a label slot may hold any quoted label.
+_FILL = b"\xff"
+
+# A float cell with 1e-4 <= |x| < 1e11 is written in fixed notation by
+# "%.12g": its exponent X = floor(log10|x|) is -4..10 and its digits are
+# the 12-digit integer N = rint(|x| * 10**(11-X)), trailing zeros dropped.
+# Its 32 slots: a _FILL, the sign, "0.000" (for X < 0), then each digit of
+# N followed by a slot for the decimal point, the last one for ',' or '\n'.
+_CELL_BYTES = 32
+_DIGIT0 = 8                                # slot of N's first digit
+
+# 10**k for k = 0..15, each exactly a float
+_POW10 = np.array([float(10 ** k) for k in range(16)])
+
+
+def _digit_tables() -> Tuple[np.ndarray, Tuple[np.ndarray, ...]]:
+    """By 4-digit group 0000..9999: its ASCII digits in the even bytes of a
+    uint64, to be or-ed into the digit slots of a cell; and for the group
+    at digits 0-3, 4-7 and 8-11 of N, the index in N of its last nonzero
+    digit (0 for the group 0000)."""
+    g = np.arange(10000, dtype=np.int16)  # small temporaries at import
+    digits = np.zeros((10000, 8), np.uint8)
+    digits[:, ::2] = (g[:, None] // np.array([1000, 100, 10, 1], np.int16)
+                      % 10 + ord("0"))
+    last = 3 - sum(g % 10 ** k == 0 for k in (1, 2, 3))
+    return (digits.view(np.uint64).ravel(),
+            tuple(np.where(g > 0, last + 4 * j, 0).astype(np.uint8)
+                  for j in range(3)))
+
+
+_DIGITS4, _LAST_DIGIT = _digit_tables()
+
+
+def _cell_slots() -> np.ndarray:
+    """The slots of a float cell by (sign, X + 4, index of N's last nonzero
+    digit), flattened to 360 rows of 4 uint64: the fixed characters in
+    place, 0 in the digit slots to keep and _FILL everywhere else."""
+    t = np.full((2, 15, 12, _CELL_BYTES), ord(_FILL), np.uint8)
+    t[1, ..., 1] = ord("-")
+    t[..., -1] = ord(",")
+    for X in range(-4, 11):
+        for last in range(12):
+            slots = t[:, X + 4, last]
+            if X < 0:
+                slots[:, 2:4] = np.frombuffer(b"0.", np.uint8)
+                slots[:, 4:3 - X] = ord("0")
+            elif last > X:
+                slots[:, _DIGIT0 + 2 * X + 1] = ord(".")
+            slots[:, _DIGIT0:_DIGIT0 + 2 * max(last, X) + 1:2] = 0
+    return t.view(np.uint64).reshape(-1, 4)
+
+
+_CELL_SLOTS = _cell_slots()
+
+
+def _float_cells(x: np.ndarray) -> np.ndarray:
+    """The slots of each cell of a float array as "%.12g" renders it,
+    followed by ',': uint8 of shape x.shape + (_CELL_BYTES,).
+
+    Exactness. The power of ten is exact, so p = |x| * 10**(11-X) is rounded
+    once and is off the true product by at most 2**-53 * 1e12 ~ 1.1e-4.
+    Outside the guard band |frac(p) - 0.5| <= 1e-3 the nearest integer to p
+    is thus the nearest to the true product: N is the correctly rounded
+    significand "%.12g" prints. The cells the guard flags go to Python's
+    own "%.12g": |x| outside [1e-4, 1e11) (zero, other notations and
+    non-finite values included), p near a tie, N that rounds up to 1e12
+    (the next power of ten), and p < 1e11, where log10 rounded up to X.
     """
-    k = len(columns)
-    n = len(columns[0])
-    block = row * _BLOCK_ROWS
-    cells: list = [None] * (k * _BLOCK_ROWS)
-    for start in range(0, n, _BLOCK_ROWS):
-        m = min(_BLOCK_ROWS, n - start)
-        if m < _BLOCK_ROWS:
-            block = row * m
-            del cells[k * m:]
-        for j, col in enumerate(columns):
-            part = col[start:start + m]
-            cells[j::k] = part if isinstance(part, list) else part.tolist()
-        yield block % tuple(cells)
+    a = np.abs(x)
+    ok = (a >= 1e-4) & (a < 1e11)
+    a = np.where(ok, a, 1.0)
+    X = np.clip(np.floor(np.log10(a)), -4, 10).astype(np.intp)
+    p = a * _POW10[11 - X]
+    N = np.rint(p)
+    ok &= (p >= 1e11) & (N < 1e12) & (np.abs(p - np.floor(p) - 0.5) > 1e-3)
+    N = np.where(ok, N, 1e11).astype(np.int64)
+    g0, g01 = N // 10 ** 8, N // 10 ** 4
+    groups = (g0, g01 - g0 * 10 ** 4, N - g01 * 10 ** 4)
+    l0, l1, l2 = (t.take(g) for t, g in zip(_LAST_DIGIT, groups))
+    last = np.maximum(np.maximum(l0, l1), l2)
+    cells = _CELL_SLOTS.take((np.signbit(x) * 15 + X + 4) * 12 + last, axis=0)
+    for j, g in enumerate(groups, start=1):
+        cells[..., j] |= _DIGITS4.take(g)
+    cells = cells.view(np.uint8)
+    bad = np.nonzero(~ok)               # the cells Python renders
+    text = b"".join((b"%.12g" % v).ljust(_CELL_BYTES - 1, _FILL)
+                    for v in x[bad].tolist())
+    cells[(*bad, slice(-1))] = np.frombuffer(text, np.uint8).reshape(
+        -1, _CELL_BYTES - 1)
+    return cells
+
+
+def _label_slots(labels: Sequence[str]) -> np.ndarray:
+    """One row of slots per label: its csv-quoted UTF-8 bytes, _FILL, then
+    ','."""
+    quoted = [_csv_cell(s).encode() for s in labels]
+    width = max(map(len, quoted), default=0) + 1
+    return np.frombuffer(b"".join(q.ljust(width - 1, _FILL) + b","
+                                  for q in quoted),
+                         np.uint8).reshape(len(quoted), width)
+
+
+def _csv_rows(slots: Sequence[Optional[np.ndarray]], block: list) -> str:
+    """The CSV rows of a block. Its float columns are rendered by
+    _float_cells together; a *_label column holds indices into its slots,
+    the _label_slots of its distinct labels (None for a float column)."""
+    floats = [col for col, s in zip(block, slots) if s is None]
+    cells = (_float_cells(np.stack(floats, axis=-1)) if floats
+             else np.empty((len(block[0]), 0, _CELL_BYTES), np.uint8))
+    if len(floats) == len(block):       # the cells are the rows
+        row = cells.reshape(len(cells), -1)
+    else:
+        parts = iter(cells.swapaxes(0, 1))
+        row = np.concatenate([next(parts) if s is None else s.take(col, axis=0)
+                              for col, s in zip(block, slots)], axis=1)
+    row[:, -1] = ord("\n")
+    return row.tobytes().translate(None, _FILL).decode()
 
 
 @contextmanager
@@ -767,31 +889,40 @@ def _write_rows(path: Path, header: Sequence[str], columns: Sequence,
     lays it out). The schema is checked before the file is opened.
 
     columns are float arrays, or lists of str for *_label columns. The rows
-    are rendered by _row_blocks, 256 at a time from one %-template, and
-    streamed to the file, so neither the table's Python cells nor its text
-    are held whole. The file appears at path only once it is complete.
+    are rendered by _row_blocks, _BLOCK_ROWS at a time, and streamed to the
+    file, so neither the table's cells nor its text are held whole. A CSV
+    block is rendered by numpy (_csv_rows), each float cell from its
+    correctly rounded 12-digit significand; Python's "%.12g" renders only
+    the cells outside [1e-4, 1e11) in magnitude or too near a rounding tie
+    (_float_cells). A JSON block is one %-template with "%r" float cells.
+    The file appears at path only once it is complete.
     """
     _check_columns(path, header, columns)
-    quote = json.dumps if fmt == "json" else _csv_cell
-    cells, specs = [], []
+    cells, specs, slots = [], [], []
     for name, col in zip(header, columns):
-        if name.endswith("_label"):
-            quoted = {s: quote(s) for s in set(col)}
+        if not name.endswith("_label"):
+            cells.append(np.asarray(col, dtype=float))
+            specs.append("%r")
+            slots.append(None)
+        elif fmt == "csv":
+            labels = list(dict.fromkeys(col))
+            index = {s: i for i, s in enumerate(labels)}
+            cells.append(np.array([index[s] for s in col], dtype=np.intp))
+            slots.append(_label_slots(labels))
+        else:
+            quoted = {s: json.dumps(s) for s in set(col)}
             cells.append([quoted[s] for s in col])
             specs.append("%s")
-        else:
-            cells.append(np.asarray(col, dtype=float))
-            specs.append("%r" if fmt == "json" else "%.12g")
     if fmt == "csv":
         with _replacing(path, newline="") as fh:
             csv.writer(fh, lineterminator="\n").writerow(header)
-            fh.writelines(_row_blocks(cells, ",".join(specs) + "\n"))
+            fh.writelines(_row_blocks(cells, partial(_csv_rows, slots)))
         return
     # json.dump(indent=2) puts "rows" last (sorted keys), one cell per line
     head, tail = json.dumps({"columns": list(header), "rows": []}, indent=2,
                             sort_keys=True).rsplit("[]", 1)
     row = ",\n    [\n      " + ",\n      ".join(specs) + "\n    ]"
-    blocks = _row_blocks(cells, row)
+    blocks = _row_blocks(cells, partial(_json_rows, row))
     with _replacing(path) as fh:
         fh.write(head + "[")
         first = next(blocks, None)

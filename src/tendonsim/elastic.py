@@ -219,8 +219,11 @@ class ElasticElementSpec:
         if self.kind is ElementKind.TABULATED:
             ds, fs = np.array(self.table).T
             return np.interp(F, fs, ds)
-        # friction F_f = mu_p*F_t is taken off the element share only
-        return F * (1.0 - self.mu_p) / self.tendon_equivalent_stiffness
+        # friction F_f = mu_p*F_t is taken off the element share only. The
+        # law can overflow only at construction, whose check on its value
+        # at F_tm then fails, so it overflows without numpy's warning.
+        with np.errstate(all="ignore"):
+            return F * (1.0 - self.mu_p) / self.tendon_equivalent_stiffness
 
 
 @dataclass(frozen=True)
@@ -301,19 +304,27 @@ def force_from_displacement(actuator: ActuatorModel, d):
     """Tendon tension F_t (N) at displacement d (mm), a float or an array.
 
     Exact inverse of displacement_from_force for d >= 0. A slack tendon
-    (d < 0) carries no compression: returns 0.
+    (d < 0) carries no compression: returns 0. Raises ValueError if d is
+    not finite, or if the force overflows (a huge k_t past the travel
+    limit), naming the first such entry.
     """
     d_arr = np.asarray(d, dtype=float)
     finite = np.isfinite(d_arr)
     if not finite.all():
         raise ValueError(f"d must be finite, got {d_arr[~finite].flat[0]}")
-    if actuator.knots_d is None:
-        F = _series_stiffness(actuator) * d_arr
-    else:
-        F = np.interp(d_arr, actuator.knots_d, actuator.knots_F)
-    tendon_only = actuator.F_tm + (d_arr - actuator.d_max_total) * actuator.k_t
+    with np.errstate(all="ignore"):  # an overflow fails the check below
+        if actuator.knots_d is None:
+            F = _series_stiffness(actuator) * d_arr
+        else:
+            F = np.interp(d_arr, actuator.knots_d, actuator.knots_F)
+        tendon_only = (actuator.F_tm
+                       + (d_arr - actuator.d_max_total) * actuator.k_t)
     F = np.where(d_arr >= actuator.d_max_total, tendon_only, F)
     F = np.where(d_arr <= 0.0, 0.0, F)
+    finite = np.isfinite(F)
+    if not finite.all():
+        raise ValueError(f"the force at d={d_arr[~finite].flat[0]} mm is "
+                         f"{F[~finite].flat[0]} N; it must be finite")
     return F if d_arr.ndim else float(F)
 
 

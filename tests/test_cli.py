@@ -783,6 +783,49 @@ def test_config_boundary_rejects_what_a_run_would_misreport(
     assert not out.exists()
 
 
+def test_overflowing_force_names_the_sweep_point(tmp_path, capsys):
+    # a finite but huge k_t passes validate; past the travel limit the
+    # tendon-only force overflows, and the error names the first such d
+    # (it once named a row of the output file instead)
+    for p in DATA_DIR.iterdir():
+        _write(tmp_path / p.name, p.read_text())
+    text = (DATA_DIR / "misa_like.yaml").read_text()
+    assert "k_t: 60.0" in text
+    _write(tmp_path / "misa_like.yaml", text.replace("k_t: 60.0",
+                                                     "k_t: 1.0e308"))
+    spec = (DATA_DIR / "exp_force_displacement.yaml").read_text()
+    _write(tmp_path / "fd.yaml", spec.replace("config: ica.yaml",
+                                              "config: misa_like.yaml"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would print more lines
+        assert main(["validate", str(tmp_path / "misa_like.yaml")]) == 0
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert main(["run", str(tmp_path / "fd.yaml"), "--out",
+                     str(out)]) == 1
+    assert _one_line_error(capsys, "error: ") == (
+        "error: force_from_displacement at (25.8): the force at d=25.8 mm "
+        "is inf N; it must be finite\n")
+    assert list(out.iterdir()) == []
+    actuator = parse_config(tmp_path / "misa_like.yaml")
+    with pytest.raises(ValueError, match=r"the force at d=25\.8 mm is inf"):
+        elastic.force_from_displacement(actuator, [1.0, 25.8, 30.0])
+
+
+def test_overflowing_element_law_warns_nothing_before_its_error(tmp_path):
+    # parse_config outside main, which silences numpy: the law overflows
+    # while the actuator is built, and only the ConfigError comes out
+    text = (DATA_DIR / "eca.yaml").read_text()
+    assert "k_cs: 10.4" in text
+    p = _write(tmp_path / "eca.yaml", text.replace("k_cs: 10.4",
+                                                   "k_cs: 5e-324"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="the element law's travel at "
+                                              "F_tm=252.9 N is inf mm"):
+            parse_config(p)
+
+
 def test_chain_rows_with_their_own_joint_names(tmp_path):
     # the default ROM table covers the default joint names only
     arm = (DATA_DIR / "arm.yaml").read_text()

@@ -1,5 +1,6 @@
 """The data-file writer: pinned bytes of every bundled experiment, JSON
-layout against the json module, and the schema check on the columns.
+layout against the json module, CSV float cells against Python's "%.12g",
+and the schema check on the columns.
 
 The sha256 goldens pin each bundled spec's data and summary file in the
 spec's own format (Workspace at its spec seed 42), so any change in how a
@@ -10,9 +11,12 @@ import csv
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tendonsim.cli as cli
 from tendonsim.cli import (DATA_DIR, SchemaError, _check_columns, _write_rows,
@@ -117,13 +121,59 @@ def _block_table(n_rows, label):
             [x, [notes[i % 4] for i in range(n_rows)], y])
 
 
+def _ulps_around(v, n):
+    """v and the n floats on either side of it."""
+    return (np.array([v]).view(np.int64)
+            + np.arange(-n, n + 1)).view(np.float64).tolist()
+
+
+# CSV cells where a renderer of "%.12g" from scaled integers could slip
+EDGE_VALUES = [
+    0.0, -0.0, 5e-324, 2.2250738585072014e-308, 2.2250738585072014e-308 / 3,
+    1e308, 1.7976931348623157e308,
+    # powers of ten and their neighbours
+    *(w for e in range(-6, 14) for w in _ulps_around(10.0 ** e, 3)),
+    # ties and near ties at the 12th digit
+    *((k + 0.5) * 10.0 ** -j for j in range(0, 17)
+      for k in (0, 1, 7, 12345, 99999999999, 123456789012, 999999999999)),
+    # either side of the fixed-notation range the numpy path covers
+    *_ulps_around(1e-4, 3), *_ulps_around(1e11, 3),
+    # 12 digits that round up to the next power of ten
+    *(9.9999999999996 * 10.0 ** e for e in range(-6, 12)),
+    9.99999999999949, 99999999999.9996, 0.000999999999999951,
+]
+EDGE_VALUES += [-v for v in EDGE_VALUES]
+
+
+def _csv_block_table(n_rows):
+    """n_rows of *_label columns first and last around two float columns,
+    mostly in the range the numpy renderer covers, with EDGE_VALUES spread
+    over the rows; some labels need quoting, one is not ASCII and one holds
+    a NUL."""
+    rng = np.random.default_rng(n_rows + 1)
+    x = rng.uniform(-1.0, 1.0, n_rows) * 10.0 ** rng.integers(-4, 11, n_rows)
+    x[::11] = np.resize(EDGE_VALUES, len(x[::11]))
+    y = np.round(rng.uniform(0.0, 50.0, n_rows), rng.integers(0, 13))
+    stages = ["S1", "S2", "a,b", "S3"]
+    notes = ['say "hi"', "\u00e9t\u00e9", "nul\0byte", "two\nlines"]
+    return (["stage_label", "x_m", "y_s", "note_label"],
+            [[stages[i % 4] for i in range(n_rows)], x, y,
+             [notes[i % 4] for i in range(n_rows)]])
+
+
 # tables around the block size B: 0, 1, B-1, B, B+1 and 2B+1 rows
 B = cli._BLOCK_ROWS
 TABLES += [_block_table(n, label) for label in (False, True)
            for n in (0, 1, B - 1, B, B + 1, 2 * B + 1)]
+TABLES += [_csv_block_table(n) for n in (0, 1, B - 1, B, B + 1, 2 * B + 1)]
 
 
-@pytest.mark.parametrize("header,columns", TABLES)
+# a table without number columns, which the contract test below cannot
+# spoil
+LABELS_ONLY = [(["stage_label"], [["S1", "a,b", "S1"]])]
+
+
+@pytest.mark.parametrize("header,columns", TABLES + LABELS_ONLY)
 def test_json_rows_equal_json_dump(tmp_path, header, columns):
     path = tmp_path / "t.json"
     _write_rows(path, header, columns, "json")
@@ -134,7 +184,7 @@ def test_json_rows_equal_json_dump(tmp_path, header, columns):
     assert path.read_text() == expected
 
 
-@pytest.mark.parametrize("header,columns", TABLES)
+@pytest.mark.parametrize("header,columns", TABLES + LABELS_ONLY)
 def test_csv_rows_equal_csv_writer_with_12g_cells(tmp_path, header, columns):
     path = tmp_path / "t.csv"
     _write_rows(path, header, columns, "csv")
@@ -146,6 +196,46 @@ def test_csv_rows_equal_csv_writer_with_12g_cells(tmp_path, header, columns):
             writer.writerow([c if isinstance(c, str) else format(c, ".12g")
                              for c in r])
     assert path.read_bytes() == expected.read_bytes()
+
+
+# --------------------------------------------------------------------------
+# CSV float cells, rendered by numpy, against Python's "%.12g"
+
+def _csv_lines(values):
+    """The CSV rows of one float column holding values."""
+    return cli._csv_rows([None], [np.array(values, dtype=float)]).split("\n")
+
+
+def test_edge_cells_equal_12g():
+    expected = ["%.12g" % v for v in EDGE_VALUES]
+    assert _csv_lines(EDGE_VALUES)[:-1] == expected
+    assert [_csv_lines([v])[0] for v in EDGE_VALUES] == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-1e11, max_value=1e11),
+    st.builds(lambda k, j: k * 10.0 ** -j,
+              st.integers(-10 ** 12, 10 ** 12), st.integers(0, 16))),
+    min_size=1, max_size=64))
+def test_float_cells_equal_12g(values):
+    assert _csv_lines(values) == ["%.12g" % v for v in values] + [""]
+
+
+def test_csv_writer_holds_one_block_of_text(tmp_path):
+    # the whole text of this table is 4.6 MB; rendering it at once would
+    # hold all of it, and several times as much in the cells' slots
+    x = np.random.default_rng(3).uniform(-1.0, 1.0, (100_000, 3))
+    path = tmp_path / "w.csv"
+    tracemalloc.start()
+    try:
+        _write_rows(path, ["x_m", "y_m", "z_m"], x.T, "csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 4.5e6
+    assert peak < 4e6
 
 
 # --------------------------------------------------------------------------
