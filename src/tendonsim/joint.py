@@ -251,13 +251,22 @@ def joint_torque(joint: AntagonisticJointConfig, d_s, d_t):
 
 def max_controllable_torque(joint: AntagonisticJointConfig, d_s):
     """Largest torque (Nmm) reachable without driving the loaded element
-    past its limit: d_t = d_m - d_s. Nonincreasing in d_s."""
+    past its limit: d_t = d_m - d_s. Nonincreasing in d_s.
+
+    The driving side is evaluated at d_m itself: joint_torque's
+    d_s + (d_m - d_s) can round an ulp past d_m, onto the tendon-only
+    branch, and lift the torque above absolute_max_torque.
+    """
     _require_nonnegative("d_s", d_s)
     d = np.asarray(d_s)
     if (d > joint.d_m).any():
         raise ValueError(f"d_s={d[d > joint.d_m].flat[0]} mm is past the "
                          f"elastic stage (d_m={joint.d_m} mm)")
-    return joint_torque(joint, d_s, joint.d_m - d_s)
+    d_m = joint.d_m
+    raw = (joint.f_d(d_m) - joint.f_d(d_s - (d_m - d_s))
+           - joint.mu_s * joint.f_d(d_s)) * joint.R
+    tau = np.maximum(raw, 0.0)
+    return tau if tau.ndim else float(tau)
 
 
 def absolute_max_torque(joint: AntagonisticJointConfig) -> float:

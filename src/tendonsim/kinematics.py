@@ -287,24 +287,32 @@ def _batch_fk_positions(chain: KinematicChain, samples: np.ndarray) -> np.ndarra
 def sample_workspace(chain: KinematicChain, n: int, seed: int) -> WorkspaceCloud:
     """Monte Carlo workspace estimate: n independent uniform joint samples.
 
-    Each joint variable is drawn uniformly over its ROM interval, in row
-    order, from numpy's default_rng(seed); results are deterministic in
-    (chain, n, seed). FK runs over slices of FK_CHUNK samples; each pose is
-    computed alone, so the slicing does not change a bit of the result.
+    Each joint variable is drawn uniformly over its ROM interval from
+    numpy's default_rng(seed), joint by joint in row order: in that stream,
+    draw k (from 0) of joint j is output j*n + k, as if each joint's n
+    draws were taken in one uniform(lo, hi, n) call after the previous
+    joint's. Results are deterministic in (chain, n, seed).
+
+    Sampling and FK run over slices of FK_CHUNK samples. Each joint's
+    generator starts at its place in the stream (PCG64 advanced by j*n
+    outputs, one per double), and each pose is computed alone, so the
+    slicing does not change a bit of the result. Memory is the (n, 3)
+    points, 24 bytes per sample, plus one slice's samples and transforms.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    rng = np.random.default_rng(seed)
-    samples = np.empty((n, len(chain.rows)))
-    for j, row in enumerate(chain.rows):
-        lo, hi = chain.rom[row.joint_name]
-        samples[:, j] = rng.uniform(lo, hi, n)
+    draws = [(np.random.Generator(np.random.PCG64(seed).advance(j * n)),
+              *chain.rom[row.joint_name]) for j, row in enumerate(chain.rows)]
+    samples = np.empty((min(n, FK_CHUNK), len(chain.rows)))
     points = np.empty((n, 3))
+    max_reach = 0.0
     for i in range(0, n, FK_CHUNK):
-        points[i:i + FK_CHUNK] = _batch_fk_positions(chain,
-                                                     samples[i:i + FK_CHUNK])
-    reach = np.linalg.norm(points, axis=1)
-    max_reach = float(reach.max())
+        m = min(FK_CHUNK, n - i)
+        for j, (rng, lo, hi) in enumerate(draws):
+            samples[:m, j] = rng.uniform(lo, hi, m)
+        points[i:i + m] = _batch_fk_positions(chain, samples[:m])
+        max_reach = max(max_reach,
+                        float(np.linalg.norm(points[i:i + m], axis=1).max()))
     # FK rounds each coordinate to a few ulps of the reach, so the slack
     # scales with it
     if max_reach > chain.reach_limit * (1 + 1e-12) + 1e-9:

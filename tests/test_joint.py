@@ -325,6 +325,21 @@ def test_max_controllable_torque_ceiling():
         max_controllable_torque(j, j.d_m + 0.1)
 
 
+def test_max_controllable_torque_stays_under_the_ceiling_at_d_m_rounding():
+    # here d_s + (d_m - d_s) rounds one ulp past d_m, onto the tendon-only
+    # branch, where the torque would read 38.00000000098953 > R*F_tm
+    el = ElasticElementSpec.torsion_internal(
+        k_e=1.5, pulley_radius_r=19.90625, mu_p=0.20896172347327083,
+        F_tm=19.0)
+    a = ActuatorModel(element=el, k_t=136.0, rated_force=el.F_tm,
+                      rated_speed=100.0)
+    j = AntagonisticJointConfig(actuator_1=a, actuator_2=a, R=2.0, mu_s=0.0,
+                                inertia_I=INERTIA)
+    d_s = 0.1796875 * j.d_m
+    assert d_s + (j.d_m - d_s) > j.d_m
+    assert max_controllable_torque(j, d_s) <= absolute_max_torque(j)
+
+
 def test_max_controllable_torque_frozen_value(eca_pair):
     # table-quoted pair: d_t driven to the limit from d_s = 6.48 mm
     assert max_controllable_torque(eca_pair.joint, 6.48) == pytest.approx(

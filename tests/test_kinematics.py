@@ -6,6 +6,7 @@ checked against the single-pose path on replicated draws.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -226,14 +227,30 @@ def test_workspace_batch_matches_single_pose_path(arm):
         np.testing.assert_allclose(cloud.points[i], p, atol=1e-12)
 
 
-@pytest.mark.parametrize("n", [FK_CHUNK - 1, FK_CHUNK, 10001])
-def test_chunked_workspace_fk_equals_one_batch_bitwise(arm, n):
-    seed = 11
+@pytest.mark.parametrize("seed", [0, 7, 11, 42, 2**63 - 1])
+@pytest.mark.parametrize("n", [1, FK_CHUNK - 1, FK_CHUNK, FK_CHUNK + 1, 10001,
+                               100000])
+def test_chunked_workspace_fk_equals_one_batch_bitwise(arm, n, seed):
     rng = np.random.default_rng(seed)
     samples = np.column_stack([rng.uniform(*arm.rom[row.joint_name], n)
                                for row in arm.rows])
     whole = _batch_fk_positions(arm, samples)
     assert sample_workspace(arm, n, seed).points.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("n", [100000, 1000000])
+def test_workspace_memory_is_the_points_plus_one_slice(arm, n):
+    # one slice: its 7 samples, three (4, 4) transforms (the buffer, the
+    # running product and the next) and a few per-pose vectors, with room
+    slice_bytes = FK_CHUNK * 8 * 80
+    sample_workspace(arm, 10, seed=7)
+    tracemalloc.start()
+    try:
+        sample_workspace(arm, n, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * n + slice_bytes
 
 
 def test_workspace_stats_and_bounds(arm):
