@@ -118,10 +118,6 @@ class LiftScenario:
         return (self.limb_mass * self.limb_com_distance
                 + self.payload_mass * self.payload_distance)
 
-    def gravity_torque(self, theta: float) -> float:
-        """Load torque opposing positive rotation at angle theta (Nm)."""
-        return self.gravity * math.cos(theta) * self.gravity_moment
-
 
 @dataclass(frozen=True)
 class LiftState:

@@ -89,7 +89,11 @@ class DHRow:
     joint_name: str
 
     def __post_init__(self) -> None:
-        if min(abs(self.alpha), abs(abs(self.alpha) - _HALF_PI)) > 1e-12:
+        for field in ("a", "d", "alpha", "theta_offset"):
+            v = getattr(self, field)
+            if not math.isfinite(v):
+                raise ValueError(f"{field} must be finite, got {v}")
+        if not min(abs(self.alpha), abs(abs(self.alpha) - _HALF_PI)) <= 1e-12:
             raise ValueError(f"alpha must be 0 or +-pi/2, got {self.alpha}")
         if self.joint_sign not in (+1, -1):
             raise ValueError(f"joint_sign must be +1 or -1, got {self.joint_sign}")
@@ -169,15 +173,7 @@ def dh_transform(row: DHRow, joint_value: float) -> np.ndarray:
     """4x4 homogeneous transform of one D-H row at the given joint value."""
     if not math.isfinite(joint_value):
         raise ValueError(f"joint value must be finite, got {joint_value}")
-    theta = row.theta_offset + row.joint_sign * joint_value
-    ct, st = math.cos(theta), math.sin(theta)
-    ca, sa = math.cos(row.alpha), math.sin(row.alpha)
-    return np.array([
-        [ct, -st * ca, st * sa, row.a * ct],
-        [st, ct * ca, -ct * sa, row.a * st],
-        [0.0, sa, ca, row.d],
-        [0.0, 0.0, 0.0, 1.0],
-    ])
+    return _dh_fill(row, np.array([joint_value]))[0]
 
 
 def _as_named(chain: KinematicChain,
@@ -212,13 +208,12 @@ def forward_kinematics(chain: KinematicChain,
     for name, v in values.items():
         lo, hi = chain.rom[name]
         if mode == "clamp":
-            values[name] = min(max(v, lo), hi)
-        elif not lo <= v <= hi:
+            values[name] = v = min(max(v, lo), hi)
+        if not lo <= v <= hi:   # after clamping, only a NaN
             raise RomError(f"joint '{name}' = {v:.6f} rad is outside its "
                            f"ROM [{lo:.6f}, {hi:.6f}] rad")
-    T = np.eye(4)
-    for row in chain.rows:
-        T = T @ dh_transform(row, values[row.joint_name])
+    T = _fk_transforms(chain, np.array([[values[row.joint_name]
+                                         for row in chain.rows]]))[0]
     return FKResult(position=T[:3, 3].copy(), rotation=T[:3, :3].copy(),
                     transform=T)
 
@@ -239,8 +234,9 @@ def default_arm(b: float = 0.30, c: float = 0.25, d: float = 0.08,
     rom_deg optionally overrides the default ROM table (degrees).
     """
     for name, v in (("b", b), ("c", c), ("d", d)):
-        if not v > 0:
-            raise ValueError(f"link length {name} must be positive, got {v}")
+        if not 0 < v < math.inf:
+            raise ValueError(f"link length {name} must be positive and "
+                             f"finite, got {v}")
     rows = (
         DHRow(0.0, 0.0, _HALF_PI, 0.0, +1, "theta_31"),
         DHRow(0.0, 0.0, -_HALF_PI, _HALF_PI, -1, "theta_32"),
@@ -257,31 +253,37 @@ def default_arm(b: float = 0.30, c: float = 0.25, d: float = 0.08,
                           rom=rom)
 
 
-def _batch_fk_positions(chain: KinematicChain, samples: np.ndarray) -> np.ndarray:
-    """End-effector positions (n, 3) for joint samples (n, 7) in row order."""
-    n = samples.shape[0]
-    # one transform buffer per slice: its last row and M[:, 2, 0] stay
-    # (0, 0, 0, 1) and 0, and each row overwrites the other 11 entries
-    M = np.zeros((n, 4, 4))
+def _dh_fill(row: DHRow, q: np.ndarray,
+             M: Optional[np.ndarray] = None) -> np.ndarray:
+    """The row's transforms (n, 4, 4) at the joint values q (n,), written
+    into M when given: a buffer from an earlier call, whose zeros stay."""
+    M = np.zeros((len(q), 4, 4)) if M is None else M
+    theta = row.theta_offset + row.joint_sign * q
+    ct, st = np.cos(theta), np.sin(theta)
+    ca, sa = math.cos(row.alpha), math.sin(row.alpha)
+    M[:, 0, 0] = ct
+    M[:, 0, 1] = -st * ca
+    M[:, 0, 2] = st * sa
+    M[:, 0, 3] = row.a * ct
+    M[:, 1, 0] = st
+    M[:, 1, 1] = ct * ca
+    M[:, 1, 2] = -ct * sa
+    M[:, 1, 3] = row.a * st
+    M[:, 2, 1] = sa
+    M[:, 2, 2] = ca
+    M[:, 2, 3] = row.d
     M[:, 3, 3] = 1.0
-    T = None
+    return M
+
+
+def _fk_transforms(chain: KinematicChain, samples: np.ndarray) -> np.ndarray:
+    """End-effector transforms (n, 4, 4) for joint samples (n, 7) in row
+    order: the one D-H path of forward_kinematics and sample_workspace."""
+    M = T = None
     for j, row in enumerate(chain.rows):
-        theta = row.theta_offset + row.joint_sign * samples[:, j]
-        ct, st = np.cos(theta), np.sin(theta)
-        ca, sa = math.cos(row.alpha), math.sin(row.alpha)
-        M[:, 0, 0] = ct
-        M[:, 0, 1] = -st * ca
-        M[:, 0, 2] = st * sa
-        M[:, 0, 3] = row.a * ct
-        M[:, 1, 0] = st
-        M[:, 1, 1] = ct * ca
-        M[:, 1, 2] = -ct * sa
-        M[:, 1, 3] = row.a * st
-        M[:, 2, 1] = sa
-        M[:, 2, 2] = ca
-        M[:, 2, 3] = row.d
+        M = _dh_fill(row, samples[:, j], M)
         T = M.copy() if T is None else T @ M
-    return T[:, :3, 3]
+    return T
 
 
 def sample_workspace(chain: KinematicChain, n: int, seed: int) -> WorkspaceCloud:
@@ -310,7 +312,7 @@ def sample_workspace(chain: KinematicChain, n: int, seed: int) -> WorkspaceCloud
         m = min(FK_CHUNK, n - i)
         for j, (rng, lo, hi) in enumerate(draws):
             samples[:m, j] = rng.uniform(lo, hi, m)
-        points[i:i + m] = _batch_fk_positions(chain, samples[:m])
+        points[i:i + m] = _fk_transforms(chain, samples[:m])[:, :3, 3]
         max_reach = max(max_reach,
                         float(np.linalg.norm(points[i:i + m], axis=1).max()))
     # FK rounds each coordinate to a few ulps of the reach, so the slack

@@ -757,6 +757,20 @@ def test_malformed_configs_are_one_line_errors(tmp_path, capsys, name, old,
      "theta_21: [.nan, 138]",
      "section 'chain': ROM interval for 'theta_21' must be finite, got "
      "(nan, "),
+    # a non-finite D-H field once passed validate; run then sampled the
+    # whole workspace before it failed on a NaN cell of the output
+    ("arm.yaml", "exp_workspace.yaml", "alpha_deg: 90,  theta_offset_deg: 0,",
+     "alpha_deg: .nan,  theta_offset_deg: 0,",
+     "section 'chain.rows[1]': alpha must be finite, got nan"),
+    ("arm.yaml", "exp_workspace.yaml", "theta_offset_deg: 90,  joint_sign: 1",
+     "theta_offset_deg: .inf,  joint_sign: 1",
+     "section 'chain.rows[3]': theta_offset must be finite, got inf"),
+    ("arm.yaml", "exp_workspace.yaml", "theta_32, a: 0, d: 0,",
+     "theta_32, a: .nan, d: 0,",
+     "section 'chain.rows[2]': a must be finite, got nan"),
+    ("arm.yaml", "exp_workspace.yaml", "theta_32, a: 0, d: 0,",
+     "theta_32, a: 0, d: -.inf,",
+     "section 'chain.rows[2]': d must be finite, got -inf"),
     ("arm.yaml", "exp_workspace.yaml", "theta_31: [-40, 65]",
      "theta_3l: [-40, 65]",
      "section 'chain': ROM intervals for unknown joints ['theta_3l']; the "

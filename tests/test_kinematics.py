@@ -1,10 +1,15 @@
 """Arm kinematics: D-H rows, reference poses, ROM handling, workspace.
 
-The row transform is checked against an elementary-transform oracle
-(Rz * Tz * Tx * Rx composed here from scratch); the batch sampling path is
-checked against the single-pose path on replicated draws.
+One batched builder computes every D-H transform: forward_kinematics and
+dh_transform are its one-pose calls, and sample_workspace runs it over
+slices. The row transform is checked against an elementary-transform
+oracle (Rz * Tz * Tx * Rx composed here from scratch). Pinned sha256s of
+forward_kinematics transforms, taken from the former scalar path, hold the
+builder to its bits, and a workspace point is bitwise the position of its
+pose.
 """
 
+import hashlib
 import math
 import tracemalloc
 
@@ -15,7 +20,7 @@ from tendonsim import (DHRow, KinematicChain, RomError, default_arm,
                        dh_transform, forward_kinematics,
                        full_extension_joint_values, sample_workspace)
 from tendonsim.kinematics import (DEFAULT_ROM_DEG, FK_CHUNK, JOINT_ORDER,
-                                  _batch_fk_positions)
+                                  _fk_transforms)
 
 B, C, D = 0.30, 0.25, 0.08
 
@@ -65,9 +70,15 @@ def test_dh_transform_matches_elementary_composition():
 
 
 def test_row_validation():
-    with pytest.raises(ValueError, match="alpha"):
-        DHRow(a=0.0, d=0.0, alpha=0.5, theta_offset=0.0, joint_sign=1,
-              joint_name="q")
+    fields = dict(a=0.0, d=0.0, alpha=0.0, theta_offset=0.0)
+    # NaN alpha once passed, as min(nan, nan) > 1e-12 is False
+    for field, value in (("alpha", 0.5), ("alpha", math.nan),
+                         ("alpha", math.inf), ("theta_offset", math.inf),
+                         ("theta_offset", -math.inf),
+                         ("theta_offset", math.nan), ("a", math.nan),
+                         ("a", math.inf), ("d", math.nan), ("d", -math.inf)):
+        with pytest.raises(ValueError, match=field):
+            DHRow(**{**fields, field: value}, joint_sign=1, joint_name="q")
     with pytest.raises(ValueError, match="joint_sign"):
         DHRow(a=0.0, d=0.0, alpha=0.0, theta_offset=0.0, joint_sign=2,
               joint_name="q")
@@ -86,8 +97,11 @@ def test_chain_validation():
         KinematicChain(rows=arm.rows, link_lengths=arm.link_lengths, rom=rom)
     with pytest.raises(ValueError, match="link length"):
         default_arm(b=0.0)
+    with pytest.raises(ValueError, match="link length b must be positive "
+                                         "and finite, got inf"):
+        default_arm(b=math.inf)
     # past ~7.7e153 m the squared coordinates of a position overflow
-    for b in (1e308, 1e154, math.inf):
+    for b in (1e308, 1e154):
         with pytest.raises(ValueError, match="too large for the norm"):
             default_arm(b=b)
     default_arm(b=7e153)
@@ -192,6 +206,21 @@ def test_clamp_mode_clips_into_rom(arm):
     np.testing.assert_array_equal(clamped.transform, exact.transform)
 
 
+def test_non_finite_joint_values_are_rejected(arm):
+    # clamping leaves a NaN as it is, and it must not reach the D-H path
+    q = full_extension_joint_values()
+    q["theta_22"] = math.nan
+    with pytest.raises(ValueError, match="nan"):
+        forward_kinematics(arm, q, mode="clamp")
+    for bad in (math.nan, math.inf, -math.inf):
+        q["theta_22"] = bad
+        with pytest.raises(RomError, match="theta_22"):
+            forward_kinematics(arm, q)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="must be finite"):
+            dh_transform(arm.rows[0], bad)
+
+
 def test_default_rom_covers_the_reference_poses():
     assert set(DEFAULT_ROM_DEG) == set(JOINT_ORDER)
     for name, (lo, hi) in DEFAULT_ROM_DEG.items():
@@ -204,6 +233,34 @@ def test_default_rom_covers_the_reference_poses():
 
 # --------------------------------------------------------------------------
 # workspace sampling
+
+
+def _offset_chain():
+    # nonzero a and d in every row, alpha in {0, +-pi/2}
+    h = math.pi / 2.0
+    specs = ((0.05, 0.10, h, 0.0, +1), (0.12, -0.03, 0.0, h, -1),
+             (-0.07, 0.20, -h, 0.3, +1), (0.02, 0.15, 0.0, -h, +1),
+             (0.09, -0.11, h, math.pi, -1), (-0.04, 0.06, -h, 0.0, +1),
+             (0.03, 0.08, 0.0, 1.0, -1))
+    rows = tuple(DHRow(*spec, name) for spec, name in zip(specs, JOINT_ORDER))
+    return KinematicChain(rows=rows, link_lengths={}, rom=default_arm().rom)
+
+
+@pytest.mark.parametrize("chain, digest", [
+    (default_arm(),
+     "1d59488624482096f45440800f1401222d02b05251678aae4acf52de49cea64c"),
+    (_offset_chain(),
+     "e20d4ba6b7e3f33ef988e18ed70c0477af608d9372580a4c5f96af6fde6c1cfa"),
+], ids=["bundled_arm", "offset_chain"])
+def test_fk_transforms_keep_the_scalar_path_bits(chain, digest):
+    # the digests were taken from the scalar math.cos / np.eye(4) @ ...
+    # path that the batched builder replaced
+    lo, hi = np.array([chain.rom[row.joint_name] for row in chain.rows]).T
+    poses = np.random.default_rng(3).uniform(lo, hi, (20000, 7))
+    h = hashlib.sha256()
+    for q in poses:
+        h.update(forward_kinematics(chain, q).transform.tobytes())
+    assert h.hexdigest() == digest
 
 
 def test_workspace_is_deterministic(arm):
@@ -224,7 +281,7 @@ def test_workspace_batch_matches_single_pose_path(arm):
     for i in range(n):
         q = {row.joint_name: cols[j][i] for j, row in enumerate(arm.rows)}
         p = forward_kinematics(arm, q).position
-        np.testing.assert_allclose(cloud.points[i], p, atol=1e-12)
+        assert cloud.points[i].tobytes() == p.tobytes()
 
 
 @pytest.mark.parametrize("seed", [0, 7, 11, 42, 2**63 - 1])
@@ -234,7 +291,7 @@ def test_chunked_workspace_fk_equals_one_batch_bitwise(arm, n, seed):
     rng = np.random.default_rng(seed)
     samples = np.column_stack([rng.uniform(*arm.rom[row.joint_name], n)
                                for row in arm.rows])
-    whole = _batch_fk_positions(arm, samples)
+    whole = _fk_transforms(arm, samples)[:, :3, 3]
     assert sample_workspace(arm, n, seed).points.tobytes() == whole.tobytes()
 
 
