@@ -352,8 +352,9 @@ def _parse_actuator(doc: dict, path: Path, strict: bool) -> ActuatorModel:
             table = _load_table_csv(_resolve(table_name, path.parent))
             element = ElasticElementSpec.tabulated(table)
         else:
-            raise sec._fail(f"field 'kind' must be one of torsion_internal, "
-                            f"compression_external, tabulated; got {kind!r}")
+            kinds = ", ".join(k.value for k in ElementKind)
+            raise sec._fail(f"field 'kind' must be one of {kinds}; "
+                            f"got {kind!r}")
         sec.finish(strict)
         return ActuatorModel(element=element, k_t=k_t,
                              rated_force=rated_force,

@@ -3,18 +3,23 @@
 An actuator is an elastic element in series with a tendon of stiffness k_t.
 Three element kinds are supported:
 
-  * an internal torsion spring behind the output pulley (raw stiffness k_e in
-    Nmm/rad, pulley radius r, routing-pulley friction mu_p),
-  * an external compression spring sleeved around the motor shell (k_e in
+  * an internal torsion spring behind the output pulley (tendon-equivalent
+    stiffness k_ts in N/mm, pulley radius r, routing-pulley friction mu_p),
+  * an external compression spring sleeved around the motor shell (k_cs in
     N/mm, no friction term),
   * a tabulated nonlinear curve supplied as (displacement, force) pairs.
 
 Tendon tension F_t and motor-side tendon displacement d obey, while the
 element is inside its travel range (0 <= F_t <= F_tm):
 
-    d = (F_t - mu_p*F_t)/k_ts + F_t/k_t      torsion kind, k_ts = k_e/(2*pi*r^2)
+    d = (F_t - mu_p*F_t)/k_ts + F_t/k_t      torsion kind
     d = F_t/k_cs + F_t/k_t                   compression kind
     d = d_table(F_t) + F_t/k_t               tabulated kind
+
+Both linear kinds run this law on the stiffness their config gives, stored
+as k_ts; a torsion spring given by its raw k_e (Nmm/rad) is converted once,
+k_ts = k_e/(2*pi*r^2). The actuator derives its series stiffness
+k_et = k_ts*k_t/(k_t*(1-mu_p) + k_ts) once, at construction.
 
 Past the element limit only the tendon keeps stretching:
 
@@ -69,86 +74,93 @@ def _require(cond: bool, msg: str) -> None:
         raise ValueError(msg)
 
 
+def _torsion_arm(r: float) -> float:
+    """2*pi*r^2, the factor in k_e = k_ts*2*pi*r^2; inf past float range."""
+    try:
+        return 2.0 * math.pi * r ** 2
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class ElasticElementSpec:
     """Piecewise elastic law of one actuator's spring stage.
 
     Fields:
         kind: element construction (torsion / compression / tabulated).
-        k_e: raw element stiffness. Nmm/rad for the torsion kind, N/mm for
-            the compression kind, None for tabulated.
+        k_ts: tendon-equivalent element stiffness (N/mm) that the law runs
+            on, as given: k_ts, or k_e/(2*pi*r^2) once, for the torsion kind;
+            k_cs for the compression kind; None for tabulated.
+        d_max: element travel limit measured as tendon displacement (mm),
+            excluding tendon stretch. None takes the law's travel at F_tm.
+        F_tm: tension at which the element reaches its limit (N).
         pulley_radius_r: output pulley radius in mm (torsion kind only).
         mu_p: internal routing-pulley friction coefficient (torsion kind
             only, 0 otherwise). 0 <= mu_p < 1.
-        d_max: element travel limit measured as tendon displacement (mm),
-            excluding tendon stretch.
-        F_tm: tension at which the element reaches its limit (N).
         table: ordered (displacement mm, force N) pairs, strictly increasing
             in both columns, starting at (0, 0). Tabulated kind only.
     """
 
     kind: ElementKind
-    k_e: Optional[float]
-    d_max: float
+    k_ts: Optional[float]
+    d_max: Optional[float]
     F_tm: float
     pulley_radius_r: Optional[float] = None
     mu_p: float = 0.0
     table: Optional[Tuple[Tuple[float, float], ...]] = None
 
     def __post_init__(self) -> None:
-        _require(math.isfinite(self.d_max) and self.d_max > 0,
-                 f"d_max must be positive, got {self.d_max}")
         _require(math.isfinite(self.F_tm) and self.F_tm > 0,
                  f"F_tm must be positive, got {self.F_tm}")
         _require(0.0 <= self.mu_p < 1.0,
                  f"mu_p must satisfy 0 <= mu_p < 1, got {self.mu_p}")
+        _require(self.mu_p == 0.0
+                 or self.kind is ElementKind.TORSION_SPRING_INTERNAL,
+                 f"{self.kind.value} element has no pulley friction; mu_p "
+                 f"must be 0")
 
-        if self.kind is ElementKind.TORSION_SPRING_INTERNAL:
-            _require(self.k_e is not None and self.k_e > 0,
-                     "torsion element requires k_e > 0 (Nmm/rad)")
-            _require(self.pulley_radius_r is not None and self.pulley_radius_r > 0,
-                     "torsion element requires pulley_radius_r > 0 (mm)")
-            _require(self.table is None, "linear element must not carry a table")
-        elif self.kind is ElementKind.COMPRESSION_SPRING_EXTERNAL:
-            _require(self.k_e is not None and self.k_e > 0,
-                     "compression element requires k_e > 0 (N/mm)")
-            _require(self.mu_p == 0.0,
-                     "compression element has no pulley friction; mu_p must be 0")
-            _require(self.table is None, "linear element must not carry a table")
-        elif self.kind is ElementKind.TABULATED:
-            _require(self.k_e is None, "tabulated element must not set k_e")
-            _require(self.mu_p == 0.0,
-                     "tabulated element has no pulley friction; mu_p must be 0")
+        if self.kind is ElementKind.TABULATED:
+            _require(self.k_ts is None, "tabulated element must not set k_ts")
             _require(self.table is not None and len(self.table) >= 2,
                      "tabulated element requires a table of at least 2 rows")
-            d0, f0 = self.table[0]
-            _require(d0 == 0.0 and f0 == 0.0,
+            ds, fs = zip(*self.table)
+            _require(ds[0] == fs[0] == 0.0,
                      "tabulated curve must start at (0, 0)")
-            ds = [row[0] for row in self.table]
-            fs = [row[1] for row in self.table]
             _require(all(b > a for a, b in zip(ds, ds[1:])),
                      "table displacement column must be strictly increasing")
             _require(all(b > a for a, b in zip(fs, fs[1:])),
                      "table force column must be strictly increasing")
-            _require(self.d_max == ds[-1],
-                     "tabulated d_max must equal the last table displacement")
-            _require(self.F_tm == fs[-1],
-                     "tabulated F_tm must equal the last table force")
-        else:  # pragma: no cover - enum is closed
-            raise ValueError(f"unknown element kind {self.kind}")
+            _require((self.d_max, self.F_tm) == (ds[-1], fs[-1]),
+                     "tabulated d_max and F_tm must equal the last table row")
+            return
 
-        if self.kind is not ElementKind.TABULATED:
-            # The quoted (d_max, F_tm) pair must agree with the element's own
-            # law; published prototype tables are only ~2% self-consistent.
-            law = self.displacement_at(self.F_tm)
-            _require(law > 0 and math.isfinite(law),
-                     f"the element law's travel at F_tm={self.F_tm} N is "
-                     f"{law} mm; it must be > 0 and finite")
-            rel = abs(self.d_max - law) / law
-            _require(rel <= CONSISTENCY_TOL,
-                     f"d_max={self.d_max} mm is {rel:.1%} away from the "
-                     f"element law's {law:.4f} mm at F_tm={self.F_tm} N "
-                     f"(tolerance {CONSISTENCY_TOL:.0%})")
+        _require(self.k_ts is not None and self.k_ts > 0,
+                 f"{self.kind.value} element requires a stiffness > 0 "
+                 f"(N/mm), got {self.k_ts}")
+        _require(self.table is None, "linear element must not carry a table")
+        if self.kind is ElementKind.TORSION_SPRING_INTERNAL:
+            r = self.pulley_radius_r
+            _require(r is not None and r > 0,
+                     "torsion element requires pulley_radius_r > 0 (mm)")
+            if not math.isfinite(self.k_e):  # r enters k_e, never the law
+                raise ValueError(f"k_e = k_ts*2*pi*r^2 is {self.k_e} Nmm/rad "
+                                 f"at k_ts={self.k_ts} N/mm and "
+                                 f"pulley_radius_r={r} mm; it must be finite")
+        # The quoted (d_max, F_tm) pair must agree with the element's own
+        # law; published prototype tables are only ~2% self-consistent.
+        law = float(self.displacement_at(self.F_tm))
+        _require(law > 0 and math.isfinite(law),
+                 f"the element law's travel at F_tm={self.F_tm} N is "
+                 f"{law} mm; it must be > 0 and finite")
+        if self.d_max is None:
+            object.__setattr__(self, "d_max", law)
+        _require(math.isfinite(self.d_max) and self.d_max > 0,
+                 f"d_max must be positive, got {self.d_max}")
+        rel = abs(self.d_max - law) / law
+        _require(rel <= CONSISTENCY_TOL,
+                 f"d_max={self.d_max} mm is {rel * 100:.3g}% away from the "
+                 f"element law's {law:g} mm at F_tm={self.F_tm} N "
+                 f"(tolerance {CONSISTENCY_TOL:.0%})")
 
     # -- constructors -----------------------------------------------------
 
@@ -157,31 +169,21 @@ class ElasticElementSpec:
                          F_tm: float, k_e: Optional[float] = None,
                          k_ts: Optional[float] = None,
                          d_max: Optional[float] = None) -> "ElasticElementSpec":
-        """Torsion-spring element from either k_e (Nmm/rad) or its
-        tendon-equivalent stiffness k_ts = k_e/(2*pi*r^2) (N/mm).
-
-        d_max defaults to the law value F_tm*(1-mu_p)/k_ts.
-        """
+        """Torsion-spring element from k_ts (N/mm) or k_e (Nmm/rad), converted
+        once to k_ts = k_e/(2*pi*r^2). d_max=None takes the law's travel."""
         _require((k_e is None) != (k_ts is None),
                  "give exactly one of k_e or k_ts")
-        if k_e is None:
-            _require(k_ts > 0, "k_ts must be positive")
-            k_e = k_ts * 2.0 * math.pi * pulley_radius_r ** 2
-        if d_max is None:
-            k_ts_val = k_e / (2.0 * math.pi * pulley_radius_r ** 2)
-            d_max = F_tm * (1.0 - mu_p) / k_ts_val
-        return cls(kind=ElementKind.TORSION_SPRING_INTERNAL, k_e=k_e,
+        if k_e is not None:
+            k_ts = k_e / _torsion_arm(pulley_radius_r)
+        return cls(kind=ElementKind.TORSION_SPRING_INTERNAL, k_ts=k_ts,
                    pulley_radius_r=pulley_radius_r, mu_p=mu_p,
                    d_max=d_max, F_tm=F_tm)
 
     @classmethod
     def compression_external(cls, *, k_cs: float, F_tm: float,
                              d_max: Optional[float] = None) -> "ElasticElementSpec":
-        """Compression-spring element; d_max defaults to F_tm/k_cs."""
-        if d_max is None:
-            _require(k_cs > 0, "k_cs must be positive")
-            d_max = F_tm / k_cs
-        return cls(kind=ElementKind.COMPRESSION_SPRING_EXTERNAL, k_e=k_cs,
+        """Compression-spring element; d_max=None takes the law's travel."""
+        return cls(kind=ElementKind.COMPRESSION_SPRING_EXTERNAL, k_ts=k_cs,
                    d_max=d_max, F_tm=F_tm)
 
     @classmethod
@@ -189,25 +191,27 @@ class ElasticElementSpec:
         """Tabulated element; d_max/F_tm are the last table row."""
         rows = tuple((float(d), float(f)) for d, f in table)
         _require(len(rows) >= 2, "tabulated element requires at least 2 rows")
-        return cls(kind=ElementKind.TABULATED, k_e=None,
+        return cls(kind=ElementKind.TABULATED, k_ts=None,
                    d_max=rows[-1][0], F_tm=rows[-1][1], table=rows)
 
     # -- element law ------------------------------------------------------
 
     @property
-    def tendon_equivalent_stiffness(self) -> float:
-        """Element stiffness expressed against tendon displacement (N/mm).
-
-        k_ts = k_e/(2*pi*r^2) for the torsion kind, k_cs for the compression
-        kind. A tabulated element has no single value; use
-        effective_stiffness(actuator, d) for a local secant instead.
-        """
+    def k_e(self) -> Optional[float]:
+        """Raw element stiffness, derived: k_ts*2*pi*r^2 (Nmm/rad) for the
+        torsion kind, k_cs (N/mm) for compression, None for tabulated."""
         if self.kind is ElementKind.TORSION_SPRING_INTERNAL:
-            return self.k_e / (2.0 * math.pi * self.pulley_radius_r ** 2)
-        if self.kind is ElementKind.COMPRESSION_SPRING_EXTERNAL:
-            return self.k_e
-        raise ValueError("tabulated element has no single equivalent "
-                         "stiffness; pass a displacement to effective_stiffness")
+            return self.k_ts * _torsion_arm(self.pulley_radius_r)
+        return self.k_ts
+
+    @property
+    def tendon_equivalent_stiffness(self) -> float:
+        """k_ts (N/mm). A tabulated element has no single value; use
+        effective_stiffness(actuator, d) for a local secant instead."""
+        _require(self.k_ts is not None, "tabulated element has no single "
+                 "equivalent stiffness; pass a displacement to "
+                 "effective_stiffness")
+        return self.k_ts
 
     def displacement_at(self, F_t):
         """Element-share displacement (mm) at tension F_t (float or array),
@@ -223,7 +227,7 @@ class ElasticElementSpec:
         # law can overflow only at construction, whose check on its value
         # at F_tm then fails, so it overflows without numpy's warning.
         with np.errstate(all="ignore"):
-            return F * (1.0 - self.mu_p) / self.tendon_equivalent_stiffness
+            return F * (1.0 - self.mu_p) / self.k_ts
 
 
 @dataclass(frozen=True)
@@ -245,6 +249,8 @@ class ActuatorModel:
     label: str = ""
     # displacement at F_tm including tendon stretch; derived, see module doc
     d_max_total: float = field(init=False, repr=False, compare=False)
+    # series stiffness of element plus tendon (N/mm); None for tabulated
+    k_et: Optional[float] = field(init=False, repr=False, compare=False)
     # knots (d_i, F_i) of the exact tabulated inverse; None for linear kinds
     knots_d: Optional[np.ndarray] = field(init=False, repr=False,
                                           compare=False)
@@ -261,11 +267,15 @@ class ActuatorModel:
         _require(math.isfinite(total),
                  f"d_max_total must be finite, got {total} mm")
         object.__setattr__(self, "d_max_total", total)
-        knots_d = knots_F = None
+        k_et = knots_d = knots_F = None
         if el.kind is ElementKind.TABULATED:
             ds, knots_F = np.array(el.table).T
             knots_d = ds + knots_F / self.k_t
             knots_d.flags.writeable = knots_F.flags.writeable = False
+        else:
+            # 1/k_et = (1-mu_p)/k_ts + 1/k_t; mu_p = 0 leaves k_t exact
+            k_et = el.k_ts * self.k_t / (self.k_t * (1.0 - el.mu_p) + el.k_ts)
+        object.__setattr__(self, "k_et", k_et)
         object.__setattr__(self, "knots_d", knots_d)
         object.__setattr__(self, "knots_F", knots_F)
 
@@ -290,16 +300,6 @@ def displacement_from_force(actuator: ActuatorModel, F_t):
     return d if F.ndim else float(d)
 
 
-def _series_stiffness(actuator: ActuatorModel) -> float:
-    """Working-stage series stiffness k_et (N/mm) for linear element kinds."""
-    el = actuator.element
-    k_el = el.tendon_equivalent_stiffness
-    if el.kind is ElementKind.TORSION_SPRING_INTERNAL:
-        # k_et = k_ts*k_t / (k_t*(1-mu_p) + k_ts)
-        return k_el * actuator.k_t / (actuator.k_t * (1.0 - el.mu_p) + k_el)
-    return k_el * actuator.k_t / (actuator.k_t + k_el)
-
-
 def force_from_displacement(actuator: ActuatorModel, d):
     """Tendon tension F_t (N) at displacement d (mm), a float or an array.
 
@@ -313,8 +313,8 @@ def force_from_displacement(actuator: ActuatorModel, d):
     if not finite.all():
         raise ValueError(f"d must be finite, got {d_arr[~finite].flat[0]}")
     with np.errstate(all="ignore"):  # an overflow fails the check below
-        if actuator.knots_d is None:
-            F = _series_stiffness(actuator) * d_arr
+        if actuator.k_et is not None:
+            F = actuator.k_et * d_arr
         else:
             F = np.interp(d_arr, actuator.knots_d, actuator.knots_F)
         tendon_only = (actuator.F_tm
@@ -331,14 +331,12 @@ def force_from_displacement(actuator: ActuatorModel, d):
 def effective_stiffness(actuator: ActuatorModel, d: Optional[float] = None) -> float:
     """Series stiffness k_et (N/mm) of element plus tendon.
 
-    Linear kinds return the working-stage closed form (k_et1 with the
-    friction term for the torsion kind, k_et2 for the compression kind).
-    A tabulated element requires a displacement argument and returns the
-    local secant stiffness f_d(d)/d there.
+    Linear kinds return the working-stage closed form k_et, derived once
+    at construction. A tabulated element requires a displacement argument
+    and returns the local secant stiffness f_d(d)/d there.
     """
-    el = actuator.element
-    if el.kind is not ElementKind.TABULATED:
-        return _series_stiffness(actuator)
+    if actuator.k_et is not None:
+        return actuator.k_et
     if d is None:
         raise ValueError("tabulated element requires a displacement "
                          "argument for effective_stiffness")

@@ -684,12 +684,24 @@ def test_deeply_nested_yaml_is_a_one_line_error(tmp_path, text):
 
 
 @pytest.mark.parametrize("name, old, new, fragment", [
+    # r enters only k_e = k_ts*2*pi*r^2, which must be finite
     ("ica.yaml", "pulley_radius_r: 5.0", "pulley_radius_r: 1e308",
-     "section 'actuator'"),
+     "section 'actuator': k_e = k_ts*2*pi*r^2 is inf Nmm/rad at k_ts=3.2 "
+     "N/mm and pulley_radius_r=1e+308 mm; it must be finite"),
+    ("ica.yaml", "pulley_radius_r: 5.0", "pulley_radius_r: .inf",
+     "section 'actuator': k_e = k_ts*2*pi*r^2 is inf Nmm/rad at k_ts=3.2 "
+     "N/mm and pulley_radius_r=inf mm; it must be finite"),
     ("ica.yaml", "k_t: 30.0", "k_t: 0", "section 'actuator'"),
-    # the law's travel F_tm*(1-mu_p)/k_ts underflows to 0
     ("ica.yaml", "k_ts: 3.2 ", "k_ts: 1e308 ",
-     "law's travel at F_tm=112.4 N is 0.0 mm; it must be > 0"),
+     "section 'actuator': k_e = k_ts*2*pi*r^2 is inf Nmm/rad at "
+     "k_ts=1e+308 N/mm and pulley_radius_r=5.0 mm; it must be finite"),
+    # a law travel far from the quoted one prints in a few digits
+    ("ica.yaml", "k_ts: 3.2 ", "k_ts: 1e-300 ",
+     "is 100% away from the element law's 1.0116e+302 mm at F_tm=112.4 N "
+     "(tolerance 2%)"),
+    ("ica.yaml", "k_ts: 3.2 ", "k_ts: 1e300 ",
+     "is 3.07e+301% away from the element law's 1.0116e-298 mm at "
+     "F_tm=112.4 N (tolerance 2%)"),
     ("ica.yaml", "k_t: 30.0", "k_t: 1" + "0" * 400,
      "field 'k_t' is out of range"),
     ("ica.yaml", "label: ica", "label: 2001-13-01", "YAML parse error"),

@@ -8,6 +8,7 @@ step-refinement checks guard the integration itself.
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -206,3 +207,19 @@ def test_lowering_reaches_target(lift):
     assert tr.theta[-1] <= down.theta_target
     assert float(tr.omega.min()) == pytest.approx(-OMEGA_CAP, rel=1e-12)
     assert np.all(np.abs(tr.omega) <= OMEGA_CAP * (1 + 1e-12))
+
+
+@pytest.mark.parametrize("n", [100_000, 1_000_000])
+def test_lift_memory_per_step_is_bounded(lift, n):
+    # the four step columns hold 8-byte doubles, not Python float objects
+    # (about 186 B a step); the target is out of reach, so all n run
+    unending = dataclasses.replace(lift, theta_target=1e9, t_max=n * lift.dt)
+    tracemalloc.start()
+    try:
+        tr = simulate_lift(unending)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not tr.reached_target
+    assert len(tr.t) == n + 1
+    assert peak <= 64 * len(tr.t)

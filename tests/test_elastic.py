@@ -10,10 +10,12 @@ import math
 
 import numpy as np
 import pytest
+import yaml
 
 from tendonsim import (ActuatorModel, ElasticElementSpec, ElementKind,
                        displacement_from_force, effective_stiffness,
                        force_from_displacement)
+from tendonsim.cli import DATA_DIR, parse_config
 
 # reference parameter sets used throughout the file (bench-test values,
 # slightly different from the bundled table-quoted ones)
@@ -313,6 +315,36 @@ def test_effective_stiffness_closed_forms():
     c = compression_actuator()
     assert effective_stiffness(c) == pytest.approx(
         C_KCS * C_KT / (C_KT + C_KCS), rel=1e-12)
+
+
+@pytest.mark.parametrize("name, old, new", [
+    ("ica.yaml", None, None),
+    ("eca.yaml", None, None),
+    # the torsion spring by its raw stiffness, converted once to k_ts
+    ("ica.yaml", "k_ts: 3.2 ", "k_e: 505.0 "),
+])
+def test_linear_constants_equal_their_closed_forms_bitwise(tmp_path, name,
+                                                           old, new):
+    text = (DATA_DIR / name).read_text()
+    if old is not None:
+        assert old in text
+        text = text.replace(old, new)
+    path = tmp_path / name
+    path.write_text(text)
+    a = parse_config(path)
+    # every constant from the file's own numbers, none from the model
+    raw = yaml.safe_load(text)["actuator"]
+    k_t, F_tm, mu_p = raw["k_t"], raw["F_tm"], raw.get("mu_p", 0.0)
+    if "k_e" in raw:
+        k_ts = raw["k_e"] / (2.0 * math.pi * raw["pulley_radius_r"] ** 2)
+    else:
+        k_ts = raw.get("k_ts", raw.get("k_cs"))
+    d_max_total = F_tm * (1 - mu_p) / k_ts + F_tm / k_t
+    assert a.d_max_total == d_max_total
+    assert effective_stiffness(a) == k_ts * k_t / (k_t * (1 - mu_p) + k_ts)
+    d = 45.0  # the end of the bundled force/displacement sweep
+    assert d > d_max_total
+    assert force_from_displacement(a, d) == F_tm + (d - d_max_total) * k_t
 
 
 def test_effective_stiffness_approaches_element_for_stiff_tendon():

@@ -31,11 +31,11 @@ GOLDEN_SHA256 = {
     "ica_force_displacement.csv":
         "b4baea7ad23859f45875ccabbc07652b4587d89d0e42def07652ddee62dff0c6",
     "ica_force_displacement_summary.json":
-        "b5b1cf456f79ef0494edc3ca3c01731a9851d4190eb943ee44d4e578f3c6e94a",
+        "77c4c3848d8e9784a4643cce0e9fe048dbf04fd07145e1707d55ee79099d9464",
     "ica_max_acceleration.csv":
         "29d1575a8080f7802b5c8b17bfb351032f45bfe71527ab588c1f1eb582598075",
     "ica_max_acceleration_summary.json":
-        "ddcacffbe98728434e917905218c322749034b05fb01e84880a589fda176f187",
+        "4e240aadbbf709fa37667cfebe61bff2721d475e5a63c207d54326498bb55b04",
     "ica_max_torque.csv":
         "2f1cddecaba3dca9204869a62193d32ea761678539195dd409e42d3f72fe5431",
     "ica_max_torque_summary.json":
@@ -43,11 +43,11 @@ GOLDEN_SHA256 = {
     "ica_stiffness_vs_pretension.csv":
         "9976d9da55950666dc40efb23604e95c304ccc2b785932fd3f00852d7115b130",
     "ica_stiffness_vs_pretension_summary.json":
-        "f75156e18ee386cc07a5845eef150e30bc884d9116e50d95f9aec825aa90fe95",
+        "fa1b346649e36788209857afed8315213df94868f7be5ab3462a2b46fe629117",
     "ica_torque_surface.csv":
         "caab8055e80645d299cf0e5f5c37c114a2bdd4095c8515d2a1d5cbe181504c4a",
     "ica_torque_surface_summary.json":
-        "9cf8bbbad88af2f4927446ea2f4a0cf55f63328c3c5f2a995fb92549f9030fa8",
+        "30401cca8071c05ddfcd27948d1abfddfba81b51ed2cd09ad3312fb7dee7f413",
     "lift_trace.csv":
         "3523ebbc92069aee3592f3f6f02d18061dd7997642d9db9f6f73ba1a218fe8c1",
     "lift_trace_summary.json":
