@@ -11,41 +11,14 @@ joint layers; the kinematics and dynamics layers use SI units (m, s,
 rad, W) at their interfaces.
 """
 
-from .elastic import (ActuatorModel, ElasticElementSpec, ElementKind,
-                      displacement_from_force, effective_stiffness,
-                      force_from_displacement)
-from .joint import (AntagonisticJointConfig, StageLabel, StiffnessRange,
-                    absolute_max_torque, classify_stage,
-                    controllable_stiffness_range, external_force,
-                    joint_stiffness, joint_torque, max_allowable_acceleration,
-                    max_controllable_torque, pretension_force,
-                    stage_boundaries)
-from .kinematics import (DHRow, FKResult, KinematicChain, RomError,
-                         WorkspaceCloud, default_arm, dh_transform,
-                         forward_kinematics, full_extension_joint_values,
-                         sample_workspace)
-from .dynamics import (LiftScenario, LiftState, LiftTrace, mechanical_power,
-                       simulate_lift, step_dynamics)
+from . import dynamics, elastic, joint, kinematics
+# the package exports each module's __all__
+from .dynamics import *
+from .elastic import *
+from .joint import *
+from .kinematics import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # elastic
-    "ActuatorModel", "ElasticElementSpec", "ElementKind",
-    "displacement_from_force", "effective_stiffness",
-    "force_from_displacement",
-    # joint
-    "AntagonisticJointConfig", "StageLabel", "StiffnessRange",
-    "absolute_max_torque", "classify_stage", "controllable_stiffness_range",
-    "external_force", "joint_stiffness", "joint_torque",
-    "max_allowable_acceleration", "max_controllable_torque",
-    "pretension_force", "stage_boundaries",
-    # kinematics
-    "DHRow", "FKResult", "KinematicChain", "RomError", "WorkspaceCloud",
-    "default_arm", "dh_transform", "forward_kinematics",
-    "full_extension_joint_values", "sample_workspace",
-    # dynamics
-    "LiftScenario", "LiftState", "LiftTrace", "mechanical_power",
-    "simulate_lift", "step_dynamics",
-]
+__all__ = ["__version__", *elastic.__all__, *joint.__all__,
+           *kinematics.__all__, *dynamics.__all__]

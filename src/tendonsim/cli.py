@@ -31,8 +31,10 @@ Each config type is one row of CONFIG_TYPES (section name -> parser, model
 class, the `validate` description) and each experiment kind one row of
 EXPERIMENTS (name, note, config section, sweep variables, runner). A new
 kind is one row plus its runner, a function of the spec that returns
-(header, columns, summary). The runners stay in this module: the
-benchmark's tracer patches the layer functions they call here.
+(header, columns, summary), reporting what the model holds; run_experiment
+alone turns a model fault into an ExperimentError that names the kind. The
+runners stay in this module: the benchmark's tracer patches the layer
+functions they call here.
 
 The bundled data directory ships reference parameter sets for the two
 prototype actuators, a tabulated nonlinear stand-in, joint/arm/lift
@@ -114,8 +116,8 @@ class ConfigError(Exception):
 
 
 class ExperimentError(Exception):
-    """An experiment failed: a sweep point did not evaluate, or its output
-    could not be written."""
+    """An experiment failed: the model raised while the run evaluated it,
+    or its output could not be written."""
 
 
 class SchemaError(Exception):
@@ -934,12 +936,6 @@ def _write_rows(path: Path, header: Sequence[str], columns: Sequence,
         fh.write("]" + tail + "\n")
 
 
-def _write_json(path: Path, obj: dict) -> None:
-    with _replacing(path) as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def validate_csv_schema(path: Union[str, Path]) -> None:
     """Check a CSV file on disk against the contract of emitted tables:
     the checks only a file can fail (a header row, rows of the header's
@@ -1033,7 +1029,10 @@ def run_experiment(spec: ExperimentSpec, out_dir: Union[str, Path] = ".",
                               f"got {type(spec.model).__name__}")
     spec = replace(spec, fmt=fmt or spec.fmt,
                    seed=spec.seed if seed is None else seed)
-    header, columns, summary = kind.run(spec)
+    try:
+        header, columns, summary = kind.run(spec)
+    except (ValueError, ArithmeticError) as exc:  # a model fault
+        raise ExperimentError(f"{kind.name}: {exc}") from exc
 
     out_path = out_dir / f"{spec.output}.{spec.fmt}"
     summary_path = out_dir / f"{spec.output}_summary.json"
@@ -1042,7 +1041,9 @@ def run_experiment(spec: ExperimentSpec, out_dir: Union[str, Path] = ".",
     try:
         _write_rows(out_path, header, columns, spec.fmt)
         path = summary_path
-        _write_json(summary_path, summary)
+        with _replacing(summary_path) as fh:
+            json.dump(summary, fh, indent=2, sort_keys=True)
+            fh.write("\n")
     except OSError as exc:
         raise ExperimentError(f"{path}: cannot write: "
                               f"{exc.strerror or exc}") from exc
@@ -1056,18 +1057,17 @@ def _run_force_displacement(spec: ExperimentSpec):
     pts = np.array(_merge_exact(spec.sweeps["d"].points(), [bp]))
     force = _sweep_eval(lambda d: force_from_displacement(actuator, d),
                         "force_from_displacement", pts)
-    h = min(0.01, bp / 100.0)
-    slope_below = (force_from_displacement(actuator, bp)
-                   - force_from_displacement(actuator, bp - h)) / h
-    slope_above = (force_from_displacement(actuator, bp + h)
-                   - force_from_displacement(actuator, bp)) / h
+    slope_below = actuator.k_et
+    if slope_below is None:  # tabulated: the knot segment ending at bp
+        F, d = actuator.knots_F, actuator.knots_d
+        slope_below = float((F[-1] - F[-2]) / (d[-1] - d[-2]))
     summary = {
         "operation": "force_from_displacement",
         "actuator_label": actuator.label,
         "breakpoint_mm": bp,
         "breakpoint_N": actuator.F_tm,
         "slope_below_N_per_mm": slope_below,
-        "slope_above_N_per_mm": slope_above,
+        "slope_above_N_per_mm": actuator.k_t,
         "force_max_N": float(force[-1]),
     }
     return ["displacement_mm", "force_N"], [pts, force], summary
@@ -1142,10 +1142,7 @@ def _run_max_torque(spec: ExperimentSpec):
 
 def _run_stiffness_range(spec: ExperimentSpec):
     joint, delta = spec.model.joint, spec.delta
-    try:
-        rng = controllable_stiffness_range(joint, delta)
-    except ValueError as exc:
-        raise ExperimentError(f"controllable_stiffness_range: {exc}") from exc
+    rng = controllable_stiffness_range(joint, delta)
     summary = {
         "operation": "controllable_stiffness_range",
         "delta_rad": delta,

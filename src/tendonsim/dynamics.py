@@ -93,14 +93,19 @@ class LiftScenario:
             raise ValueError("dt and t_max must be > 0")
         if self.theta_start == self.theta_target:
             raise ValueError("theta_start must differ from theta_target")
-        if self.total_inertia <= 0:
-            raise ValueError("at least one mass must be positive")
+        if not 0 < self.total_inertia < math.inf:
+            raise ValueError(f"total_inertia is {self.total_inertia} kg*m^2 "
+                             f"at limb_mass={self.limb_mass} kg, "
+                             f"limb_com_distance={self.limb_com_distance} m, "
+                             f"payload_mass={self.payload_mass} kg and "
+                             f"payload_distance={self.payload_distance} m; "
+                             f"it must be finite and > 0")
 
     @property
     def total_inertia(self) -> float:
-        """Point-mass rotational inertia about the joint (kg*m^2)."""
-        return (self.limb_mass * self.limb_com_distance ** 2
-                + self.payload_mass * self.payload_distance ** 2)
+        """Point-mass inertia about the joint (kg*m^2); inf past range."""
+        L, P = self.limb_com_distance, self.payload_distance
+        return self.limb_mass * (L * L) + self.payload_mass * (P * P)
 
     @property
     def max_torque(self) -> float:
@@ -234,7 +239,8 @@ def simulate_lift(scenario: LiftScenario) -> LiftTrace:
             break
         theta, omega = theta_next, omega_next
         if not (math.isfinite(theta) and math.isfinite(omega)):
-            raise FloatingPointError("non-finite state; integration fault")
+            raise ValueError(f"non-finite state at t={(i + 1) * s.dt:g} s; "
+                             f"integration fault")
 
     th_arr, om_arr, tau_arr, tg_arr = map(np.frombuffer,
                                           (th_col, om_col, tau_col, tg_col))

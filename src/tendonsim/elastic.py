@@ -108,6 +108,11 @@ class ElasticElementSpec:
     pulley_radius_r: Optional[float] = None
     mu_p: float = 0.0
     table: Optional[Tuple[Tuple[float, float], ...]] = None
+    # the table's read-only displacement and force columns; None otherwise
+    table_d: Optional[np.ndarray] = field(default=None, init=False,
+                                          repr=False, compare=False)
+    table_F: Optional[np.ndarray] = field(default=None, init=False,
+                                          repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _require(math.isfinite(self.F_tm) and self.F_tm > 0,
@@ -123,15 +128,18 @@ class ElasticElementSpec:
             _require(self.k_ts is None, "tabulated element must not set k_ts")
             _require(self.table is not None and len(self.table) >= 2,
                      "tabulated element requires a table of at least 2 rows")
-            ds, fs = zip(*self.table)
-            _require(ds[0] == fs[0] == 0.0,
+            d, F = np.array(self.table, dtype=float).T.copy()
+            _require(d[0] == F[0] == 0.0,
                      "tabulated curve must start at (0, 0)")
-            _require(all(b > a for a, b in zip(ds, ds[1:])),
+            _require((np.diff(d) > 0).all(),
                      "table displacement column must be strictly increasing")
-            _require(all(b > a for a, b in zip(fs, fs[1:])),
+            _require((np.diff(F) > 0).all(),
                      "table force column must be strictly increasing")
-            _require((self.d_max, self.F_tm) == (ds[-1], fs[-1]),
+            _require((self.d_max, self.F_tm) == (d[-1], F[-1]),
                      "tabulated d_max and F_tm must equal the last table row")
+            d.flags.writeable = F.flags.writeable = False
+            object.__setattr__(self, "table_d", d)
+            object.__setattr__(self, "table_F", F)
             return
 
         _require(self.k_ts is not None and self.k_ts > 0,
@@ -221,8 +229,7 @@ class ElasticElementSpec:
         """
         F = np.minimum(F_t, self.F_tm)
         if self.kind is ElementKind.TABULATED:
-            ds, fs = np.array(self.table).T
-            return np.interp(F, fs, ds)
+            return np.interp(F, self.table_F, self.table_d)
         # friction F_f = mu_p*F_t is taken off the element share only. The
         # law can overflow only at construction, whose check on its value
         # at F_tm then fails, so it overflows without numpy's warning.
@@ -267,17 +274,16 @@ class ActuatorModel:
         _require(math.isfinite(total),
                  f"d_max_total must be finite, got {total} mm")
         object.__setattr__(self, "d_max_total", total)
-        k_et = knots_d = knots_F = None
+        k_et = knots_d = None
         if el.kind is ElementKind.TABULATED:
-            ds, knots_F = np.array(el.table).T
-            knots_d = ds + knots_F / self.k_t
-            knots_d.flags.writeable = knots_F.flags.writeable = False
+            knots_d = el.table_d + el.table_F / self.k_t
+            knots_d.flags.writeable = False
         else:
             # 1/k_et = (1-mu_p)/k_ts + 1/k_t; mu_p = 0 leaves k_t exact
             k_et = el.k_ts * self.k_t / (self.k_t * (1.0 - el.mu_p) + el.k_ts)
         object.__setattr__(self, "k_et", k_et)
         object.__setattr__(self, "knots_d", knots_d)
-        object.__setattr__(self, "knots_F", knots_F)
+        object.__setattr__(self, "knots_F", el.table_F)
 
     @property
     def F_tm(self) -> float:

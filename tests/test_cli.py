@@ -396,6 +396,37 @@ def test_vector_sweep_failure_names_the_first_bad_coordinate(tmp_path,
         "error: joint_torque at (-1, 0): d_s must be >= 0, got -1.0\n")
 
 
+@pytest.mark.parametrize("config, below, above", [
+    ("ica.yaml", 3.178807947019868, 30.0),
+    ("eca.yaml", 8.863636363636363, 60.0),
+    ("misa_like.yaml", 18.490728132747833, 60.0),  # the last knot segment
+])
+def test_force_displacement_slopes_are_the_models_own(tmp_path, config,
+                                                      below, above):
+    spec = parse_experiment(_write(tmp_path / "fd.yaml",
+                                   FD_SPEC.replace("ica.yaml", config)))
+    summary = run_experiment(spec, out_dir=tmp_path / "out").summary
+    assert summary["slope_below_N_per_mm"] == below
+    assert summary["slope_above_N_per_mm"] == above == spec.model.k_t
+    assert spec.model.k_et in (below, None)
+
+
+def test_lift_integration_fault_is_a_one_line_error(tmp_path, capsys):
+    # passes validate: the state overflows only once the lift runs
+    lift = (DATA_DIR / "lift_dumbbell.yaml").read_text()
+    _write(tmp_path / "lift_dumbbell.yaml",
+           lift.replace("t_max: 5.0", "t_max: 5.0\n  gravity: 1.0e308"))
+    spec = _write(tmp_path / "lift.yaml",
+                  (DATA_DIR / "exp_lift.yaml").read_text())
+    assert main(["validate", str(tmp_path / "lift_dumbbell.yaml")]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["run", str(spec), "--out", str(out)]) == 1
+    assert _one_line_error(capsys, "error: ") == (
+        "error: Lift: non-finite state at t=0.0003 s; integration fault\n")
+    assert list(out.iterdir()) == []
+
+
 def test_run_rejects_wrong_config_type(tmp_path):
     spec = parse_experiment(_write(tmp_path / "fd.yaml", FD_SPEC))
     arm = parse_config(DATA_DIR / "arm.yaml")
@@ -706,8 +737,16 @@ def test_deeply_nested_yaml_is_a_one_line_error(tmp_path, text):
      "field 'k_t' is out of range"),
     ("ica.yaml", "label: ica", "label: 2001-13-01", "YAML parse error"),
     ("ica.yaml", "mu_p: 0.1", "mu_p: " + "9" * 5000, "YAML parse error"),
+    # an overflowing square, once an errno tuple naming no field
     ("lift_dumbbell.yaml", "payload_distance: 0.25",
-     "payload_distance: 1e308", "section 'lift'"),
+     "payload_distance: 1e308",
+     "section 'lift': total_inertia is inf kg*m^2 at limb_mass=1.0 kg, "
+     "limb_com_distance=0.11 m, payload_mass=2.0 kg and "
+     "payload_distance=1e+308 m; it must be finite and > 0"),
+    ("lift_dumbbell.yaml", "limb_com_distance: 0.11",
+     "limb_com_distance: 1.0e200",
+     "section 'lift': total_inertia is inf kg*m^2 at limb_mass=1.0 kg, "
+     "limb_com_distance=1e+200 m"),
     ("lift_dumbbell.yaml", "[eca.yaml, eca.yaml]", "[eca.yaml, 7]",
      "'actuators' must be a nonempty list"),
     ("lift_dumbbell.yaml", "dt: 0.0001", "dt: 1e-320",

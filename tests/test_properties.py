@@ -334,7 +334,9 @@ BENCH_DATA = Path(__file__).resolve().parents[1] / "bench" / "data"
 # shrunk to fit under it, so that no example allocates much
 RUN_POINTS = 20_000
 SHRUNK = {"exp_workspace.yaml": ("n: 100000", "n: 2000"),
-          "lift_dumbbell.yaml": ("t_max: 5.0", "t_max: 1.0")}
+          # with an explicit gravity, for the number mutations to reach
+          "lift_dumbbell.yaml": ("t_max: 5.0",
+                                 "t_max: 1.0\n  gravity: 9.81")}
 
 
 # a number of a file, and what the number mutations put in its place
