@@ -17,15 +17,17 @@ Conventions:
     after the checks only a file can fail (header, ragged rows, numbers),
   * CSV dialect: comma separated, LF line endings, '.' decimal, header row
     mandatory,
-  * rows are rendered _BLOCK_ROWS at a time and streamed to a temporary
-    file in the output directory, renamed onto the output name once
-    complete; a CSV block by numpy, each float cell's "%.12g" text built
-    from its 12-digit significand (Python's "%.12g" renders the cells
-    outside 1e-4 <= |x| < 1e11 and those near a rounding tie), a JSON block
-    by one %-template over its cells,
+  * rows are rendered a block at a time (_row_blocks) and streamed to a
+    temporary file in the output directory, renamed onto the output name
+    once complete; both formats render a block by numpy in one slot layout
+    (_slot_rows), a CSV float cell's "%.12g" text from its 12-digit
+    significand, a JSON float cell's repr text from its shortest
+    round-trip digits; Python renders the cells outside 1e-4 <= |x| < 1e11
+    (CSV) or 1e16 (JSON) and those its guard cannot be sure of,
   * outputs are byte-identical for identical (spec, seed),
   * config paths resolve against the referencing file's directory, then
-    $TENDONSIM_CONFIG_DIR, then the bundled data directory.
+    $TENDONSIM_CONFIG_DIR, then the current directory, then the bundled
+    data directory.
 
 Each config type is one row of CONFIG_TYPES (section name -> parser, model
 class, the `validate` description) and each experiment kind one row of
@@ -54,7 +56,7 @@ import reprlib
 import sys
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import partial, reduce
 from pathlib import Path
 from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
                     Sequence, TextIO, Tuple, Union)
@@ -94,9 +96,10 @@ ENV_CONFIG_DIR = "TENDONSIM_CONFIG_DIR"
 
 # Most points one run may evaluate: the points of its sweep grid (the
 # product of both axes for TorqueSurface), its Workspace n or its Lift
-# steps. 100x the largest bundled run (Workspace, n = 1e5); a Workspace
-# peaks at 180 MB RSS for n = 1e6, so near 1.5 GB at this size. Checked on
-# the computed size, at parse time.
+# steps. 100x the largest bundled run (Workspace, n = 1e5). `tendonsim run`
+# of a Workspace peaks at 63 MB RSS for n = 1e6 and 113 MB for n = 3e6, CSV
+# or JSON (32 MB after import; the points take 24 B each), so near 290 MB
+# at this size. Checked on the computed size, at parse time.
 MAX_RUN_POINTS = 10_000_000
 
 # every emitted column must end in one of these
@@ -130,7 +133,8 @@ class SchemaError(Exception):
 
 def _resolve(name: Union[str, Path], base_dir: Optional[Path]) -> Path:
     """Find a config file: absolute, then relative to the referencing file,
-    then $TENDONSIM_CONFIG_DIR, then the bundled data directory."""
+    then $TENDONSIM_CONFIG_DIR, then the current directory, then the bundled
+    data directory."""
     p = Path(name)
     if p.is_absolute():
         if p.is_file():
@@ -723,51 +727,56 @@ def _csv_cell(s: str) -> str:
     return buf.getvalue()[:-1]
 
 
-# rows of a table rendered at once, by one numpy pass (CSV) or one % call
-# (JSON)
-_BLOCK_ROWS = 4096
-
-
-def _row_blocks(columns: Sequence, render: Callable[[list], str]
-                ) -> Iterator[str]:
-    """The text of a table's rows, render of each _BLOCK_ROWS-row slice of
-    the columns in turn, so only one block of cells and text exists at
-    once."""
-    for start in range(0, len(columns[0]), _BLOCK_ROWS):
-        yield render([col[start:start + _BLOCK_ROWS] for col in columns])
-
-
-def _json_rows(row: str, block: list) -> str:
-    """The rows of a block by one % call of the row template repeated over
-    their cells: float arrays, or lists of already quoted str."""
-    k, m = len(block), len(block[0])
-    cells: list = [None] * (k * m)
-    for j, part in enumerate(block):
-        cells[j::k] = part if isinstance(part, list) else part.tolist()
-    return row * m % tuple(cells)
-
-
-# A CSV block is laid out as uint8 slots, a fixed number per cell, that
+# A block of rows is laid out as uint8 slots, a fixed number per cell, that
 # hold its text or _FILL; dropping the _FILL bytes leaves the rows. 0xFF is
 # in no UTF-8 text, so a label slot may hold any quoted label.
 _FILL = b"\xff"
 
-# A float cell with 1e-4 <= |x| < 1e11 is written in fixed notation by
-# "%.12g": its exponent X = floor(log10|x|) is -4..10 and its digits are
-# the 12-digit integer N = rint(|x| * 10**(11-X)), trailing zeros dropped.
-# Its 32 slots: a _FILL, the sign, "0.000" (for X < 0), then each digit of
-# N followed by a slot for the decimal point, the last one for ',' or '\n'.
-_CELL_BYTES = 32
+# a block of a table's rows, rendered at once by one numpy pass: at most
+# _BLOCK_ROWS rows and _BLOCK_CELLS cells (a Workspace block of three
+# columns), so a wide table, such as the Lift's six, holds no more cells
+# and temporaries at once
+_BLOCK_ROWS = 4096
+_BLOCK_CELLS = 3 * _BLOCK_ROWS
+
+
+def _row_blocks(columns: Sequence, render: Callable[[list], str]
+                ) -> Iterator[str]:
+    """The text of a table's rows, render of each block's slice of the
+    columns in turn, so only one block of cells and text exists at once."""
+    step = min(_BLOCK_ROWS, max(1, _BLOCK_CELLS // len(columns)))
+    for start in range(0, len(columns[0]), step):
+        yield render([col[start:start + step] for col in columns])
+
+
+# A float cell with 1e-4 <= |x| < 10**(X_max + 1) is written in fixed
+# notation: its exponent X = floor(log10|x|) is -4..X_max and its digits
+# are an integer N of a fixed number of digits, trailing zeros dropped. Its
+# slots: a _FILL, the sign, "0.000" (for X < 0), then each digit of N
+# followed by a slot for the decimal point, and the format's separator in
+# the last slots.
 _DIGIT0 = 8                                # slot of N's first digit
 
-# 10**k for k = 0..15, each exactly a float
-_POW10 = np.array([float(10 ** k) for k in range(16)])
+# 10**k for k = 0..20, each exactly a float, and Veltkamp's split of each
+# into two halves of at most 26 bits
+_POW10 = np.array([float(10 ** k) for k in range(21)])
+
+
+def _split(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split: hi + lo == a, each with at most 26 significant
+    bits, so the product of two halves is exact."""
+    c = a * 134217729.0                    # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10_HI, _POW10_LO = _split(_POW10)
 
 
 def _digit_tables() -> Tuple[np.ndarray, Tuple[np.ndarray, ...]]:
     """By 4-digit group 0000..9999: its ASCII digits in the even bytes of a
     uint64, to be or-ed into the digit slots of a cell; and for the group
-    at digits 0-3, 4-7 and 8-11 of N, the index in N of its last nonzero
+    at digits 4j..4j+3 of N (j = 0..4), the index in N of its last nonzero
     digit (0 for the group 0000)."""
     g = np.arange(10000, dtype=np.int16)  # small temporaries at import
     digits = np.zeros((10000, 8), np.uint8)
@@ -776,95 +785,189 @@ def _digit_tables() -> Tuple[np.ndarray, Tuple[np.ndarray, ...]]:
     last = 3 - sum(g % 10 ** k == 0 for k in (1, 2, 3))
     return (digits.view(np.uint64).ravel(),
             tuple(np.where(g > 0, last + 4 * j, 0).astype(np.uint8)
-                  for j in range(3)))
+                  for j in range(5)))
 
 
 _DIGITS4, _LAST_DIGIT = _digit_tables()
 
 
-def _cell_slots() -> np.ndarray:
-    """The slots of a float cell by (sign, X + 4, index of N's last nonzero
-    digit), flattened to 360 rows of 4 uint64: the fixed characters in
-    place, 0 in the digit slots to keep and _FILL everywhere else."""
-    t = np.full((2, 15, 12, _CELL_BYTES), ord(_FILL), np.uint8)
+def _digit_groups(N: np.ndarray, n_digits: int) -> List[np.ndarray]:
+    """The n_digits digits of N in 4-digit groups from the first; a short
+    last group is padded with zeros."""
+    groups, head = [], None         # head: N's digits before the group
+    for k in range(n_digits - 4, -4, -4):
+        top = N // 10 ** k if k > 0 else N      # N's digits through it
+        g = top if head is None else top - head * 10 ** min(4, 4 + k)
+        groups.append(g if k >= 0 else g * 10 ** -k)
+        head = top
+    return groups
+
+
+def _cell_slots(n_digits: int, x_max: int, width: int, sep: bytes,
+                point_zero: bool) -> np.ndarray:
+    """The width slots of a float cell by (sign, X + 4, index of N's last
+    nonzero digit), as width // 8 uint64: the fixed characters in place, 0
+    in the digit slots to keep and _FILL everywhere else. With point_zero
+    an integral value ends in ".0"."""
+    t = np.full((2, x_max + 5, n_digits, width), ord(_FILL), np.uint8)
     t[1, ..., 1] = ord("-")
-    t[..., -1] = ord(",")
-    for X in range(-4, 11):
-        for last in range(12):
+    t[..., width - len(sep):] = np.frombuffer(sep, np.uint8)
+    for X in range(-4, x_max + 1):
+        for last in range(n_digits):
             slots = t[:, X + 4, last]
+            keep = last if X < 0 else max(last, X + point_zero)
             if X < 0:
                 slots[:, 2:4] = np.frombuffer(b"0.", np.uint8)
                 slots[:, 4:3 - X] = ord("0")
-            elif last > X:
+            elif keep > X:
                 slots[:, _DIGIT0 + 2 * X + 1] = ord(".")
-            slots[:, _DIGIT0:_DIGIT0 + 2 * max(last, X) + 1:2] = 0
-    return t.view(np.uint64).reshape(-1, 4)
+            slots[:, _DIGIT0:_DIGIT0 + 2 * keep + 1:2] = 0
+    return t.view(np.uint64)
 
 
-_CELL_SLOTS = _cell_slots()
+def _significand_12g(a: np.ndarray):
+    """(ok, X, N) for "%.12g" of |x| = a: N = rint(a * 10**(11-X)), the
+    correctly rounded 12-digit significand, where ok.
 
-
-def _float_cells(x: np.ndarray) -> np.ndarray:
-    """The slots of each cell of a float array as "%.12g" renders it,
-    followed by ',': uint8 of shape x.shape + (_CELL_BYTES,).
-
-    Exactness. The power of ten is exact, so p = |x| * 10**(11-X) is rounded
+    Exactness. The power of ten is exact, so p = a * 10**(11-X) is rounded
     once and is off the true product by at most 2**-53 * 1e12 ~ 1.1e-4.
     Outside the guard band |frac(p) - 0.5| <= 1e-3 the nearest integer to p
-    is thus the nearest to the true product: N is the correctly rounded
-    significand "%.12g" prints. The cells the guard flags go to Python's
-    own "%.12g": |x| outside [1e-4, 1e11) (zero, other notations and
-    non-finite values included), p near a tie, N that rounds up to 1e12
-    (the next power of ten), and p < 1e11, where log10 rounded up to X.
+    is thus the nearest to the true product. The guard clears ok for a
+    outside [1e-4, 1e11) (zero, other notations and non-finite values
+    included), p near a tie, N that rounds up to 1e12 (the next power of
+    ten), and p < 1e11, where log10 rounded up to X.
     """
-    a = np.abs(x)
     ok = (a >= 1e-4) & (a < 1e11)
     a = np.where(ok, a, 1.0)
     X = np.clip(np.floor(np.log10(a)), -4, 10).astype(np.intp)
     p = a * _POW10[11 - X]
     N = np.rint(p)
     ok &= (p >= 1e11) & (N < 1e12) & (np.abs(p - np.floor(p) - 0.5) > 1e-3)
-    N = np.where(ok, N, 1e11).astype(np.int64)
-    g0, g01 = N // 10 ** 8, N // 10 ** 4
-    groups = (g0, g01 - g0 * 10 ** 4, N - g01 * 10 ** 4)
-    l0, l1, l2 = (t.take(g) for t, g in zip(_LAST_DIGIT, groups))
-    last = np.maximum(np.maximum(l0, l1), l2)
-    cells = _CELL_SLOTS.take((np.signbit(x) * 15 + X + 4) * 12 + last, axis=0)
+    return ok, X, np.where(ok, N, 1e11).astype(np.int64)
+
+
+def _significand_repr(a: np.ndarray):
+    """(ok, X, N) for repr of |x| = a: where ok, N is the 17-digit integer
+    whose digits, trailing zeros dropped, are the shortest that read back
+    as a, the nearest to a of that length.
+
+    The method. With s = 16 - X, P = a * 10**s lies in [1e16, 1e17), and
+    Dekker's product gives it exactly as hi + lo, hi an integer; N17 = hi +
+    rint(lo) = P + R. A decimal reads back as a if it lies within the half
+    gap to a's neighbours, H = 2**(e-54) * 10**s exactly, of P. D15 and D16,
+    P rounded to a multiple of 100 and of 10 on N17's last digits and the
+    sign of R, lie at exact distances from P. At most one multiple of 100
+    lies within H < 11.2 of P, so if D15 does, its digits are the shortest;
+    else D16 if it lies within H; else N17.
+
+    The guard clears ok for a outside [1e-4, 1e16) (zero and the exponent
+    notation included), a power of two (the float below is nearer than H),
+    a tie at the chosen length, a distance within 1e-6 of H, P outside
+    [1e16, 1e17) (log10 rounded across a power of ten) and N that rounds up
+    to 1e17.
+    """
+    ok = (a >= 1e-4) & (a < 1e16)
+    a = np.where(ok, a, 1.0)
+    X = np.clip(np.floor(np.log10(a)), -4, 15).astype(np.intp)
+    s = 16 - X
+    b = _POW10.take(s)
+    hi = a * b
+    ah, al = _split(a)
+    bh, bl = _POW10_HI.take(s), _POW10_LO.take(s)
+    lo = ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+    rlo = np.rint(lo)
+    R = rlo - lo
+    N17 = hi.astype(np.int64) + rlo.astype(np.int64)
+    m, e = np.frexp(a)
+    H = np.ldexp(b, e - 54)
+    r100 = N17 % 100
+    r10 = r100 % 10
+    off15 = np.where(r100 > 50, 100, 0) - r100  # at r100 == 50, never in H
+    off16 = np.where((r10 > 5) | ((r10 == 5) & (R < 0)), 10, 0) - r10
+    d15, d16 = np.abs(off15 + R), np.abs(off16 + R)
+    in15, in16 = d15 < H, d16 < H
+    N = N17 + np.where(in15, off15, np.where(in16, off16, 0))
+    tie = np.where(in16, d16 == 5, np.abs(R) == 0.5)
+    unsure = ((np.abs(d15 - H) < 1e-6)
+              | ~in15 & (tie | (np.abs(d16 - H) < 1e-6)))
+    ok &= ((hi < 1e17) & ((hi > 1e16) | ((hi == 1e16) & (lo >= 0)))
+           & (m != 0.5) & ~unsure & (N < 10 ** 17))
+    return ok, X, N
+
+
+class _Format(NamedTuple):
+    """How a data file format lays out a block of rows in slots."""
+    significand: Callable      # |x| -> (ok, X, N), as _significand_12g
+    python: Callable[[float], bytes]   # a cell's text where ok is False
+    quote: Callable[[str], str]        # a *_label cell's text
+    slots: np.ndarray          # of a float cell, by _cell_slots
+    sep: bytes                 # the last slots of a cell
+    lead: bytes                # before each row
+    end: bytes                 # after each row, in its last cell's sep
+
+
+_CSV = _Format(_significand_12g, lambda v: b"%.12g" % v, _csv_cell,
+               _cell_slots(12, 10, 32, b",", False), b",", b"", b"\n")
+# json.dump(indent=2) puts one cell on each line, a row in brackets
+_JSON = _Format(_significand_repr, lambda v: b"%r" % v, json.dumps,
+                _cell_slots(17, 15, 56, b",\n      ", True), b",\n      ",
+                b",\n    [\n      ", b"\n    ]")
+
+
+def _float_cells(x: np.ndarray, form: _Format) -> np.ndarray:
+    """The slots of each cell of a float array as form renders it, followed
+    by its separator: uint8 of shape x.shape + (cell width,). Cells with
+    1e-4 <= |x| < 10**(X_max + 1) get their digits from form.significand;
+    the cells its guard flags go to Python (form.python)."""
+    _, n_exp, n_digits, words = form.slots.shape
+    ok, X, N = form.significand(np.abs(x))
+    groups = _digit_groups(N, n_digits)
+    last = reduce(np.maximum, map(np.take, _LAST_DIGIT, groups))
+    cells = form.slots.reshape(-1, words).take(
+        (np.signbit(x) * n_exp + X + 4) * n_digits + last, axis=0)
     for j, g in enumerate(groups, start=1):
         cells[..., j] |= _DIGITS4.take(g)
     cells = cells.view(np.uint8)
+    width = cells.shape[-1] - len(form.sep)
     bad = np.nonzero(~ok)               # the cells Python renders
-    text = b"".join((b"%.12g" % v).ljust(_CELL_BYTES - 1, _FILL)
+    text = b"".join(form.python(v).ljust(width, _FILL)
                     for v in x[bad].tolist())
-    cells[(*bad, slice(-1))] = np.frombuffer(text, np.uint8).reshape(
-        -1, _CELL_BYTES - 1)
+    cells[(*bad, slice(width))] = np.frombuffer(text, np.uint8).reshape(
+        -1, width)
     return cells
 
 
-def _label_slots(labels: Sequence[str]) -> np.ndarray:
-    """One row of slots per label: its csv-quoted UTF-8 bytes, _FILL, then
-    ','."""
-    quoted = [_csv_cell(s).encode() for s in labels]
-    width = max(map(len, quoted), default=0) + 1
-    return np.frombuffer(b"".join(q.ljust(width - 1, _FILL) + b","
+def _label_slots(labels: Sequence[str], form: _Format) -> np.ndarray:
+    """One row of slots per label: its quoted UTF-8 bytes, _FILL, then the
+    separator."""
+    quoted = [form.quote(s).encode() for s in labels]
+    width = max(map(len, quoted), default=0)
+    return np.frombuffer(b"".join(q.ljust(width, _FILL) + form.sep
                                   for q in quoted),
-                         np.uint8).reshape(len(quoted), width)
+                         np.uint8).reshape(len(quoted), width + len(form.sep))
 
 
-def _csv_rows(slots: Sequence[Optional[np.ndarray]], block: list) -> str:
-    """The CSV rows of a block. Its float columns are rendered by
-    _float_cells together; a *_label column holds indices into its slots,
-    the _label_slots of its distinct labels (None for a float column)."""
+def _slot_rows(form: _Format, slots: Sequence[Optional[np.ndarray]],
+               block: list) -> str:
+    """The rows of a block, as form lays them out. Its float columns are
+    rendered by _float_cells together; a *_label column holds indices into
+    its slots, the _label_slots of its distinct labels (None for a float
+    column)."""
+    m = len(block[0])
     floats = [col for col, s in zip(block, slots) if s is None]
-    cells = (_float_cells(np.stack(floats, axis=-1)) if floats
-             else np.empty((len(block[0]), 0, _CELL_BYTES), np.uint8))
-    if len(floats) == len(block):       # the cells are the rows
-        row = cells.reshape(len(cells), -1)
+    cells = (_float_cells(np.stack(floats, axis=-1), form) if floats
+             else np.empty((m, 0, 8 * form.slots.shape[-1]), np.uint8))
+    if len(floats) == len(block) and not form.lead:   # the cells are the rows
+        row = cells.reshape(m, -1)
     else:
         parts = iter(cells.swapaxes(0, 1))
-        row = np.concatenate([next(parts) if s is None else s.take(col, axis=0)
-                              for col, s in zip(block, slots)], axis=1)
-    row[:, -1] = ord("\n")
+        lead = np.broadcast_to(np.frombuffer(form.lead, np.uint8),
+                               (m, len(form.lead)))
+        row = np.concatenate([lead] + [
+            next(parts) if s is None else s.take(col, axis=0)
+            for col, s in zip(block, slots)], axis=1)
+    row[:, -len(form.sep):] = np.frombuffer(
+        form.end.ljust(len(form.sep), _FILL), np.uint8)
     return row.tobytes().translate(None, _FILL).decode()
 
 
@@ -889,43 +992,41 @@ def _write_rows(path: Path, header: Sequence[str], columns: Sequence,
                 fmt: str) -> None:
     """Write a table from its columns as CSV (cells formatted "%.12g") or
     as JSON ({"columns", "rows"}, as json.dump with indent=2 and sorted keys
-    lays it out). The schema is checked before the file is opened.
+    lays it out, float cells as repr). The schema is checked before the
+    file is opened.
 
     columns are float arrays, or lists of str for *_label columns. The rows
-    are rendered by _row_blocks, _BLOCK_ROWS at a time, and streamed to the
-    file, so neither the table's cells nor its text are held whole. A CSV
-    block is rendered by numpy (_csv_rows), each float cell from its
-    correctly rounded 12-digit significand; Python's "%.12g" renders only
-    the cells outside [1e-4, 1e11) in magnitude or too near a rounding tie
-    (_float_cells). A JSON block is one %-template with "%r" float cells.
-    The file appears at path only once it is complete.
+    are rendered by _row_blocks a block at a time and streamed to the file,
+    so neither the table's cells nor its text are held whole. Both formats
+    render a block by numpy in slots (_slot_rows): each float cell from its
+    correctly rounded 12-digit significand (CSV) or its shortest round-trip
+    digits (JSON), each label from its distinct labels' slots. Python
+    renders only the float cells that _significand_12g or _significand_repr
+    flags: outside [1e-4, 1e11) or [1e-4, 1e16) in magnitude, or where the
+    numpy digits could be wrong. The file appears at path only once it is
+    complete.
     """
     _check_columns(path, header, columns)
-    cells, specs, slots = [], [], []
+    form = _CSV if fmt == "csv" else _JSON
+    cells, slots = [], []
     for name, col in zip(header, columns):
-        if not name.endswith("_label"):
-            cells.append(np.asarray(col, dtype=float))
-            specs.append("%r")
-            slots.append(None)
-        elif fmt == "csv":
+        if name.endswith("_label"):
             labels = list(dict.fromkeys(col))
             index = {s: i for i, s in enumerate(labels)}
             cells.append(np.array([index[s] for s in col], dtype=np.intp))
-            slots.append(_label_slots(labels))
+            slots.append(_label_slots(labels, form))
         else:
-            quoted = {s: json.dumps(s) for s in set(col)}
-            cells.append([quoted[s] for s in col])
-            specs.append("%s")
+            cells.append(np.asarray(col, dtype=float))
+            slots.append(None)
+    blocks = _row_blocks(cells, partial(_slot_rows, form, slots))
     if fmt == "csv":
         with _replacing(path, newline="") as fh:
             csv.writer(fh, lineterminator="\n").writerow(header)
-            fh.writelines(_row_blocks(cells, partial(_csv_rows, slots)))
+            fh.writelines(blocks)
         return
-    # json.dump(indent=2) puts "rows" last (sorted keys), one cell per line
+    # json.dump(indent=2) puts "rows" last (sorted keys)
     head, tail = json.dumps({"columns": list(header), "rows": []}, indent=2,
                             sort_keys=True).rsplit("[]", 1)
-    row = ",\n    [\n      " + ",\n      ".join(specs) + "\n    ]"
-    blocks = _row_blocks(cells, partial(_json_rows, row))
     with _replacing(path) as fh:
         fh.write(head + "[")
         first = next(blocks, None)

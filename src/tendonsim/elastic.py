@@ -19,7 +19,8 @@ element is inside its travel range (0 <= F_t <= F_tm):
 Both linear kinds run this law on the stiffness their config gives, stored
 as k_ts; a torsion spring given by its raw k_e (Nmm/rad) is converted once,
 k_ts = k_e/(2*pi*r^2). The actuator derives its series stiffness
-k_et = k_ts*k_t/(k_t*(1-mu_p) + k_ts) once, at construction.
+k_et = k_ts*k_t/(k_t*(1-mu_p) + k_ts) once, at construction (as
+k_ts/((1-mu_p) + k_ts/k_t) where the product k_ts*k_t overflows).
 
 Past the element limit only the tendon keeps stretching:
 
@@ -281,6 +282,8 @@ class ActuatorModel:
         else:
             # 1/k_et = (1-mu_p)/k_ts + 1/k_t; mu_p = 0 leaves k_t exact
             k_et = el.k_ts * self.k_t / (self.k_t * (1.0 - el.mu_p) + el.k_ts)
+            if not math.isfinite(k_et):   # k_ts*k_t overflowed, k_et did not
+                k_et = el.k_ts / ((1.0 - el.mu_p) + el.k_ts / self.k_t)
         object.__setattr__(self, "k_et", k_et)
         object.__setattr__(self, "knots_d", knots_d)
         object.__setattr__(self, "knots_F", el.table_F)

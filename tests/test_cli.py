@@ -281,6 +281,23 @@ def test_referencing_file_dir_beats_env_dir(tmp_path, monkeypatch):
     assert loaded.joint.actuator_1.label == "local"
 
 
+def test_search_order_is_referencing_dir_env_dir_cwd_then_bundled(
+        tmp_path, monkeypatch):
+    from tendonsim.cli import _resolve
+    ref, env, cwd = (tmp_path / d for d in ("ref", "env", "cwd"))
+    places = [ref, env, cwd]
+    for d in places:
+        d.mkdir()
+        (d / "eca.yaml").write_text(ACT_TPL.format(label=d.name))
+    monkeypatch.setenv(ENV_CONFIG_DIR, str(env))
+    monkeypatch.chdir(cwd)
+    # each place wins while its copy exists; removing it uncovers the next
+    for d in places:
+        assert _resolve("eca.yaml", ref).samefile(d / "eca.yaml")
+        (d / "eca.yaml").unlink()
+    assert _resolve("eca.yaml", ref) == DATA_DIR / "eca.yaml"
+
+
 def test_missing_file_lists_candidates(tmp_path):
     from tendonsim.cli import _resolve
     with pytest.raises(ConfigError, match="file not found; tried"):

@@ -354,6 +354,17 @@ def test_effective_stiffness_approaches_element_for_stiff_tendon():
     assert effective_stiffness(a) == pytest.approx(C_KCS, rel=1e-6)
 
 
+def test_series_stiffness_survives_an_overflowing_product():
+    # k_cs*k_t = 1e600 overflows, but k_et = 5e299 is finite, and so is
+    # every force on the law
+    a = compression_actuator(k_cs=1e300, k_t=1e300, F_tm=1e300)
+    assert a.d_max_total == 2.0
+    assert effective_stiffness(a) == pytest.approx(5e299, rel=1e-15)
+    assert force_from_displacement(a, 0.5) == pytest.approx(2.5e299,
+                                                            rel=1e-15)
+    assert displacement_from_force(a, 5e299) == pytest.approx(1.0, rel=1e-15)
+
+
 def test_effective_stiffness_tabulated_needs_displacement():
     a = tabulated_actuator()
     with pytest.raises(ValueError, match="displacement"):

@@ -244,7 +244,8 @@ def test_csv_rows_equal_csv_writer_with_12g_cells(tmp_path, header, columns):
 
 def _csv_lines(values):
     """The CSV rows of one float column holding values."""
-    return cli._csv_rows([None], [np.array(values, dtype=float)]).split("\n")
+    return cli._slot_rows(cli._CSV, [None],
+                          [np.array(values, dtype=float)]).split("\n")
 
 
 def test_edge_cells_equal_12g():
@@ -277,6 +278,81 @@ def test_csv_writer_holds_one_block_of_text(tmp_path):
         tracemalloc.stop()
     assert path.stat().st_size > 4.5e6
     assert peak < 4e6
+
+
+# --------------------------------------------------------------------------
+# JSON float cells, rendered by numpy, against Python's repr
+
+def _json_cells(values):
+    """The cell lines of the JSON rows of one float column holding
+    values."""
+    text = cli._slot_rows(cli._JSON, [None], [np.array(values, dtype=float)])
+    return text.split("\n")[2::3]
+
+
+def _decimal_halfways(n_digits):
+    """Floats nearest to decimals halfway between two n_digits-digit
+    decimals (an (n_digits + 1)-digit decimal ending in 5), over the fixed
+    notation's exponents and either side of it, with their neighbours."""
+    rng = np.random.default_rng(n_digits)
+    ks = [10 ** (n_digits - 1), 10 ** n_digits - 1,
+          *rng.integers(10 ** (n_digits - 1), 10 ** n_digits, 4).tolist()]
+    return [w for k in ks for e in range(-6, 18)
+            for w in _ulps_around(float(f"{k}5e{e - n_digits}"), 1)]
+
+
+# JSON cells where a renderer of repr from scaled integers could slip
+REPR_EDGE_VALUES = [
+    0.0, -0.0, 5e-324, 1e-323, 2.2250738585072009e-308, 1e-310,
+    2.2250738585072014e-308, 2.2250738585072014e-308 / 3,
+    1.7976931348623157e308,
+    # powers of two and ten and their neighbours, in and out of the fixed
+    # notation's range
+    *(w for k in range(-20, 60) for w in _ulps_around(2.0 ** k, 3)),
+    *(w for e in range(-6, 18) for w in _ulps_around(10.0 ** e, 3)),
+    # either side of the fixed-notation range
+    *_ulps_around(1e-4, 3), *_ulps_around(1e16, 3),
+    # integral floats near 2**53, and halves and quarters below it, where
+    # the 17th digit is a tie
+    *(2.0 ** 53 + k for k in range(-9, 10)),
+    *(2.0 ** 52 + k / 2 for k in range(-5, 6)),
+    *(2.0 ** 51 + k / 4 for k in range(-5, 6)),
+    1370193520756063.8, 2126320647159473.2, 9999999999999998.0,
+    *_decimal_halfways(15), *_decimal_halfways(16), *_decimal_halfways(17),
+]
+REPR_EDGE_VALUES += [-v for v in REPR_EDGE_VALUES]
+
+
+def test_edge_cells_equal_repr():
+    expected = ["      " + repr(v) for v in REPR_EDGE_VALUES]
+    assert _json_cells(REPR_EDGE_VALUES) == expected
+    assert [_json_cells([v])[0] for v in REPR_EDGE_VALUES] == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-1e16, max_value=1e16),
+    st.builds(lambda k, j: k * 10.0 ** -j,
+              st.integers(-10 ** 17, 10 ** 17), st.integers(0, 20))),
+    min_size=1, max_size=64))
+def test_float_cells_equal_repr(values):
+    assert _json_cells(values) == ["      " + repr(v) for v in values]
+
+
+def test_json_writer_holds_one_block_of_text(tmp_path):
+    # the whole text of this table is 9.2 MB; rendering it at once would
+    # hold all of it, and several times as much in the cells' slots
+    x = np.random.default_rng(3).uniform(-1.0, 1.0, (100_000, 3))
+    path = tmp_path / "w.json"
+    tracemalloc.start()
+    try:
+        _write_rows(path, ["x_m", "y_m", "z_m"], x.T, "json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 9e6
+    assert peak < 5e6
 
 
 # --------------------------------------------------------------------------
