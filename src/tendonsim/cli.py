@@ -849,22 +849,23 @@ def _significand_12g(a: np.ndarray):
 def _significand_repr(a: np.ndarray):
     """(ok, X, N) for repr of |x| = a: where ok, N is the 17-digit integer
     whose digits, trailing zeros dropped, are the shortest that read back
-    as a, the nearest to a of that length.
+    as a, the nearest to a of that length (a tie to the even one).
 
     The method. With s = 16 - X, P = a * 10**s lies in [1e16, 1e17), and
     Dekker's product gives it exactly as hi + lo, hi an integer; N17 = hi +
-    rint(lo) = P + R. A decimal reads back as a if it lies within the half
-    gap to a's neighbours, H = 2**(e-54) * 10**s exactly, of P. D15 and D16,
-    P rounded to a multiple of 100 and of 10 on N17's last digits and the
-    sign of R, lie at exact distances from P. At most one multiple of 100
-    lies within H < 11.2 of P, so if D15 does, its digits are the shortest;
-    else D16 if it lies within H; else N17.
+    rint(lo) = P + R, rounded half to even since hi is even. A decimal
+    reads back as a if it lies within the half gap to a's neighbours,
+    H = 2**(e-54) * 10**s exactly, of P. D15 and D16, P rounded to a
+    multiple of 100 and of 10 on N17's last digits and the sign of R (a
+    tie, R == 0 and N17 ending in 5, to the even multiple of 10), lie at
+    exact distances from P. At most one multiple of 100 lies within
+    H < 11.2 of P, so if D15 does, its digits are the shortest; else D16
+    if it lies within H; else N17.
 
     The guard clears ok for a outside [1e-4, 1e16) (zero and the exponent
     notation included), a power of two (the float below is nearer than H),
-    a tie at the chosen length, a distance within 1e-6 of H, P outside
-    [1e16, 1e17) (log10 rounded across a power of ten) and N that rounds up
-    to 1e17.
+    a distance within 1e-6 of H, P outside [1e16, 1e17) (log10 rounded
+    across a power of ten) and N that rounds up to 1e17.
     """
     ok = (a >= 1e-4) & (a < 1e16)
     a = np.where(ok, a, 1.0)
@@ -883,13 +884,12 @@ def _significand_repr(a: np.ndarray):
     r100 = N17 % 100
     r10 = r100 % 10
     off15 = np.where(r100 > 50, 100, 0) - r100  # at r100 == 50, never in H
-    off16 = np.where((r10 > 5) | ((r10 == 5) & (R < 0)), 10, 0) - r10
+    even_up = (R == 0) & (r100 // 10 % 2 == 1)   # a tie, to the even one
+    off16 = np.where((r10 > 5) | (r10 == 5) & ((R < 0) | even_up), 10, 0) - r10
     d15, d16 = np.abs(off15 + R), np.abs(off16 + R)
     in15, in16 = d15 < H, d16 < H
     N = N17 + np.where(in15, off15, np.where(in16, off16, 0))
-    tie = np.where(in16, d16 == 5, np.abs(R) == 0.5)
-    unsure = ((np.abs(d15 - H) < 1e-6)
-              | ~in15 & (tie | (np.abs(d16 - H) < 1e-6)))
+    unsure = (np.abs(d15 - H) < 1e-6) | ~in15 & (np.abs(d16 - H) < 1e-6)
     ok &= ((hi < 1e17) & ((hi > 1e16) | ((hi == 1e16) & (lo >= 0)))
            & (m != 0.5) & ~unsure & (N < 10 ** 17))
     return ok, X, N
@@ -974,12 +974,12 @@ def _slot_rows(form: _Format, slots: Sequence[Optional[np.ndarray]],
 @contextmanager
 def _replacing(path: Path,
                newline: Optional[str] = None) -> Iterator[TextIO]:
-    """A text file written under a temporary name in path's directory and
-    moved onto path when the block ends; on an exception it is removed, so
-    a failed write leaves no truncated file at path."""
+    """A UTF-8 text file written under a temporary name in path's directory
+    and moved onto path when the block ends; on an exception it is removed,
+    so a failed write leaves no truncated file at path."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", newline=newline) as fh:
+        with open(tmp, "w", newline=newline, encoding="utf-8") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -1044,12 +1044,17 @@ def validate_csv_schema(path: Union[str, Path]) -> None:
     own _check_columns on the columns read. Rows count from the first after
     the header. Raises SchemaError on the first violation."""
     path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header:
-            raise SchemaError(f"{path}: missing header row")
-        rows = list(reader)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            rows = list(reader)
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text: {exc}") from exc
+    except csv.Error as exc:  # such as a field past csv's size limit
+        raise SchemaError(f"{path}: CSV error: {exc}") from exc
+    if not header:
+        raise SchemaError(f"{path}: missing header row")
     for i, row in enumerate(rows, start=1):
         if len(row) != len(header):
             raise SchemaError(f"{path}: row {i}: expected {len(header)} "
@@ -1335,8 +1340,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="tendonsim",
         description="Tendon-driven compliant actuator and joint simulation. "
-                    "Config files resolve against the current directory, "
-                    f"${ENV_CONFIG_DIR}, then the bundled data directory.")
+                    "Config files resolve against the referencing file's "
+                    f"directory, ${ENV_CONFIG_DIR}, the current directory, "
+                    "then the bundled data directory.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_val = sub.add_parser("validate", help="parse a config file and check "

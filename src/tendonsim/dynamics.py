@@ -13,9 +13,10 @@ The actuator interface saturates twice: tendon force is capped at the rated
 force (so tau_act is capped at F_rated_total*joint_R), and tendon speed at
 the commanded contraction speed, which cannot exceed the rated speed. The
 speed cap is kinematic: a taut tendon moves exactly as fast as the motor
-pays it in, so omega is clamped hard at v/joint_R and the torque actually
-applied while riding the cap is back-computed from the motion constraint,
-keeping the power accounting P = tau*omega exact.
+pays it in. So each step applies the torque that lands omega exactly on
+v/joint_R, back-computed from the motion constraint and clamped to the
+force cap; a step rides one cap or the other, and the power accounting
+P = tau*omega stays exact.
 
 Integration is explicit Euler: the system is one-dimensional and stiff-free,
 and the energy/convergence checks in the test suite guard the accuracy.
@@ -161,35 +162,27 @@ def mechanical_power(tau: float, omega: float) -> float:
     return tau * omega
 
 
-def _step_law(scenario: LiftScenario, v_cmd: float, direction: float):
-    """The explicit-Euler step of the lift under tendon speed v_cmd (m/s)
-    toward direction (+1 or -1), with the scenario constants computed once.
+def _step_law(scenario: LiftScenario, tendon_speed: float):
+    """The explicit-Euler step of the lift under the signed tendon speed
+    (m/s), with the scenario constants computed once.
 
     Returns step(theta, omega) -> (tau_g, tau, next theta, next omega).
-    Full rated force drives toward the target while below the speed cap.
-    The cap itself is kinematic, so the torque that puts omega exactly on
-    it is back-computed from the motion constraint; either way the applied
-    torque tau is clamped to what the pair can exert (|tau| <= max_torque,
-    negative torque meaning the antagonist brakes).
+    The speed cap omega_cap = tendon_speed/joint_R is kinematic: tau is the
+    torque that lands omega on it after the step, clamped to what the pair
+    can exert (|tau| <= max_torque, negative torque meaning the antagonist
+    brakes). So each step rides the force cap or the speed cap.
     """
     I = scenario.total_inertia
     dt = scenario.dt
     g = scenario.gravity
     moment = scenario.gravity_moment
     tau_max = scenario.max_torque
-    omega_cap = direction * v_cmd / scenario.joint_R
+    omega_cap = tendon_speed / scenario.joint_R
 
     def step(theta: float, omega: float) -> Tuple[float, float, float, float]:
         tau_g = g * math.cos(theta) * moment
-        # torque that lands omega exactly on the cap after this step
-        tau_hold = I * (omega_cap - omega) / dt + tau_g
-        if direction * omega < direction * omega_cap:
-            tau = direction * tau_max
-            if direction * tau > direction * tau_hold:
-                tau = tau_hold  # full force would cross the cap: ride it
-        else:
-            tau = tau_hold
-        tau = min(max(tau, -tau_max), tau_max)
+        tau = min(max(I * (omega_cap - omega) / dt + tau_g, -tau_max),
+                  tau_max)
         return tau_g, tau, theta + omega * dt, omega + (tau - tau_g) / I * dt
     return step
 
@@ -202,10 +195,8 @@ def step_dynamics(scenario: LiftScenario, state: LiftState,
     if v > scenario.rated_tendon_speed * (1 + 1e-12):
         raise ValueError(f"commanded tendon speed {v} m/s exceeds the rated "
                          f"{scenario.rated_tendon_speed} m/s")
-    direction = math.copysign(1.0, commanded_tendon_speed) \
-        if commanded_tendon_speed != 0.0 else 1.0
-    _, _, theta, omega = _step_law(scenario, v, direction)(state.theta,
-                                                          state.omega)
+    _, _, theta, omega = _step_law(scenario, commanded_tendon_speed)(
+        state.theta, state.omega)
     return LiftState(t=state.t + scenario.dt, theta=theta, omega=omega)
 
 
@@ -214,13 +205,12 @@ def simulate_lift(scenario: LiftScenario) -> LiftTrace:
     or t_max expires (timeout keeps the partial trace)."""
     s = scenario
     direction = math.copysign(1.0, s.theta_target - s.theta_start)
-    v_cmd = s.rated_tendon_speed
     n_max = int(math.ceil(s.t_max / s.dt))
 
     # 8 bytes a step each, read back by np.frombuffer without a copy
     th_col, om_col, tau_col, tg_col = (array("d") for _ in range(4))
 
-    step = _step_law(s, v_cmd, direction)
+    step = _step_law(s, direction * s.rated_tendon_speed)
     theta, omega = s.theta_start, 0.0
     reached = False
     time_to_target: Optional[float] = None

@@ -298,6 +298,16 @@ def test_search_order_is_referencing_dir_env_dir_cwd_then_bundled(
     assert _resolve("eca.yaml", ref) == DATA_DIR / "eca.yaml"
 
 
+def test_help_names_the_search_order(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    places = ["referencing file's directory", f"${ENV_CONFIG_DIR}",
+              "current directory", "bundled data directory"]
+    at = [text.index(place) for place in places]
+    assert at == sorted(at)
+
+
 def test_missing_file_lists_candidates(tmp_path):
     from tendonsim.cli import _resolve
     with pytest.raises(ConfigError, match="file not found; tried"):

@@ -8,10 +8,13 @@ step-refinement checks guard the integration itself.
 
 import dataclasses
 import math
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tendonsim import (LiftScenario, LiftState, mechanical_power,
                        simulate_lift, step_dynamics)
@@ -41,7 +44,7 @@ def test_rated_tendon_speed_is_slowest_of_the_set(lift):
 
 def _gravity_torque(scenario, theta):
     """The load torque the step law applies at angle theta (Nm)."""
-    step = _step_law(scenario, scenario.rated_tendon_speed, +1.0)
+    step = _step_law(scenario, scenario.rated_tendon_speed)
     return step(theta, 0.0)[0]
 
 
@@ -122,12 +125,72 @@ def test_step_dynamics_retraces_simulate_lift(lift):
         state = step_dynamics(lift, state, lift.rated_tendon_speed)
 
 
+def _three_way_step_law(scenario, v_cmd, direction):
+    """The step law as an earlier version wrote it, as a reference: full
+    rated force toward the target below the speed cap unless it would
+    cross the cap, else the torque that holds the cap, then the clamp."""
+    I = scenario.total_inertia
+    dt = scenario.dt
+    g = scenario.gravity
+    moment = scenario.gravity_moment
+    tau_max = scenario.max_torque
+    omega_cap = direction * v_cmd / scenario.joint_R
+
+    def step(theta, omega):
+        tau_g = g * math.cos(theta) * moment
+        tau_hold = I * (omega_cap - omega) / dt + tau_g
+        if direction * omega < direction * omega_cap:
+            tau = direction * tau_max
+            if direction * tau > direction * tau_hold:
+                tau = tau_hold
+        else:
+            tau = tau_hold
+        tau = min(max(tau, -tau_max), tau_max)
+        return tau_g, tau, theta + omega * dt, omega + (tau - tau_g) / I * dt
+    return step
+
+
+# 0 and magnitudes log-uniform over 1e-6 .. 1e300
+_magnitudes = st.one_of(st.just(0.0), st.builds(
+    lambda m, e: m * 10.0 ** e, st.floats(1.0, 10.0), st.integers(-6, 299)))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(direction=st.sampled_from([1.0, -1.0]), v=_magnitudes,
+       side=st.sampled_from([-1.0, 0.0, 1.0]), offset=_magnitudes,
+       theta=st.floats(-4.0, 4.0), payload_mass=st.floats(0.0, 1e3),
+       joint_R=st.floats(1e-4, 1.0), dt=st.floats(1e-7, 1.0))
+def test_step_law_equals_the_three_way_law(lift, direction, v, side, offset,
+                                           theta, payload_mass, joint_R,
+                                           dt):
+    # the one clamp decides as the three branches did, bit for bit, with
+    # omega below (side -1), at (0) or past (+1) the cap toward the target
+    s = dataclasses.replace(lift, payload_mass=payload_mass,
+                            joint_R=joint_R, dt=dt)
+    omega = direction * (v / joint_R + side * offset)
+    new = _step_law(s, direction * v)(theta, omega)
+    old = _three_way_step_law(s, v, direction)(theta, omega)
+    assert struct.pack("4d", *new) == struct.pack("4d", *old)
+
+
 def test_zero_speed_command_holds_position(lift):
     # commanding zero tendon speed back-computes gravity compensation
     state = LiftState(t=0.0, theta=0.3, omega=0.0)
     nxt = step_dynamics(lift, state, 0.0)
     assert nxt.omega == 0.0
     assert nxt.theta == 0.3
+
+
+@pytest.mark.parametrize("gravity", [9.81, 0.0])
+@pytest.mark.parametrize("theta,omega", [(0.3, 0.0), (2.5, 0.0), (0.3, 1.5),
+                                         (2.5, -0.0)])
+def test_negative_zero_command_steps_as_zero(lift, gravity, theta, omega):
+    # the sign of a zero command reaches only a zero that the step erases
+    s = dataclasses.replace(lift, gravity=gravity)
+    state = LiftState(t=0.0, theta=theta, omega=omega)
+    a, b = (step_dynamics(s, state, v) for v in (0.0, -0.0))
+    assert (struct.pack("3d", a.t, a.theta, a.omega)
+            == struct.pack("3d", b.t, b.theta, b.omega))
 
 
 # --------------------------------------------------------------------------
@@ -163,6 +226,16 @@ def test_bundled_lift_saturations(lift):
     assert riding.sum() > 1000
     # while riding the cap the applied torque is exactly the gravity load
     np.testing.assert_array_equal(tr.tau[riding], tr.tau_gravity[riding])
+
+
+def test_bundled_lift_rides_one_cap_each_step(lift):
+    # the step law has two regimes: on the force cap, or landing omega on
+    # the speed cap
+    tr = simulate_lift(lift)
+    on_force_cap = np.abs(tr.tau) == lift.max_torque
+    assert int(on_force_cap.sum()) == 224 and len(tr.tau) == 7102
+    landed = tr.omega[1:][~on_force_cap[:-1]]
+    np.testing.assert_allclose(landed, OMEGA_CAP, rtol=1e-12)
 
 
 def test_bundled_lift_power_accounting(lift):

@@ -254,6 +254,12 @@ def test_edge_cells_equal_12g():
     assert [_csv_lines([v])[0] for v in EDGE_VALUES] == expected
 
 
+def test_ties_are_rendered_by_numpy():
+    # test_edge_cells_equal_repr checks their text
+    x = np.array(REPR_TIES)
+    assert cli._significand_repr(np.abs(x))[0].all()
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
@@ -301,6 +307,11 @@ def _decimal_halfways(n_digits):
             for w in _ulps_around(float(f"{k}5e{e - n_digits}"), 1)]
 
 
+# floats exactly halfway between two 16-digit decimals (the first three)
+# or two 17-digit ones, which repr rounds to the even one
+REPR_TIES = [991191879064266.75, 89492432915286.125, 733831268782893.75,
+             1370193520756063.75]
+
 # JSON cells where a renderer of repr from scaled integers could slip
 REPR_EDGE_VALUES = [
     0.0, -0.0, 5e-324, 1e-323, 2.2250738585072009e-308, 1e-310,
@@ -319,6 +330,7 @@ REPR_EDGE_VALUES = [
     *(2.0 ** 51 + k / 4 for k in range(-5, 6)),
     1370193520756063.8, 2126320647159473.2, 9999999999999998.0,
     *_decimal_halfways(15), *_decimal_halfways(16), *_decimal_halfways(17),
+    *REPR_TIES,
 ]
 REPR_EDGE_VALUES += [-v for v in REPR_EDGE_VALUES]
 
@@ -327,6 +339,12 @@ def test_edge_cells_equal_repr():
     expected = ["      " + repr(v) for v in REPR_EDGE_VALUES]
     assert _json_cells(REPR_EDGE_VALUES) == expected
     assert [_json_cells([v])[0] for v in REPR_EDGE_VALUES] == expected
+
+
+def test_ties_are_rendered_by_numpy():
+    # test_edge_cells_equal_repr checks their text
+    x = np.array(REPR_TIES)
+    assert cli._significand_repr(np.abs(x))[0].all()
 
 
 @settings(max_examples=300, deadline=None)
@@ -412,6 +430,18 @@ def test_written_and_on_disk_tables_share_one_contract(tmp_path, header,
         assert str(on_disk.value) == str(emitted.value)
         assert str(emitted.value).startswith(f"{bad}: row {mid + 1}: ")
         assert str(emitted.value).endswith(f" in '{header[j]}'")
+
+
+@pytest.mark.parametrize("content,fragment", [
+    (b"x_m\n1.0\n\xff\n", "not UTF-8 text"),
+    (b"x_m\n" + b"1" * 200_000 + b"\n", "field larger than field limit"),
+], ids=["not_utf8", "huge_field"])
+def test_unreadable_csv_is_a_schema_error(tmp_path, content, fragment):
+    path = tmp_path / "t.csv"
+    path.write_bytes(content)
+    with pytest.raises(SchemaError, match=fragment) as err:
+        validate_csv_schema(path)
+    assert str(err.value).startswith(f"{path}: ")
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
