@@ -57,6 +57,7 @@ import sys
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
 from functools import partial, reduce
+from itertools import count, islice
 from pathlib import Path
 from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
                     Sequence, TextIO, Tuple, Union)
@@ -692,11 +693,12 @@ def _a(word: str) -> str:
 
 
 def _check_columns(path: Path, header: Sequence[str],
-                   columns: Sequence) -> None:
+                   columns: Sequence, first_row: int = 0) -> None:
     """The schema of a table, checked on its columns: every name ends in a
     known unit suffix, all columns have the same length, *_label cells are
     nonempty strings and every other cell is finite. Raises SchemaError,
-    prefixed with path, on the first violation."""
+    prefixed with path, on the first violation; the columns hold the rows
+    after the first first_row of the table."""
     if not header or len(columns) != len(header):
         raise SchemaError(f"{path}: {len(header)} column names for "
                           f"{len(columns)} columns")
@@ -717,7 +719,8 @@ def _check_columns(path: Path, header: Sequence[str],
             bad = None if finite.all() else int(np.argmin(finite))
             what = "non-finite cell"
         if bad is not None:
-            raise SchemaError(f"{path}: row {bad + 1}: {what} in '{name}'")
+            raise SchemaError(f"{path}: row {first_row + bad + 1}: {what} "
+                              f"in '{name}'")
 
 
 def _csv_cell(s: str) -> str:
@@ -1042,20 +1045,32 @@ def validate_csv_schema(path: Union[str, Path]) -> None:
     the checks only a file can fail (a header row, rows of the header's
     length, numbers that parse outside *_label columns), then the writer's
     own _check_columns on the columns read. Rows count from the first after
-    the header. Raises SchemaError on the first violation."""
+    the header. Raises SchemaError on the first violation.
+
+    The rows are read and checked _BLOCK_ROWS at a time, so memory stays
+    one block's, however long the file."""
     path = Path(path)
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
-            rows = list(reader)
+            if not header:
+                raise SchemaError(f"{path}: missing header row")
+            for start in count(0, _BLOCK_ROWS):
+                rows = list(islice(reader, _BLOCK_ROWS))
+                _check_rows(path, header, rows, start)
+                if len(rows) < _BLOCK_ROWS:
+                    return
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 text: {exc}") from exc
     except csv.Error as exc:  # such as a field past csv's size limit
         raise SchemaError(f"{path}: CSV error: {exc}") from exc
-    if not header:
-        raise SchemaError(f"{path}: missing header row")
-    for i, row in enumerate(rows, start=1):
+
+
+def _check_rows(path: Path, header: List[str], rows: List[List[str]],
+                start: int) -> None:
+    """validate_csv_schema's checks of the rows after the first start."""
+    for i, row in enumerate(rows, start=start + 1):
         if len(row) != len(header):
             raise SchemaError(f"{path}: row {i}: expected {len(header)} "
                               f"cells, got {len(row)}")
@@ -1067,10 +1082,11 @@ def validate_csv_schema(path: Union[str, Path]) -> None:
                 try:
                     col[i] = float(cell)
                 except ValueError:
-                    raise SchemaError(f"{path}: row {i + 1}: non-numeric cell "
-                                      f"{cell!r} in '{name}'") from None
+                    raise SchemaError(f"{path}: row {start + i + 1}: "
+                                      f"non-numeric cell {cell!r} in "
+                                      f"'{name}'") from None
         columns.append(col)
-    _check_columns(path, header, columns)
+    _check_columns(path, header, columns, start)
 
 
 def _merge_exact(base: List[float], exact: Sequence[float]) -> List[float]:

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -162,7 +162,9 @@ def mechanical_power(tau: float, omega: float) -> float:
     return tau * omega
 
 
-def _step_law(scenario: LiftScenario, tendon_speed: float):
+def _step_law(scenario: LiftScenario, tendon_speed: float,
+              cos: Callable = math.cos, maximum: Callable = max,
+              minimum: Callable = min):
     """The explicit-Euler step of the lift under the signed tendon speed
     (m/s), with the scenario constants computed once.
 
@@ -171,6 +173,11 @@ def _step_law(scenario: LiftScenario, tendon_speed: float):
     torque that lands omega on it after the step, clamped to what the pair
     can exert (|tau| <= max_torque, negative torque meaning the antagonist
     brakes). So each step rides the force cap or the speed cap.
+
+    theta may be an array of angles at one omega when cos, maximum and
+    minimum act on arrays as math.cos, max and min do on floats
+    (_cos_each, _max_each, _min_each); each element then gets the bits
+    of the scalar step.
     """
     I = scenario.total_inertia
     dt = scenario.dt
@@ -179,12 +186,34 @@ def _step_law(scenario: LiftScenario, tendon_speed: float):
     tau_max = scenario.max_torque
     omega_cap = tendon_speed / scenario.joint_R
 
-    def step(theta: float, omega: float) -> Tuple[float, float, float, float]:
-        tau_g = g * math.cos(theta) * moment
-        tau = min(max(I * (omega_cap - omega) / dt + tau_g, -tau_max),
-                  tau_max)
+    def step(theta, omega: float):
+        tau_g = g * cos(theta) * moment
+        tau = minimum(maximum(I * (omega_cap - omega) / dt + tau_g,
+                              -tau_max), tau_max)
         return tau_g, tau, theta + omega * dt, omega + (tau - tau_g) / I * dt
     return step
+
+
+# math.cos, max and min element by element, as the step law needs them on
+# arrays: the same libm cosine, and max(a, b) keeps a unless b > a (min
+# unless b < a), which np.maximum does not for zeros of either sign
+def _cos_each(theta: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(math.cos, theta.tolist()), float, len(theta))
+
+
+def _max_each(a: np.ndarray, b: float) -> np.ndarray:
+    return np.where(b > a, b, a)
+
+
+def _min_each(a: np.ndarray, b: float) -> np.ndarray:
+    return np.where(b < a, b, a)
+
+
+# steps of the first numpy run on the speed cap; each run taken whole
+# doubles the next, up to _RUN_MAX, so the steps a ride computes past the
+# step it stops at are no more than _RUN_MIN plus the steps it kept
+_RUN_MIN = 64
+_RUN_MAX = 4096
 
 
 def step_dynamics(scenario: LiftScenario, state: LiftState,
@@ -200,21 +229,75 @@ def step_dynamics(scenario: LiftScenario, state: LiftState,
     return LiftState(t=state.t + scenario.dt, theta=theta, omega=omega)
 
 
+def _ride_speed_cap(s: LiftScenario, step, direction: float, i: int,
+                    n_max: int, theta: float, omega: float,
+                    columns: Tuple[array, ...]) -> Tuple[int, float]:
+    """Append steps i, i+1, ... at a constant omega in numpy runs, as long
+    as each step would leave omega unchanged and simulate_lift would go on
+    past it: no target, no timeout, a finite next theta. Returns the index
+    and theta of the first step that fails this, for the scalar loop to
+    take, or n_max + 1 when every step passed.
+
+    At a constant omega, theta is a sequential sum of omega*dt, which
+    np.add.accumulate forms in the loop's order, and step (the step law on
+    arrays) gives each step the bits of the scalar step.
+    """
+    run = _RUN_MIN
+    with np.errstate(over="ignore", invalid="ignore"):
+        while i <= n_max:
+            m = min(run, n_max + 1 - i)
+            th = np.full(m, omega * s.dt)
+            th[0] = theta
+            np.add.accumulate(th, out=th)
+            finite = np.isfinite(th)
+            if not finite.all():
+                # math.cos takes no inf, and the step before the first
+                # inf theta ends the run anyway
+                th = th[:int(finite.argmin())]
+            tau_g, tau, th_next, om_next = step(th, omega)
+            stop = ((om_next != omega)
+                    | (direction * (th - s.theta_target) >= 0.0)
+                    | (np.arange(i, i + len(th)) * s.dt >= s.t_max)
+                    | ~np.isfinite(th_next))
+            k = int(stop.argmax()) if stop.any() else m
+            for col, values in zip(columns, (th, np.full(k, omega), tau,
+                                             tau_g)):
+                col.frombytes(values[:k].tobytes())
+            i += k
+            if k < m:
+                return i, float(th[k])
+            theta = float(th_next[-1])
+            run = min(2 * run, _RUN_MAX)
+    return i, theta
+
+
 def simulate_lift(scenario: LiftScenario) -> LiftTrace:
     """Run the lift at full commanded speed until theta reaches the target
-    or t_max expires (timeout keeps the partial trace)."""
+    or t_max expires (timeout keeps the partial trace).
+
+    Each step is the step law's. Once a step leaves omega unchanged, as
+    every step does once omega lands on the speed cap, the following steps
+    run in numpy (_ride_speed_cap) until one would change omega or end the
+    lift; the scalar loop takes that step. The trace has the bits of the
+    scalar loop alone.
+    """
     s = scenario
     direction = math.copysign(1.0, s.theta_target - s.theta_start)
     n_max = int(math.ceil(s.t_max / s.dt))
 
     # 8 bytes a step each, read back by np.frombuffer without a copy
-    th_col, om_col, tau_col, tg_col = (array("d") for _ in range(4))
+    columns = th_col, om_col, tau_col, tg_col = tuple(array("d")
+                                                      for _ in range(4))
 
-    step = _step_law(s, direction * s.rated_tendon_speed)
+    tendon_speed = direction * s.rated_tendon_speed
+    step = _step_law(s, tendon_speed)
+    step_each = _step_law(s, tendon_speed, _cos_each, _max_each,
+                          _min_each)
     theta, omega = s.theta_start, 0.0
     reached = False
     time_to_target: Optional[float] = None
-    for i in range(n_max + 1):
+    i = 0
+    while i <= n_max:
         t = i * s.dt  # not a running sum, which drifts from i*dt
         tau_g, tau, theta_next, omega_next = step(theta, omega)
         th_col.append(theta)
@@ -227,13 +310,17 @@ def simulate_lift(scenario: LiftScenario) -> LiftTrace:
             break
         if t >= s.t_max:
             break
+        steady = omega_next == omega
         theta, omega = theta_next, omega_next
+        i += 1
         if not (math.isfinite(theta) and math.isfinite(omega)):
-            raise ValueError(f"non-finite state at t={(i + 1) * s.dt:g} s; "
+            raise ValueError(f"non-finite state at t={i * s.dt:g} s; "
                              f"integration fault")
+        if steady:
+            i, theta = _ride_speed_cap(s, step_each, direction, i, n_max,
+                                       theta, omega, columns)
 
-    th_arr, om_arr, tau_arr, tg_arr = map(np.frombuffer,
-                                          (th_col, om_col, tau_col, tg_col))
+    th_arr, om_arr, tau_arr, tg_arr = map(np.frombuffer, columns)
     power = tau_arr * om_arr
     return LiftTrace(
         t=np.arange(len(th_arr)) * s.dt, theta=th_arr, omega=om_arr,

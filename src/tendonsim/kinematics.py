@@ -300,6 +300,9 @@ def sample_workspace(chain: KinematicChain, n: int, seed: int) -> WorkspaceCloud
     outputs, one per double), and each pose is computed alone, so the
     slicing does not change a bit of the result. Memory is the (n, 3)
     points, 24 bytes per sample, plus one slice's samples and transforms.
+    The bbox is taken one coordinate column at a time, which is faster
+    than the axis-0 reduction over rows and, min and max being exact,
+    gives the same bits.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -322,8 +325,8 @@ def sample_workspace(chain: KinematicChain, n: int, seed: int) -> WorkspaceCloud
                              f"geometric limit {chain.reach_limit}")
     stats = {
         "max_reach_m": max_reach,
-        "bbox_min_m": [float(v) for v in points.min(axis=0)],
-        "bbox_max_m": [float(v) for v in points.max(axis=0)],
+        "bbox_min_m": [float(col.min()) for col in points.T],
+        "bbox_max_m": [float(col.max()) for col in points.T],
         "centroid_m": [float(v) for v in points.mean(axis=0)],
     }
     points.flags.writeable = False

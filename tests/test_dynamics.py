@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from tendonsim import (LiftScenario, LiftState, mechanical_power,
                        simulate_lift, step_dynamics)
+from tendonsim import dynamics
 from tendonsim.dynamics import _step_law
 
 OMEGA_CAP = 0.11 / 0.0367   # rated tendon speed over moment arm, rad/s
@@ -296,3 +297,108 @@ def test_lift_memory_per_step_is_bounded(lift, n):
     assert not tr.reached_target
     assert len(tr.t) == n + 1
     assert peak <= 64 * len(tr.t)
+
+
+# --------------------------------------------------------------------------
+# the speed-cap runs in numpy against the scalar loop
+
+
+def _scalar_lift(s):
+    """simulate_lift as one scalar loop of the step law, the reference for
+    its numpy runs: the rows (theta, omega, tau, tau_g) and the time to
+    target (None on a timeout), or the loop's ValueError."""
+    direction = math.copysign(1.0, s.theta_target - s.theta_start)
+    step = _step_law(s, direction * s.rated_tendon_speed)
+    theta, omega = s.theta_start, 0.0
+    rows = []
+    for i in range(int(math.ceil(s.t_max / s.dt)) + 1):
+        tau_g, tau, theta_next, omega_next = step(theta, omega)
+        rows.append((theta, omega, tau, tau_g))
+        if direction * (theta - s.theta_target) >= 0.0:
+            return rows, i * s.dt
+        if i * s.dt >= s.t_max:
+            break
+        theta, omega = theta_next, omega_next
+        if not (math.isfinite(theta) and math.isfinite(omega)):
+            raise ValueError(f"non-finite state at t={(i + 1) * s.dt:g} s; "
+                             f"integration fault")
+    return rows, None
+
+
+def _assert_lift_is_the_scalar_loop(s):
+    try:
+        rows, time_to_target = _scalar_lift(s)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as err:
+            simulate_lift(s)
+        assert str(err.value) == str(exc)
+        return
+    tr = simulate_lift(s)
+    got = np.column_stack((tr.theta, tr.omega, tr.tau, tr.tau_gravity))
+    assert got.tobytes() == np.array(rows).tobytes()
+    assert tr.time_to_target == time_to_target
+    assert tr.reached_target == (time_to_target is not None)
+
+
+@pytest.mark.parametrize("changes", [
+    lambda s: s,
+    lambda s: dataclasses.replace(s, dt=s.dt / 10),
+    lambda s: dataclasses.replace(s, t_max=0.3),
+    # ceil(t_max/dt) is 2916, but step 2915 already has t >= t_max
+    lambda s: dataclasses.replace(s, t_max=2915 * s.dt),
+    lambda s: dataclasses.replace(s, theta_start=0.0,
+                                  theta_target=math.radians(-90.0)),
+    # rated forces so small that the force cap rounds to 0 Nm: the limb
+    # cannot move, and every step's torque is -0.0, which a numpy
+    # maximum/minimum clamp would turn into 0.0
+    lambda s: dataclasses.replace(
+        s, gravity=0.0, t_max=0.05, theta_target=-3.0,
+        actuators=(dataclasses.replace(s.actuators[0],
+                                       rated_force=5e-324),) * 2),
+    # a limb light enough to land on a huge speed cap in one step: theta
+    # overflows a few steps into a run on the cap
+    lambda s: dataclasses.replace(
+        s, limb_mass=1e-300, payload_mass=0.0, joint_R=1e-4, dt=1e6,
+        t_max=1e8, theta_target=1.7e308,
+        actuators=(dataclasses.replace(s.actuators[0], rated_speed=1e300),)),
+], ids=["bundled", "dt_over_10", "timeout_mid_run", "timeout_before_n_max",
+        "lowering", "no_torque", "theta_overflows"])
+def test_simulate_lift_is_the_scalar_loop(lift, changes):
+    _assert_lift_is_the_scalar_loop(changes(lift))
+
+
+@settings(max_examples=150, deadline=None)
+@given(lowering=st.booleans(), theta_start=st.floats(-2.0, 2.0),
+       span=st.floats(1e-3, 3.0), payload_mass=st.floats(0.0, 10.0),
+       joint_R=st.floats(0.005, 0.1),
+       gravity=st.sampled_from([0.0, 9.81, 50.0]),
+       dt=st.sampled_from([1e-9, 10.0])
+       | st.builds(lambda e: 10.0 ** e, st.floats(-5.0, -1.0)),
+       steps=st.integers(1, 10_000), cut=st.floats(0.0, 0.999))
+def test_simulate_lift_is_the_scalar_loop_bit_for_bit(
+        lift, lowering, theta_start, span, payload_mass, joint_R, gravity,
+        dt, steps, cut):
+    # both directions, lifts on the force cap throughout or landing on the
+    # speed cap, tiny and huge steps, and t_max anywhere in a numpy run
+    s = dataclasses.replace(
+        lift, theta_start=theta_start,
+        theta_target=theta_start - span if lowering else theta_start + span,
+        payload_mass=payload_mass, joint_R=joint_R, gravity=gravity, dt=dt,
+        t_max=dt * (steps + cut))
+    _assert_lift_is_the_scalar_loop(s)
+
+
+def test_bundled_lift_rides_the_speed_cap_in_numpy(lift, monkeypatch):
+    # every step after omega lands on the cap is taken by the numpy runs
+    ridden = []
+    ride = dynamics._ride_speed_cap
+
+    def counting(s, step, direction, i, *args):
+        end, theta = ride(s, step, direction, i, *args)
+        ridden.append((i, end))
+        return end, theta
+
+    monkeypatch.setattr(dynamics, "_ride_speed_cap", counting)
+    tr = simulate_lift(lift)
+    assert ridden == [(226, 7101)]
+    assert len(tr.t) == 7102

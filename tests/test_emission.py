@@ -444,6 +444,48 @@ def test_unreadable_csv_is_a_schema_error(tmp_path, content, fragment):
     assert str(err.value).startswith(f"{path}: ")
 
 
+def _time_csv(path, n, *columns):
+    t = np.arange(n) * 1e-4
+    _write_rows(path, ["t_s", *columns], [t] + [np.sin(t)] * len(columns),
+                "csv")
+
+
+def test_schema_check_memory_is_one_block_for_any_length(tmp_path):
+    # the rows are read and checked one block at a time: a table ten times
+    # longer peaks within one block's worth of memory of the shorter one
+    peaks = {}
+    for n in (cli._BLOCK_ROWS, 20_000, 200_000):
+        _time_csv(tmp_path / f"{n}.csv", n)
+        tracemalloc.start()
+        try:
+            validate_csv_schema(tmp_path / f"{n}.csv")
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[200_000] - peaks[20_000]) < peaks[cli._BLOCK_ROWS]
+
+
+@pytest.mark.parametrize("row,cell,fragment", [
+    (5000, "1.0", "expected 2 cells, got 3"),
+    (9000, "x", "non-numeric cell 'x' in 'theta_rad'"),
+    (2 * 4096, "inf", "non-finite cell in 'theta_rad'"),
+    (2 * 4096 + 1, "inf", "non-finite cell in 'theta_rad'"),
+], ids=["ragged", "non_numeric", "non_finite_last_of_block",
+        "non_finite_first_of_block"])
+def test_schema_rows_count_across_blocks(tmp_path, row, cell, fragment):
+    path = tmp_path / "t.csv"
+    _time_csv(path, 10_000, "theta_rad")
+    lines = path.read_text().split("\n")
+    if fragment.startswith("expected"):
+        lines[row] += "," + cell
+    else:
+        lines[row] = lines[row].split(",")[0] + "," + cell
+    path.write_text("\n".join(lines))
+    with pytest.raises(SchemaError) as err:
+        validate_csv_schema(path)
+    assert str(err.value) == f"{path}: row {row}: {fragment}"
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_run_with_a_nan_cell_fails_before_any_file(tmp_path, monkeypatch,
                                                    capsys, fmt):

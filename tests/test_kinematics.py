@@ -342,3 +342,29 @@ def test_workspace_points_are_read_only(arm):
 def test_workspace_rejects_bad_n(arm):
     with pytest.raises(ValueError):
         sample_workspace(arm, 0, seed=0)
+
+
+@pytest.fixture(scope="module")
+def clouds(arm):
+    # the bundled Workspace size at the seeds the outputs are checked at
+    return {seed: sample_workspace(arm, 100_000, seed) for seed in (1, 7, 42)}
+
+
+@pytest.mark.parametrize("seed", [1, 7, 42])
+def test_workspace_bbox_is_the_axis_reduction_bit_for_bit(clouds, seed):
+    # min and max are exact, so a column at a time gives the same bits
+    cloud = clouds[seed]
+    for key, reduce in (("bbox_min_m", np.min), ("bbox_max_m", np.max)):
+        assert (np.array(cloud.stats[key]).tobytes()
+                == reduce(cloud.points, axis=0).tobytes())
+
+
+@pytest.mark.parametrize("which", ["cloud", "random"])
+def test_centroid_is_a_sequential_sum_of_each_column(clouds, which):
+    # mean(axis=0) of an (n, 3) array adds row after row, with no pairwise
+    # blocks, so a centroid folded over blocks of rows can keep its bits
+    points = (clouds[7].points if which == "cloud"
+              else np.random.default_rng(5).normal(0.3, 1.0, (10**6, 3)))
+    n = len(points)
+    folded = [np.add.accumulate(col)[-1] / n for col in points.T]
+    assert points.mean(axis=0).tobytes() == np.array(folded).tobytes()

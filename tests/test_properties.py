@@ -9,6 +9,8 @@ import contextlib
 import io
 import re
 import shutil
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -408,3 +410,22 @@ def test_mutated_bundled_runs_end_in_clean_files_or_one_line_error(
             for path in written:
                 if path.suffix == ".csv":
                     cli.validate_csv_schema(path)
+
+
+def test_the_suite_reports_a_falsifying_example(tmp_path):
+    # pytest here turns every warning into an error, but not the one the
+    # hypothesis plugin raises while it reports a failed example: that
+    # would end the session in an INTERNALERROR and hide the example
+    test = tmp_path / "test_fails.py"
+    test.write_text("from hypothesis import given, strategies as st\n\n\n"
+                    "@given(st.integers())\n"
+                    "def test_fails(x):\n"
+                    "    assert x < 10\n")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p",
+                          "no:cacheprovider", "-c", str(pyproject),
+                          str(test)],
+                         cwd=tmp_path, capture_output=True, text=True,
+                         timeout=300)
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "Falsifying example" in run.stdout
