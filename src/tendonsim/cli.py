@@ -309,9 +309,13 @@ def _load_table_csv(path: Path) -> Tuple[Tuple[float, float], ...]:
                 if len(row) != 2:
                     raise ConfigError(path, f"line {i}: expected 2 columns")
                 try:
-                    rows.append((float(row[0]), float(row[1])))
+                    d, f = float(row[0]), float(row[1])
                 except ValueError as exc:
                     raise ConfigError(path, f"line {i}: {exc}") from exc
+                if not (math.isfinite(d) and math.isfinite(f)):
+                    raise ConfigError(path, f"line {i}: cells must be "
+                                            f"finite, got {row}")
+                rows.append((d, f))
     except OSError as exc:
         raise ConfigError(path, f"cannot read: {exc}") from exc
     except UnicodeDecodeError as exc:

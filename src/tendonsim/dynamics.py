@@ -174,10 +174,10 @@ def _step_law(scenario: LiftScenario, tendon_speed: float,
     can exert (|tau| <= max_torque, negative torque meaning the antagonist
     brakes). So each step rides the force cap or the speed cap.
 
-    theta may be an array of angles at one omega when cos, maximum and
-    minimum act on arrays as math.cos, max and min do on floats
-    (_cos_each, _max_each, _min_each); each element then gets the bits
-    of the scalar step.
+    theta may be an array of finite angles at one omega with cos=_cos_each
+    (math.cos on each element), maximum=np.maximum and minimum=np.minimum;
+    each element then gets the bits of the scalar step unless max_torque
+    is 0, where numpy's clamp and max/min pick different signed zeros.
     """
     I = scenario.total_inertia
     dt = scenario.dt
@@ -194,19 +194,10 @@ def _step_law(scenario: LiftScenario, tendon_speed: float,
     return step
 
 
-# math.cos, max and min element by element, as the step law needs them on
-# arrays: the same libm cosine, and max(a, b) keeps a unless b > a (min
-# unless b < a), which np.maximum does not for zeros of either sign
+# math.cos element by element, as the step law needs it on arrays: the
+# same libm cosine
 def _cos_each(theta: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.cos, theta.tolist()), float, len(theta))
-
-
-def _max_each(a: np.ndarray, b: float) -> np.ndarray:
-    return np.where(b > a, b, a)
-
-
-def _min_each(a: np.ndarray, b: float) -> np.ndarray:
-    return np.where(b < a, b, a)
 
 
 # steps of the first numpy run on the speed cap; each run taken whole
@@ -234,13 +225,16 @@ def _ride_speed_cap(s: LiftScenario, step, direction: float, i: int,
                     columns: Tuple[array, ...]) -> Tuple[int, float]:
     """Append steps i, i+1, ... at a constant omega in numpy runs, as long
     as each step would leave omega unchanged and simulate_lift would go on
-    past it: no target, no timeout, a finite next theta. Returns the index
-    and theta of the first step that fails this, for the scalar loop to
-    take, or n_max + 1 when every step passed.
+    past it: no target, no timeout. Returns the index and theta of the
+    first step that fails this, for the scalar loop to take, or n_max + 1
+    when every step passed. A run whose last next theta is not finite
+    appends nothing and returns where it began.
 
     At a constant omega, theta is a sequential sum of omega*dt, which
-    np.add.accumulate forms in the loop's order, and step (the step law on
-    arrays) gives each step the bits of the scalar step.
+    np.add.accumulate forms in the loop's order. That sum is monotone, so
+    when the last next theta is finite, every angle of the run is, and
+    step (the step law on arrays) gives each step the bits of the scalar
+    step.
     """
     run = _RUN_MIN
     with np.errstate(over="ignore", invalid="ignore"):
@@ -249,16 +243,12 @@ def _ride_speed_cap(s: LiftScenario, step, direction: float, i: int,
             th = np.full(m, omega * s.dt)
             th[0] = theta
             np.add.accumulate(th, out=th)
-            finite = np.isfinite(th)
-            if not finite.all():
-                # math.cos takes no inf, and the step before the first
-                # inf theta ends the run anyway
-                th = th[:int(finite.argmin())]
+            if not math.isfinite(float(th[-1]) + omega * s.dt):
+                return i, theta
             tau_g, tau, th_next, om_next = step(th, omega)
             stop = ((om_next != omega)
                     | (direction * (th - s.theta_target) >= 0.0)
-                    | (np.arange(i, i + len(th)) * s.dt >= s.t_max)
-                    | ~np.isfinite(th_next))
+                    | (np.arange(i, i + m) * s.dt >= s.t_max))
             k = int(stop.argmax()) if stop.any() else m
             for col, values in zip(columns, (th, np.full(k, omega), tau,
                                              tau_g)):
@@ -278,8 +268,10 @@ def simulate_lift(scenario: LiftScenario) -> LiftTrace:
     Each step is the step law's. Once a step leaves omega unchanged, as
     every step does once omega lands on the speed cap, the following steps
     run in numpy (_ride_speed_cap) until one would change omega or end the
-    lift; the scalar loop takes that step. The trace has the bits of the
-    scalar loop alone.
+    lift; the scalar loop takes that step. A run that would carry theta
+    past the float range, and every step of a lift whose max_torque is 0,
+    stay in the scalar loop. The trace has the bits of the scalar loop
+    alone.
     """
     s = scenario
     direction = math.copysign(1.0, s.theta_target - s.theta_start)
@@ -291,8 +283,8 @@ def simulate_lift(scenario: LiftScenario) -> LiftTrace:
 
     tendon_speed = direction * s.rated_tendon_speed
     step = _step_law(s, tendon_speed)
-    step_each = _step_law(s, tendon_speed, _cos_each, _max_each,
-                          _min_each)
+    step_each = _step_law(s, tendon_speed, _cos_each, np.maximum, np.minimum)
+    rides = s.max_torque != 0  # at 0 Nm, np.maximum and max differ on -0.0
     theta, omega = s.theta_start, 0.0
     reached = False
     time_to_target: Optional[float] = None
@@ -316,7 +308,7 @@ def simulate_lift(scenario: LiftScenario) -> LiftTrace:
         if not (math.isfinite(theta) and math.isfinite(omega)):
             raise ValueError(f"non-finite state at t={i * s.dt:g} s; "
                              f"integration fault")
-        if steady:
+        if steady and rides:
             i, theta = _ride_speed_cap(s, step_each, direction, i, n_max,
                                        theta, omega, columns)
 

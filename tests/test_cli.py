@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from tendonsim import cli, elastic, joint
+from tendonsim import cli, default_arm, elastic, joint
 from tendonsim.cli import (DATA_DIR, ENV_CONFIG_DIR, MAX_RUN_POINTS,
                            ConfigError, ExperimentError, GridSpec,
                            LoadedJoint, _PyYamlLoader, _YamlLoader,
@@ -168,6 +168,16 @@ def test_strict_rejects_unknown_keys(tmp_path):
         parse_config(p, strict=True)
 
 
+def test_strict_rejects_unknown_top_level_keys(tmp_path, capsys):
+    p = _write(tmp_path / "arm.yaml",
+               (DATA_DIR / "arm.yaml").read_text() + "notes: right arm\n")
+    assert main(["validate", str(p)]) == 0   # lax mode tolerates it
+    capsys.readouterr()
+    assert main(["validate", "--strict", str(p)]) == 1
+    assert _one_line_error(capsys) == (
+        f"invalid: {p}: unknown top-level keys ['notes']\n")
+
+
 def test_table_header_is_mandatory(tmp_path):
     _write(tmp_path / "curve.csv", "d_mm,F_N\n0,0\n1,2\n")
     p = _write(tmp_path / "a.yaml", (
@@ -175,6 +185,45 @@ def test_table_header_is_mandatory(tmp_path):
         "  k_t: 40.0\n  rated_force: 120.0\n  rated_speed: 100.0\n"))
     with pytest.raises(ConfigError, match="table header must be exactly"):
         parse_config(p)
+
+
+def _misa_with_curve(tmp_path, curve):
+    """A copy of the bundled tabulated actuator whose curve file reads
+    curve; the actuator names its curve bare, so the copy here wins."""
+    (tmp_path / "misa_like_curve.csv").write_text(curve)
+    return _write(tmp_path / "misa.yaml",
+                  (DATA_DIR / "misa_like.yaml").read_text())
+
+
+@pytest.mark.parametrize("row, fragment", [
+    (None, "misa_like_curve.csv: empty table file"),
+    ("1,2.01461226852,3", "misa_like_curve.csv: line 4: expected 2 columns"),
+    ("1,2.0x", "misa_like_curve.csv: line 4: could not convert string to "
+               "float: '2.0x'"),
+    # non-finite cells, once passed on to fail as the actuator's section
+    ("1,nan", "misa_like_curve.csv: line 4: cells must be finite, "
+              "got ['1', 'nan']"),
+    ("inf,2.01461226852", "misa_like_curve.csv: line 4: cells must be "
+                          "finite, got ['inf', '2.01461226852']"),
+    ("1,1e400", "misa_like_curve.csv: line 4: cells must be finite, "
+                "got ['1', '1e400']"),
+])
+def test_bad_table_rows_are_one_line_errors(tmp_path, capsys, row,
+                                            fragment):
+    curve = (DATA_DIR / "misa_like_curve.csv").read_text()
+    assert curve.splitlines()[3] == "1,2.01461226852"
+    lines = curve.splitlines(keepends=True)
+    bad = "" if row is None else "".join(lines[:3] + [row + "\n"]
+                                         + lines[4:])
+    p = _misa_with_curve(tmp_path, bad)
+    assert main(["validate", str(p)]) == 1
+    assert fragment in _one_line_error(capsys)
+
+
+def test_blank_table_rows_are_skipped(tmp_path):
+    curve = (DATA_DIR / "misa_like_curve.csv").read_text()
+    p = _misa_with_curve(tmp_path, curve.replace("\n1,", "\n\n1,", 1))
+    assert parse_config(p) == parse_config(DATA_DIR / "misa_like.yaml")
 
 
 def test_joint_requires_identical_actuators(tmp_path):
@@ -245,6 +294,24 @@ def test_chain_row_link_name_must_exist(tmp_path):
         "    - {alpha_deg: 90, theta_offset_deg: 0, joint: theta_31, d: e}\n"))
     with pytest.raises(ConfigError, match="unknown link length 'e'"):
         parse_config(p)
+
+
+def test_chain_without_rows_is_the_default_arm(tmp_path, capsys):
+    # the bundled arm.yaml spells out the rows and ROM of the default arm
+    p = _write(tmp_path / "bare_arm.yaml",
+               "chain:\n  link_lengths: {b: 0.30, c: 0.25, d: 0.08}\n")
+    assert parse_config(p) == default_arm() == parse_config(
+        DATA_DIR / "arm.yaml")
+    outputs = []
+    for k, config in enumerate(("arm.yaml", "bare_arm.yaml")):
+        spec = _write(tmp_path / "ws.yaml",
+                      WS_SPEC.replace("arm.yaml", config))
+        out = tmp_path / f"o{k}"
+        assert main(["run", str(spec), "--out", str(out), "--seed",
+                     "7"]) == 0
+        outputs.append((out / "ws_small.csv").read_bytes())
+    capsys.readouterr()
+    assert outputs[0] == outputs[1]
 
 
 # --------------------------------------------------------------------------

@@ -350,7 +350,7 @@ def _assert_lift_is_the_scalar_loop(s):
                                   theta_target=math.radians(-90.0)),
     # rated forces so small that the force cap rounds to 0 Nm: the limb
     # cannot move, and every step's torque is -0.0, which a numpy
-    # maximum/minimum clamp would turn into 0.0
+    # maximum/minimum clamp would turn into 0.0, so this lift never rides
     lambda s: dataclasses.replace(
         s, gravity=0.0, t_max=0.05, theta_target=-3.0,
         actuators=(dataclasses.replace(s.actuators[0],
@@ -361,10 +361,41 @@ def _assert_lift_is_the_scalar_loop(s):
         s, limb_mass=1e-300, payload_mass=0.0, joint_R=1e-4, dt=1e6,
         t_max=1e8, theta_target=1.7e308,
         actuators=(dataclasses.replace(s.actuators[0], rated_speed=1e300),)),
+    # a subnormal force cap, on which a limb too heavy to gain speed from
+    # it rides with every step's torque at the cap
+    lambda s: dataclasses.replace(
+        s, gravity=0.0, payload_mass=1e20, t_max=0.05,
+        actuators=(dataclasses.replace(s.actuators[0],
+                                       rated_force=1e-307),) * 2),
+    # rated forces whose sum overflows: the force cap is inf
+    lambda s: dataclasses.replace(
+        s, actuators=(dataclasses.replace(s.actuators[0],
+                                          rated_force=1e308),) * 2),
 ], ids=["bundled", "dt_over_10", "timeout_mid_run", "timeout_before_n_max",
-        "lowering", "no_torque", "theta_overflows"])
+        "lowering", "no_torque", "theta_overflows", "subnormal_torque",
+        "infinite_torque"])
 def test_simulate_lift_is_the_scalar_loop(lift, changes):
     _assert_lift_is_the_scalar_loop(changes(lift))
+
+
+_CLAMP_INPUTS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                 1e-310, -1e-310, 2.2250738585072009e-308, 18.35, -18.35,
+                 *np.random.default_rng(17).standard_normal(200)
+                 * 10.0 ** np.random.default_rng(18).integers(-320, 308,
+                                                               200)]
+
+
+@pytest.mark.parametrize("tau_max", [0.0, 5e-324, 2.2e-308, 18.35, 1e308,
+                                     math.inf])
+def test_numpy_clamp_is_the_scalar_clamp_unless_the_cap_is_zero(tau_max):
+    # the numpy runs clamp by np.maximum/np.minimum, the scalar loop by
+    # max/min; at a zero cap they pick different signed zeros, which is why
+    # a lift with max_torque 0 never rides
+    t = tau_max
+    x = np.array(_CLAMP_INPUTS + [t, -t, -t / 2, t / 2])
+    ours = np.minimum(np.maximum(x, -t), t)
+    theirs = np.array([min(max(v, -t), t) for v in x.tolist()])
+    assert (ours.tobytes() == theirs.tobytes()) == (tau_max != 0)
 
 
 @settings(max_examples=150, deadline=None)

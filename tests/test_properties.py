@@ -5,6 +5,7 @@ actuators and joints; tolerances are relative where the quantities scale
 with the drawn parameters.
 """
 
+import ast
 import contextlib
 import io
 import re
@@ -429,3 +430,20 @@ def test_the_suite_reports_a_falsifying_example(tmp_path):
                          timeout=300)
     assert run.returncode == 1, run.stdout + run.stderr
     assert "Falsifying example" in run.stdout
+
+
+def test_no_module_level_name_is_defined_twice():
+    # a second def or class of one name replaces the first, so pytest
+    # never collects a test that a later one of the same name shadows
+    root = Path(__file__).resolve().parents[1]
+    twice = []
+    for path in sorted([*root.glob("tests/*.py"),
+                        *root.glob("src/tendonsim/*.py")]):
+        seen = set()
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                if node.name in seen:
+                    twice.append(f"{path.name}:{node.lineno}: {node.name}")
+                seen.add(node.name)
+    assert twice == []
