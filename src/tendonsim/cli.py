@@ -135,34 +135,88 @@ class SchemaError(Exception):
 def _resolve(name: Union[str, Path], base_dir: Optional[Path]) -> Path:
     """Find a config file: absolute, then relative to the referencing file,
     then $TENDONSIM_CONFIG_DIR, then the current directory, then the bundled
-    data directory."""
-    p = Path(name)
-    if p.is_absolute():
-        if p.is_file():
-            return p
+    data directory. os.path.isfile is False, not an OSError, for a name the
+    system rejects, such as one past the file-name limit."""
+    if os.path.isabs(name):
+        if os.path.isfile(name):
+            return Path(name)
         raise ConfigError(name, "file not found")
-    tried = []
-    candidates = []
-    if base_dir is not None:
-        candidates.append(base_dir / p)
-    env_dir = os.environ.get(ENV_CONFIG_DIR)
-    if env_dir:
-        candidates.append(Path(env_dir) / p)
-    candidates.append(Path.cwd() / p)
-    candidates.append(DATA_DIR / p)
-    for cand in candidates:
-        if cand.is_file():
-            return cand
-        tried.append(str(cand))
-    raise ConfigError(name, "file not found; tried " + ", ".join(tried))
+    dirs = [d for d in (base_dir, os.environ.get(ENV_CONFIG_DIR),
+                        os.getcwd(), DATA_DIR) if d]
+    for d in dirs:
+        cand = os.path.join(d, name)
+        if os.path.isfile(cand):
+            return Path(cand)
+    raise ConfigError(name, "file not found; tried "
+                      + ", ".join(str(Path(d, name)) for d in dirs))
+
+
+_TAG = "tag:yaml.org,2002:"
+_PLAIN_SCALAR_TAGS = frozenset(
+    _TAG + t for t in ("str", "int", "float", "bool", "null"))
+
+
+class _NotPlain(Exception):
+    """A node the direct builder leaves to PyYAML's constructor."""
 
 
 def _with_yaml12_floats(base: type) -> type:
     """A safe loader class on base that also reads YAML 1.2 floats whose
     exponent follows the digits without a dot (1e-4, -2E+3), which YAML 1.1
-    leaves as strings."""
+    leaves as strings, and rejects a key repeated in one mapping (keys a
+    `<<` merge brings in may be overridden).
+
+    A plain document, only maps, sequences and str/int/float/bool/null
+    scalars under scalar keys, is built straight from its nodes by the
+    tag's own scalar constructors; an alias gets the object built for its
+    node. Any other document, and any whose build raises (a recursive
+    alias or deep nesting ends in RecursionError), goes to PyYAML's
+    constructor on the same nodes, which loads it or reports its error."""
     class Loader(base):
-        pass
+        def construct_document(self, node):
+            try:
+                return self._build(node, {})
+            except Exception:
+                self._own_keys = {}
+                return super().construct_document(node)
+
+        def _build(self, node, built: dict):
+            tag = node.tag
+            if tag in _PLAIN_SCALAR_TAGS and isinstance(node, yaml.ScalarNode):
+                return self.yaml_constructors[tag](self, node)
+            if node in built:
+                return built[node]
+            if tag == _TAG + "seq" and isinstance(node, yaml.SequenceNode):
+                data = [self._build(v, built) for v in node.value]
+            elif tag == _TAG + "map" and isinstance(node, yaml.MappingNode):
+                data = {}
+                for key_node, value_node in node.value:
+                    key = self._build(key_node, built)
+                    if key in data:     # TypeError if unhashable
+                        raise _NotPlain
+                    data[key] = self._build(value_node, built)
+            else:
+                raise _NotPlain
+            built[node] = data
+            return data
+
+        def flatten_mapping(self, node):
+            # the keys the mapping names itself, before a merge adds others
+            self._own_keys.setdefault(node, [
+                k for k, _ in node.value if k.tag != _TAG + "merge"])
+            super().flatten_mapping(node)
+
+        def construct_mapping(self, node, deep=False):
+            mapping = super().construct_mapping(node, deep=deep)
+            seen = set()
+            for key_node in self._own_keys[node]:
+                key = self.construct_object(key_node)
+                if key in seen:
+                    raise yaml.constructor.ConstructorError(
+                        "while constructing a mapping", node.start_mark,
+                        f"found duplicate key {key!r}", key_node.start_mark)
+                seen.add(key)
+            return mapping
 
     Loader.add_implicit_resolver(
         "tag:yaml.org,2002:float",
@@ -189,11 +243,12 @@ def _read_yaml(path: Path) -> dict:
     try:
         with open(path, "rb") as fh:
             data = fh.read()
-            fh.seek(0)
-            shallow = (sum(map(data.count, _NESTING_BYTES))
-                       <= _C_LOADER_MAX_NESTING_BYTES)
-            doc = yaml.load(fh, Loader=_YamlLoader if shallow
-                            else _PyYamlLoader)
+        shallow = (sum(map(data.count, _NESTING_BYTES))
+                   <= _C_LOADER_MAX_NESTING_BYTES)
+        stream = io.BytesIO(data)
+        stream.name = fh.name   # so that error marks name the file
+        doc = yaml.load(stream, Loader=_YamlLoader if shallow
+                        else _PyYamlLoader)
     except OSError as exc:
         raise ConfigError(path, f"cannot read: {exc}") from exc
     except RecursionError:
@@ -397,16 +452,18 @@ class LoadedJoint:
 
 def _actuator_reader(base_dir: Path, strict: bool):
     """A function from an actuator file name, resolved against base_dir, to
-    its parsed model. A file named twice, as by a symmetric pair, is read
-    (with its table) once, and both names get the same model."""
+    its parsed model. Models are kept by the path _resolve returns, so a
+    file named twice, as by a symmetric pair, is read (with its table) once,
+    and both names get the same model. A symlinked or `..` spelling of the
+    same file is another path: the file is read again, into an equal model
+    (but for a label defaulted from a different file name)."""
     parsed: Dict[Path, ActuatorModel] = {}
 
     def read(name: str) -> ActuatorModel:
         path = _resolve(name, base_dir)
-        key = path.resolve()
-        if key not in parsed:
-            parsed[key] = _parse_actuator(_read_yaml(path), path, strict)
-        return parsed[key]
+        if path not in parsed:
+            parsed[path] = _parse_actuator(_read_yaml(path), path, strict)
+        return parsed[path]
     return read
 
 
@@ -840,17 +897,18 @@ def _significand_12g(a: np.ndarray):
     once and is off the true product by at most 2**-53 * 1e12 ~ 1.1e-4.
     Outside the guard band |frac(p) - 0.5| <= 1e-3 the nearest integer to p
     is thus the nearest to the true product. The guard clears ok for a
-    outside [1e-4, 1e11) (zero, other notations and non-finite values
-    included), p near a tie, N that rounds up to 1e12 (the next power of
-    ten), and p < 1e11, where log10 rounded up to X.
+    outside [1e-4, 1e11) (other notations and non-finite values included),
+    p near a tie, N that rounds up to 1e12 (the next power of ten), and
+    p < 1e11, where log10 rounded up to X. Zero is ok, with X = N = 0.
     """
+    zero = a == 0
     ok = (a >= 1e-4) & (a < 1e11)
     a = np.where(ok, a, 1.0)
     X = np.clip(np.floor(np.log10(a)), -4, 10).astype(np.intp)
     p = a * _POW10[11 - X]
     N = np.rint(p)
     ok &= (p >= 1e11) & (N < 1e12) & (np.abs(p - np.floor(p) - 0.5) > 1e-3)
-    return ok, X, np.where(ok, N, 1e11).astype(np.int64)
+    return ok | zero, X, np.where(ok, N, 0).astype(np.int64)
 
 
 def _significand_repr(a: np.ndarray):
@@ -869,11 +927,13 @@ def _significand_repr(a: np.ndarray):
     H < 11.2 of P, so if D15 does, its digits are the shortest; else D16
     if it lies within H; else N17.
 
-    The guard clears ok for a outside [1e-4, 1e16) (zero and the exponent
-    notation included), a power of two (the float below is nearer than H),
-    a distance within 1e-6 of H, P outside [1e16, 1e17) (log10 rounded
-    across a power of ten) and N that rounds up to 1e17.
+    The guard clears ok for a outside [1e-4, 1e16) (the exponent notation
+    included), a power of two (the float below is nearer than H), a
+    distance within 1e-6 of H, P outside [1e16, 1e17) (log10 rounded
+    across a power of ten) and N that rounds up to 1e17. Zero is ok, with
+    X = N = 0.
     """
+    zero = a == 0
     ok = (a >= 1e-4) & (a < 1e16)
     a = np.where(ok, a, 1.0)
     X = np.clip(np.floor(np.log10(a)), -4, 15).astype(np.intp)
@@ -899,7 +959,7 @@ def _significand_repr(a: np.ndarray):
     unsure = (np.abs(d15 - H) < 1e-6) | ~in15 & (np.abs(d16 - H) < 1e-6)
     ok &= ((hi < 1e17) & ((hi > 1e16) | ((hi == 1e16) & (lo >= 0)))
            & (m != 0.5) & ~unsure & (N < 10 ** 17))
-    return ok, X, N
+    return ok | zero, X, np.where(ok, N, 0)
 
 
 class _Format(NamedTuple):

@@ -16,6 +16,8 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tendonsim import cli, default_arm, elastic, joint
 from tendonsim.cli import (DATA_DIR, ENV_CONFIG_DIR, MAX_RUN_POINTS,
@@ -387,6 +389,41 @@ def test_missing_absolute_path(tmp_path):
         _resolve(tmp_path / "absent.yaml", None)
 
 
+LONG_NAME = "x" * 300 + ".yaml"   # past the usual 255-byte name limit
+
+
+def test_config_name_past_the_name_limit_is_not_found(capsys):
+    assert main(["validate", LONG_NAME]) == 1
+    err = _one_line_error(capsys)
+    assert f"{LONG_NAME}: file not found; tried " in err
+
+
+def test_spec_config_past_the_name_limit_is_not_found(tmp_path, capsys):
+    spec = _write(tmp_path / "fd.yaml",
+                  FD_SPEC.replace("config: ica.yaml", f"config: {LONG_NAME}"))
+    assert main(["validate", str(spec)]) == 1
+    assert f"{LONG_NAME}: file not found; tried " in _one_line_error(capsys)
+
+
+def test_table_past_the_name_limit_is_not_found(tmp_path, capsys):
+    text = (DATA_DIR / "misa_like.yaml").read_text()
+    p = _write(tmp_path / "misa.yaml", text.replace(
+        "table: misa_like_curve.csv", f"table: {LONG_NAME}"))
+    assert main(["validate", str(p)]) == 1
+    assert f"{LONG_NAME}: file not found; tried " in _one_line_error(capsys)
+
+
+def test_bundled_setup_calls_no_path_resolve(monkeypatch):
+    calls = []
+    resolve = Path.resolve
+    monkeypatch.setattr(Path, "resolve",
+                        lambda self, *a: calls.append(self) or resolve(
+                            self, *a))
+    for spec in sorted(DATA_DIR.glob("exp_*.yaml")):
+        parse_experiment(spec)
+    assert calls == []
+
+
 # --------------------------------------------------------------------------
 # experiment runs
 
@@ -731,9 +768,37 @@ def test_c_loader_is_used_when_pyyaml_has_libyaml():
         assert issubclass(_YamlLoader, yaml.CSafeLoader)
 
 
+def _reference_loader(base):
+    """Stock PyYAML on base plus the YAML 1.2 exponent floats: what the
+    package's loaders must read alike."""
+    class Reference(base):
+        pass
+    Reference.add_implicit_resolver(
+        "tag:yaml.org,2002:float",
+        re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+        list("-+.0123456789"))
+    return Reference
+
+
+# each loader of the package with the stock loader on its base
+LOADER_PAIRS = [(_PyYamlLoader, _reference_loader(yaml.SafeLoader))]
+if yaml.__with_libyaml__:
+    LOADER_PAIRS.append((_YamlLoader, _reference_loader(yaml.CSafeLoader)))
+
+
+def _outcome(text, loader):
+    try:
+        return yaml.load(text, Loader=loader)
+    except Exception as exc:
+        return type(exc), " ".join(str(exc).split())
+
+
+DATA_FILES = (sorted(DATA_DIR.glob("*.yaml"))
+              + sorted(BENCH_DATA.glob("*.yaml")))
+
+
 def test_c_and_python_loaders_give_equal_documents():
-    texts = [p.read_bytes() for p in sorted(DATA_DIR.glob("*.yaml"))
-             + sorted(BENCH_DATA.glob("*.yaml"))]
+    texts = [p.read_bytes() for p in DATA_FILES]
     assert len(texts) == 17
     texts += [t.encode() for t in (ACT_TPL.format(label="x"), FD_SPEC,
                                    WS_SPEC, "a: 1e-4\nb: -2E+3\nc: '1e-4'\n")]
@@ -741,6 +806,121 @@ def test_c_and_python_loaders_give_equal_documents():
         c_doc = yaml.load(text, Loader=_YamlLoader)
         assert c_doc == yaml.load(text, Loader=_PyYamlLoader)
         assert isinstance(c_doc, dict)
+        for loader, reference in LOADER_PAIRS:
+            assert c_doc == yaml.load(text, Loader=reference)
+
+
+# documents of every kind the loaders meet: the direct builder takes the
+# plain ones, PyYAML's constructor the others and every error
+LOADER_CASES = [
+    "a: &x [1, {b: 2}]\nc: *x\nd: &s 1.5\ne: *s\n",
+    "base: &b {x: 1, y: 2}\nchild: {<<: *b, x: 3}\n",
+    "a: &a {x: 1}\nb: &b {x: 2, y: 2}\nc: {<<: [*a, *b], z: 3}\n",
+    "c: &c {x: 0}\nouter: {base: &a {<<: *c, x: 1}}\nchild: {<<: *a}\n",
+    "t: 2001-12-14t21:59:43.10-05:00\nd: 2002-12-14\n",
+    "a: !!str 12\nb: !!float 3\nc: !!binary aGVsbG8=\nd: !!set {x, y}\n",
+    "a: '1.5'\nb: \"7\"\nc: '1e-4'\nd: 1e-4\n",
+    "a: 0o17\nb: 0x1F\nc: 1:20\nd: 1_000\ne: .inf\nf: -.INF\ng: 017\n",
+    "a: {}\nb: []\nc:\nd: ~\ne: [{}, []]\n",
+    "a: yes\nb: Off\nc: null\nd: TRUE\n= : 1\n",
+    "? [1, 2]\n: x\n",
+    "{[1]: 2}\n",
+    "? {a: 1}\n: 2\n",
+    "a: 2001-13-01\n",
+    "a: !!int 1" + "0" * 5000 + "\nb: !!bool maybe\n",
+    "a: !!str [1]\n",
+    "a: !!map [1]\n",
+    "a: !!python/name:os.system\n",
+    "a: [1\nb: 2\n",
+    "- 1\n- [2, 3]\n",
+    "just a string\n",
+]
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(t, id=f"case{i}") for i, t in enumerate(LOADER_CASES)] + [
+    pytest.param(p.read_bytes(), id=p.name) for p in DATA_FILES])
+def test_loaders_read_as_stock_pyyaml(text):
+    for loader, reference in LOADER_PAIRS:
+        assert _outcome(text, loader) == _outcome(text, reference)
+
+
+def test_deep_document_within_the_nesting_guard_loads(tmp_path):
+    # within the C loader's nesting guard, but deeper than a recursive
+    # build can go: PyYAML's constructor builds it
+    p = _write(tmp_path / "deep.yaml", "a: " + "[" * 990 + "]" * 990)
+    doc, depth = _read_yaml(p)["a"], 1
+    while doc:
+        doc, depth = doc[0], depth + 1
+    assert doc == [] and depth == 990
+
+
+def test_aliases_stay_shared():
+    text = "a: &x [1, {b: 2}]\nc: *x\nd: {<<: &m {k: [3]}, e: *x}\nm: *m\n"
+    for loader, _ in LOADER_PAIRS:
+        doc = yaml.load(text, Loader=loader)
+        assert doc["a"] is doc["c"] is doc["d"]["e"]
+        assert doc["d"]["k"] is doc["m"]["k"]
+        doc = yaml.load("a: &x [1]\nb: *x\n", Loader=loader)
+        assert doc["a"] is doc["b"]
+
+
+def test_recursive_alias_is_built_as_stock_pyyaml():
+    for loader, _ in LOADER_PAIRS:
+        doc = yaml.load("a: &a [1, *a]\nm: &m {self: *m}\n", Loader=loader)
+        assert doc["a"][0] == 1 and doc["a"][1] is doc["a"]
+        assert doc["m"]["self"] is doc["m"]
+
+
+@pytest.mark.parametrize("text, key, line", [
+    ("a: 1\nb: 2\na: 3\n", "'a'", 3),
+    ("a: {x: 1, x: 2}\n", "'x'", 1),
+    ("1: a\n0x1: b\n", "1", 2),
+    # documents PyYAML's constructor builds: a merge, a tag
+    ("b: &b {x: 1}\nc: {<<: *b, y: 1,\n    y: 2}\n", "'y'", 3),
+    ("t: !!binary aGk=\nt: 2\n", "'t'", 2),
+    ("s: !!set {a, b, a}\n", "'a'", 1),
+])
+def test_duplicate_keys_are_rejected(text, key, line):
+    for loader, _ in LOADER_PAIRS:
+        with pytest.raises(yaml.constructor.ConstructorError) as exc:
+            yaml.load(text, Loader=loader)
+        assert f"found duplicate key {key}" in str(exc.value)
+        assert exc.value.problem_mark.line + 1 == line
+
+
+def test_duplicate_key_in_a_config_is_a_one_line_error(tmp_path, capsys):
+    text = (DATA_DIR / "eca.yaml").read_text()
+    p = _write(tmp_path / "eca.yaml", text + "  k_t: 1.0\n")
+    assert main(["validate", str(p)]) == 1
+    err = _one_line_error(capsys)
+    line = text.count("\n") + 1
+    assert "eca.yaml: YAML parse error: " in err
+    assert f"found duplicate key 'k_t' in \"{p}\", line {line}" in err
+
+
+def test_merged_keys_may_be_overridden():
+    text = ("a: &a {x: 1, y: 1}\nb: &b {x: 2, z: 2}\n"
+            "c: {<<: [*a, *b], x: 3}\nd: {<<: *a, y: 4}\n")
+    for loader, _ in LOADER_PAIRS:
+        doc = yaml.load(text, Loader=loader)
+        assert doc["c"] == {"x": 3, "y": 1, "z": 2}
+        assert doc["d"] == {"x": 1, "y": 4}
+
+
+_yaml_scalars = st.one_of(st.none(), st.booleans(), st.integers(),
+                          st.floats(allow_nan=False), st.text(max_size=8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.recursive(_yaml_scalars, lambda inner: st.one_of(
+    st.lists(inner, max_size=4),
+    st.dictionaries(_yaml_scalars, inner, max_size=4)), max_leaves=24))
+def test_loaders_read_dumped_documents_as_stock_pyyaml(doc):
+    text = yaml.safe_dump(doc)
+    for loader, reference in LOADER_PAIRS:
+        assert yaml.load(text, Loader=loader) == yaml.load(
+            text, Loader=reference)
 
 
 @pytest.mark.parametrize("path, reads", [

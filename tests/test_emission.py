@@ -349,6 +349,14 @@ def test_ties_are_rendered_by_numpy():
     assert cli._significand_repr(np.abs(x))[0].all()
 
 
+def test_zero_cells_are_rendered_by_numpy():
+    zeros = [0.0, -0.0]
+    for significand in (cli._significand_12g, cli._significand_repr):
+        assert significand(np.abs(np.array(zeros)))[0].all()
+    assert _csv_lines(zeros) == ["%.12g" % v for v in zeros] + [""]
+    assert _json_cells(zeros) == ["      " + repr(v) for v in zeros]
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
