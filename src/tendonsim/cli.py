@@ -163,21 +163,24 @@ class _NotPlain(Exception):
 def _with_yaml12_floats(base: type) -> type:
     """A safe loader class on base that also reads YAML 1.2 floats whose
     exponent follows the digits without a dot (1e-4, -2E+3), which YAML 1.1
-    leaves as strings, and rejects a key repeated in one mapping (keys a
-    `<<` merge brings in may be overridden).
+    leaves as strings, and rejects a key repeated in one mapping, a `<<`
+    merge source too (keys a merge brings in may be overridden).
 
     A plain document, only maps, sequences and str/int/float/bool/null
     scalars under scalar keys, is built straight from its nodes by the
     tag's own scalar constructors; an alias gets the object built for its
     node. Any other document, and any whose build raises (a recursive
     alias or deep nesting ends in RecursionError), goes to PyYAML's
-    constructor on the same nodes, which loads it or reports its error."""
+    constructor on the same nodes, which loads it or reports its error. A
+    tagged scalar that the tag's constructor fails on with a KeyError,
+    IndexError or AttributeError (`!!bool maybe`, `!!int ""`, `!!timestamp
+    foo`) is a ConstructorError at the scalar."""
     class Loader(base):
         def construct_document(self, node):
             try:
                 return self._build(node, {})
             except Exception:
-                self._own_keys = {}
+                self._checked = set()
                 return super().construct_document(node)
 
         def _build(self, node, built: dict):
@@ -200,23 +203,38 @@ def _with_yaml12_floats(base: type) -> type:
             built[node] = data
             return data
 
-        def flatten_mapping(self, node):
-            # the keys the mapping names itself, before a merge adds others
-            self._own_keys.setdefault(node, [
-                k for k, _ in node.value if k.tag != _TAG + "merge"])
-            super().flatten_mapping(node)
+        def construct_object(self, node, deep=False):
+            try:
+                return super().construct_object(node, deep=deep)
+            except (KeyError, IndexError, AttributeError) as exc:
+                if not isinstance(node, yaml.ScalarNode):
+                    raise
+                raise yaml.constructor.ConstructorError(
+                    None, None, f"cannot build {node.value!r} as "
+                    f"{node.tag}", node.start_mark) from exc
 
-        def construct_mapping(self, node, deep=False):
-            mapping = super().construct_mapping(node, deep=deep)
-            seen = set()
-            for key_node in self._own_keys[node]:
-                key = self.construct_object(key_node)
-                if key in seen:
-                    raise yaml.constructor.ConstructorError(
-                        "while constructing a mapping", node.start_mark,
-                        f"found duplicate key {key!r}", key_node.start_mark)
-                seen.add(key)
-            return mapping
+        def flatten_mapping(self, node):
+            # every mapping, a merge source too, is flattened before it is
+            # read, and flattening rewrites node.value: check the keys the
+            # mapping names itself, once, as its first flattening found them
+            own = None if node in self._checked else [
+                k for k, _ in node.value if k.tag != _TAG + "merge"]
+            super().flatten_mapping(node)   # this also tags `=` keys str
+            if own is not None:
+                self._checked.add(node)
+                seen = set()
+                for key_node in own:
+                    key = self.construct_object(key_node)
+                    try:
+                        repeated = key in seen
+                    except TypeError:   # construct_mapping reports it
+                        continue
+                    if repeated:
+                        raise yaml.constructor.ConstructorError(
+                            "while constructing a mapping", node.start_mark,
+                            f"found duplicate key {key!r}",
+                            key_node.start_mark)
+                    seen.add(key)
 
     Loader.add_implicit_resolver(
         "tag:yaml.org,2002:float",

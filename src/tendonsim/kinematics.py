@@ -28,6 +28,8 @@ affect reach there.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
@@ -64,8 +66,9 @@ DEFAULT_ROM_DEG: Dict[str, Tuple[float, float]] = {
 
 _HALF_PI = math.pi / 2.0
 
-# samples per batched-FK slice: the (chunk, 4, 4) transform temporaries of
-# one slice stay in cache, where whole-cloud ones would stream through memory
+# poses in flight across the FK workers: each of the w workers runs slices
+# of FK_CHUNK // w samples, so the (slice, 4, 4) transform buffers stay in
+# cache, where whole-cloud ones would stream through memory
 FK_CHUNK = 4096
 
 
@@ -262,13 +265,13 @@ def _dh_fill(row: DHRow, q: np.ndarray,
     ct, st = np.cos(theta), np.sin(theta)
     ca, sa = math.cos(row.alpha), math.sin(row.alpha)
     M[:, 0, 0] = ct
-    M[:, 0, 1] = -st * ca
-    M[:, 0, 2] = st * sa
-    M[:, 0, 3] = row.a * ct
+    np.multiply(st, -ca, out=M[:, 0, 1])
+    np.multiply(st, sa, out=M[:, 0, 2])
+    np.multiply(ct, row.a, out=M[:, 0, 3])
     M[:, 1, 0] = st
-    M[:, 1, 1] = ct * ca
-    M[:, 1, 2] = -ct * sa
-    M[:, 1, 3] = row.a * st
+    np.multiply(ct, ca, out=M[:, 1, 1])
+    np.multiply(ct, -sa, out=M[:, 1, 2])
+    np.multiply(st, row.a, out=M[:, 1, 3])
     M[:, 2, 1] = sa
     M[:, 2, 2] = ca
     M[:, 2, 3] = row.d
@@ -276,14 +279,50 @@ def _dh_fill(row: DHRow, q: np.ndarray,
     return M
 
 
-def _fk_transforms(chain: KinematicChain, samples: np.ndarray) -> np.ndarray:
+def _fk_transforms(chain: KinematicChain, samples: np.ndarray,
+                   M: Optional[np.ndarray] = None,
+                   U: Optional[np.ndarray] = None) -> np.ndarray:
     """End-effector transforms (n, 4, 4) for joint samples (n, 7) in row
-    order: the one D-H path of forward_kinematics and sample_workspace."""
-    M = T = None
-    for j, row in enumerate(chain.rows):
-        M = _dh_fill(row, samples[:, j], M)
-        T = M.copy() if T is None else T @ M
+    order: the one D-H path of forward_kinematics and sample_workspace.
+
+    M (n, 4, 4), zeroed or from an earlier call, takes each row's fill, and
+    U (2, n, 4, 4) takes the running product; the result is a view of U."""
+    n = len(samples)
+    M = np.zeros((n, 4, 4)) if M is None else M
+    T, nxt = np.empty((2, n, 4, 4)) if U is None else U
+    np.copyto(T, _dh_fill(chain.rows[0], samples[:, 0], M))
+    for j, row in enumerate(chain.rows[1:], 1):
+        np.matmul(T, _dh_fill(row, samples[:, j], M), out=nxt)
+        T, nxt = nxt, T
     return T
+
+
+def _sample_slices(chain: KinematicChain, points: np.ndarray, first: int,
+                   step: int, draws: list, buffers: tuple) -> float:
+    """Draw and run FK on slices first, first + step, ... of the points,
+    each of len(samples) poses, into those rows of points; return the
+    largest norm among them. draws holds each joint's generator, at the
+    first slice's place in the stream, and its ROM bounds."""
+    samples, M, U = buffers
+    size = len(samples)
+    max_reach = 0.0
+    for i in range(first * size, len(points), step * size):
+        m = min(size, len(points) - i)
+        for j, (rng, lo, hi) in enumerate(draws):
+            samples[:m, j] = rng.uniform(lo, hi, m)
+            rng.bit_generator.advance((step - 1) * size)
+        points[i:i + m] = _fk_transforms(chain, samples[:m], M[:m],
+                                         U[:, :m])[:, :3, 3]
+        max_reach = max(max_reach,
+                        float(np.linalg.norm(points[i:i + m], axis=1).max()))
+    return max_reach
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def sample_workspace(chain: KinematicChain, n: int, seed: int) -> WorkspaceCloud:
@@ -295,29 +334,55 @@ def sample_workspace(chain: KinematicChain, n: int, seed: int) -> WorkspaceCloud
     draws were taken in one uniform(lo, hi, n) call after the previous
     joint's. Results are deterministic in (chain, n, seed).
 
-    Sampling and FK run over slices of FK_CHUNK samples. Each joint's
-    generator starts at its place in the stream (PCG64 advanced by j*n
-    outputs, one per double), and each pose is computed alone, so the
-    slicing does not change a bit of the result. Memory is the (n, 3)
-    points, 24 bytes per sample, plus one slice's samples and transforms.
+    Sampling and FK run over slices, on up to two workers: the calling
+    thread and, when n spans more than one FK_CHUNK and a second CPU is
+    free to the process, one more thread. Each worker takes every other
+    slice of FK_CHUNK // workers samples, so FK_CHUNK poses are in flight.
+    Each joint's generator starts at its slice's place in the stream
+    (PCG64 advanced by j*n outputs plus the slice's start, one output per
+    double), and each pose is computed alone, so neither the slicing nor
+    the worker count changes a bit of the result. The calling thread
+    allocates every worker's buffers before any worker starts, so memory
+    is the (n, 3) points, 24 bytes per sample, plus FK_CHUNK poses of
+    samples and transforms, whatever the worker count. Every thread is
+    joined before the call returns or raises.
     The bbox is taken one coordinate column at a time, which is faster
     than the axis-0 reduction over rows and, min and max being exact,
     gives the same bits.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    draws = [(np.random.Generator(np.random.PCG64(seed).advance(j * n)),
-              *chain.rom[row.joint_name]) for j, row in enumerate(chain.rows)]
-    samples = np.empty((min(n, FK_CHUNK), len(chain.rows)))
+    workers = min(2, _cpus(), -(-n // FK_CHUNK))
+    size = min(n, FK_CHUNK // workers)
+    # whatever a worker uses is made here, before any starts: buffers that
+    # a thread allocated would grow its own malloc arena, and the first
+    # generator of a process imports numpy.random
+    jobs = [([(np.random.Generator(np.random.PCG64(seed).advance(
+                  j * n + w * size)), *chain.rom[row.joint_name])
+              for j, row in enumerate(chain.rows)],
+             (np.empty((size, len(chain.rows))), np.zeros((size, 4, 4)),
+              np.empty((2, size, 4, 4))))
+            for w in range(workers)]
     points = np.empty((n, 3))
-    max_reach = 0.0
-    for i in range(0, n, FK_CHUNK):
-        m = min(FK_CHUNK, n - i)
-        for j, (rng, lo, hi) in enumerate(draws):
-            samples[:m, j] = rng.uniform(lo, hi, m)
-        points[i:i + m] = _fk_transforms(chain, samples[:m])[:, :3, 3]
-        max_reach = max(max_reach,
-                        float(np.linalg.norm(points[i:i + m], axis=1).max()))
+    reach = [0.0] * workers
+    errors = []
+
+    def work(w: int) -> None:
+        try:
+            reach[w] = _sample_slices(chain, points, w, workers, *jobs[w])
+        except BaseException as exc:    # raised once every worker is done
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(w,))
+               for w in range(1, workers)]
+    for t in threads:
+        t.start()
+    work(0)
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
+    max_reach = max(reach)
     # FK rounds each coordinate to a few ulps of the reach, so the slack
     # scales with it
     if max_reach > chain.reach_limit * (1 + 1e-12) + 1e-9:

@@ -880,6 +880,11 @@ def test_recursive_alias_is_built_as_stock_pyyaml():
     ("b: &b {x: 1}\nc: {<<: *b, y: 1,\n    y: 2}\n", "'y'", 3),
     ("t: !!binary aGk=\nt: 2\n", "'t'", 2),
     ("s: !!set {a, b, a}\n", "'a'", 1),
+    # a mapping read only as a merge source, which is never built alone
+    ("actuator: {<<: &b {label: x, label: y}, kind: linear}\n", "'label'", 1),
+    ("a: {<<: [{x: 1}, &b {y: 1,\n    y: 2}]}\nc: {<<: *b}\n", "'y'", 2),
+    ("c: &c {x: 0}\nd: {<<: &a {<<: *c, z: 1,\n  z: 2}}\ne: {<<: *a}\n",
+     "'z'", 3),
 ])
 def test_duplicate_keys_are_rejected(text, key, line):
     for loader, _ in LOADER_PAIRS:
@@ -897,6 +902,50 @@ def test_duplicate_key_in_a_config_is_a_one_line_error(tmp_path, capsys):
     line = text.count("\n") + 1
     assert "eca.yaml: YAML parse error: " in err
     assert f"found duplicate key 'k_t' in \"{p}\", line {line}" in err
+
+
+# tagged scalars whose constructor fails with a KeyError, IndexError or
+# AttributeError in stock PyYAML
+UNBUILDABLE_SCALARS = [("!!bool maybe", KeyError), ('!!bool ""', KeyError),
+                       ('!!int ""', IndexError), ("!!int _", IndexError),
+                       ('!!int "-"', IndexError), ('!!float ""', IndexError),
+                       ("!!timestamp foo", AttributeError)]
+
+
+@pytest.mark.parametrize("scalar, stock_error", UNBUILDABLE_SCALARS)
+def test_unbuildable_tagged_scalar_is_a_constructor_error(scalar, stock_error):
+    text = f"a: 1\nb: {{c: [1, {scalar}]}}\n"
+    for loader, reference in LOADER_PAIRS:
+        with pytest.raises(stock_error):
+            yaml.load(text, Loader=reference)
+        with pytest.raises(yaml.constructor.ConstructorError) as exc:
+            yaml.load(text, Loader=loader)
+        assert "cannot build" in str(exc.value)
+        assert exc.value.problem_mark.line + 1 == 2
+
+
+@pytest.mark.parametrize("scalar", [s for s, _ in UNBUILDABLE_SCALARS])
+def test_unbuildable_tagged_scalar_is_a_one_line_error(tmp_path, capsys,
+                                                       scalar):
+    p = _write(tmp_path / "a.yaml", ACT_TPL.format(label="x").replace(
+        "kind: compression_external", f"kind: {scalar}"))
+    assert main(["validate", str(p)]) == 1
+    err = _one_line_error(capsys)
+    assert "a.yaml: YAML parse error: cannot build " in err
+    assert f'in "{p}", line 2' in err
+
+
+@pytest.mark.parametrize("error", [MemoryError, KeyboardInterrupt])
+def test_loader_lets_memory_errors_and_interrupts_through(tmp_path,
+                                                          monkeypatch, error):
+    def failing(loader, node):
+        raise error
+    for loader, _ in LOADER_PAIRS:
+        monkeypatch.setitem(loader.yaml_constructors, "tag:yaml.org,2002:bool",
+                            failing)
+    p = _write(tmp_path / "a.yaml", "a: !!bool yes\n")
+    with pytest.raises(error):
+        _read_yaml(p)
 
 
 def test_merged_keys_may_be_overridden():

@@ -10,7 +10,11 @@ pose.
 """
 
 import hashlib
+import json
 import math
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -18,7 +22,8 @@ import pytest
 
 from tendonsim import (DHRow, KinematicChain, RomError, default_arm,
                        dh_transform, forward_kinematics,
-                       full_extension_joint_values, sample_workspace)
+                       full_extension_joint_values, kinematics,
+                       sample_workspace)
 from tendonsim.kinematics import (DEFAULT_ROM_DEG, FK_CHUNK, JOINT_ORDER,
                                   _fk_transforms)
 
@@ -293,6 +298,102 @@ def test_chunked_workspace_fk_equals_one_batch_bitwise(arm, n, seed):
                                for row in arm.rows])
     whole = _fk_transforms(arm, samples)[:, :3, 3]
     assert sample_workspace(arm, n, seed).points.tobytes() == whole.tobytes()
+
+
+def _with_cpus(monkeypatch, cpus):
+    # sample_workspace takes its worker count from the CPU affinity
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)), raising=False)
+
+
+def _digest(cloud):
+    return hashlib.sha256(cloud.points.tobytes()
+                          + json.dumps(cloud.stats).encode()).hexdigest()
+
+
+# both sides of one worker's slice and of FK_CHUNK, and tails of every size
+@pytest.mark.parametrize("n", [
+    1, FK_CHUNK // 2 - 1, FK_CHUNK // 2, FK_CHUNK // 2 + 1, FK_CHUNK - 1,
+    FK_CHUNK, FK_CHUNK + 1, 3 * FK_CHUNK // 2, 3 * FK_CHUNK // 2 + 1,
+    2 * FK_CHUNK + 1, 10001])
+def test_workspace_is_the_same_on_one_worker_and_two(arm, monkeypatch, n):
+    rng = np.random.default_rng(42)
+    samples = np.column_stack([rng.uniform(*arm.rom[row.joint_name], n)
+                               for row in arm.rows])
+    whole = _fk_transforms(arm, samples)[:, :3, 3]
+    digests = set()
+    for cpus in (1, 2):
+        _with_cpus(monkeypatch, cpus)
+        cloud = sample_workspace(arm, n, seed=42)
+        assert cloud.points.tobytes() == whole.tobytes()
+        digests.add(_digest(cloud))
+    assert len(digests) == 1
+
+
+def test_concurrent_calls_under_fast_thread_switching_keep_the_bits(
+        arm, monkeypatch):
+    # four callers, each with its second worker, on two CPUs, switching
+    # threads every microsecond: a row written by the wrong worker, or a
+    # draw taken from the wrong place, changes a digest
+    _with_cpus(monkeypatch, 2)
+    n = 3 * FK_CHUNK + 5
+    expected = {seed: _digest(sample_workspace(arm, n, seed))
+                for seed in range(4)}
+    got = {}
+
+    def call(seed):
+        got[seed] = _digest(sample_workspace(arm, n, seed))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=call, args=(seed,))
+                   for seed in expected]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == expected
+
+
+@pytest.mark.parametrize("failing", ["calling", "second"])
+def test_a_worker_failure_propagates_and_every_thread_is_joined(
+        arm, monkeypatch, failing):
+    _with_cpus(monkeypatch, 2)
+    caller, fk = threading.current_thread(), _fk_transforms
+
+    def flaky(*args):
+        if (threading.current_thread() is caller) == (failing == "calling"):
+            raise RuntimeError(f"FK failed on the {failing} worker")
+        return fk(*args)
+
+    monkeypatch.setattr(kinematics, "_fk_transforms", flaky)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match=failing):
+        sample_workspace(arm, 3 * FK_CHUNK, seed=7)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("n, threads", [(1, 0), (FK_CHUNK, 0),
+                                        (FK_CHUNK + 1, 1), (10**5, 1)])
+def test_one_slice_starts_no_thread(arm, monkeypatch, n, threads):
+    _with_cpus(monkeypatch, 4)
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Recorded)
+    sample_workspace(arm, n, seed=7)
+    assert len(started) == threads
+    _with_cpus(monkeypatch, 1)
+    sample_workspace(arm, n, seed=7)
+    assert len(started) == threads
 
 
 @pytest.mark.parametrize("n", [100000, 1000000])
