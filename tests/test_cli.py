@@ -5,6 +5,7 @@ Bare config names must fall back to the bundled data directory so every
 shipped file doubles as a test vector.
 """
 
+import dataclasses
 import importlib.util
 import json
 import os
@@ -19,13 +20,14 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tendonsim import cli, default_arm, elastic, joint
-from tendonsim.cli import (DATA_DIR, ENV_CONFIG_DIR, MAX_RUN_POINTS,
-                           ConfigError, ExperimentError, GridSpec,
-                           LoadedJoint, _PyYamlLoader, _YamlLoader,
-                           _merge_exact, _read_yaml, main, parse_config,
+from tendonsim import cli, config, default_arm, elastic, emit, joint
+from tendonsim.cli import (DATA_DIR, ENV_CONFIG_DIR, ConfigError,
+                           ExperimentError, GridSpec, LoadedJoint,
+                           _merge_exact, main, parse_config,
                            parse_experiment, run_experiment,
                            validate_csv_schema)
+from tendonsim.config import (MAX_RUN_POINTS, _PyYamlLoader, _YamlLoader,
+                              _read_yaml)
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH_DATA = ROOT / "bench" / "data"
@@ -352,7 +354,7 @@ def test_referencing_file_dir_beats_env_dir(tmp_path, monkeypatch):
 
 def test_search_order_is_referencing_dir_env_dir_cwd_then_bundled(
         tmp_path, monkeypatch):
-    from tendonsim.cli import _resolve
+    from tendonsim.config import _resolve
     ref, env, cwd = (tmp_path / d for d in ("ref", "env", "cwd"))
     places = [ref, env, cwd]
     for d in places:
@@ -378,13 +380,13 @@ def test_help_names_the_search_order(capsys):
 
 
 def test_missing_file_lists_candidates(tmp_path):
-    from tendonsim.cli import _resolve
+    from tendonsim.config import _resolve
     with pytest.raises(ConfigError, match="file not found; tried"):
         _resolve("no_such_config.yaml", tmp_path)
 
 
 def test_missing_absolute_path(tmp_path):
-    from tendonsim.cli import _resolve
+    from tendonsim.config import _resolve
     with pytest.raises(ConfigError, match="file not found"):
         _resolve(tmp_path / "absent.yaml", None)
 
@@ -561,10 +563,48 @@ def test_lift_integration_fault_is_a_one_line_error(tmp_path, capsys):
 def test_run_rejects_wrong_config_type(tmp_path):
     spec = parse_experiment(_write(tmp_path / "fd.yaml", FD_SPEC))
     arm = parse_config(DATA_DIR / "arm.yaml")
-    import dataclasses
     bad = dataclasses.replace(spec, model=arm)
     with pytest.raises(ExperimentError, match="needs a actuator config"):
         run_experiment(bad, out_dir=tmp_path)
+
+
+@pytest.mark.parametrize("override", [True, False])
+@pytest.mark.parametrize("fmt", ["xml", "CSV", "Json", ""])
+def test_run_rejects_a_format_but_csv_or_json(tmp_path, fmt, override):
+    spec = parse_experiment(_write(tmp_path / "fd.yaml", FD_SPEC))
+    message = f"format must be csv or json, got {fmt!r}"
+    if not override:    # a spec built in code, not parsed
+        spec, fmt = dataclasses.replace(spec, fmt=fmt), None
+    out = tmp_path / "o"
+    with pytest.raises(ExperimentError, match=re.escape(message)):
+        run_experiment(spec, out_dir=out, fmt=fmt)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("override", [True, False])
+@pytest.mark.parametrize("seed", [True, False, 1.0, "1"])
+def test_run_rejects_a_seed_but_an_int(tmp_path, seed, override):
+    spec = parse_experiment(_write(tmp_path / "ws.yaml", WS_SPEC))
+    message = f"seed must be an integer, got {seed!r}"
+    if not override:
+        spec, seed = dataclasses.replace(spec, seed=seed), None
+    out = tmp_path / "o"
+    with pytest.raises(ExperimentError, match=re.escape(message)):
+        run_experiment(spec, out_dir=out, seed=seed)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, fragment", [
+    ("exp_lift.yaml", "t_max/dt allows more than 10 steps"),
+    ("exp_workspace.yaml", "Workspace needs 1 <= n <= 10"),
+    ("exp_torque_surface.yaml", "the sweep grid has more than 10 points"),
+])
+def test_one_patch_of_the_run_point_limit_reaches_each_check(
+        monkeypatch, name, fragment):
+    # the limit is defined once, in config, and read there by every check
+    monkeypatch.setattr(config, "MAX_RUN_POINTS", 10)
+    with pytest.raises(ConfigError, match=re.escape(fragment)):
+        parse_experiment(DATA_DIR / name)
 
 
 @pytest.mark.parametrize("spec_name,config,message", [
@@ -622,14 +662,14 @@ def test_unwritable_output_is_a_one_line_error(tmp_path, capsys):
                                    KeyboardInterrupt()])
 def test_write_failing_mid_render_leaves_no_data_file(tmp_path, monkeypatch,
                                                       fault):
-    real = cli._row_blocks
+    real = emit._row_blocks
 
     def failing_blocks(columns, row):
         blocks = real(columns, row)
         yield next(blocks)
         raise fault
 
-    monkeypatch.setattr(cli, "_row_blocks", failing_blocks)
+    monkeypatch.setattr(emit, "_row_blocks", failing_blocks)
     spec = parse_experiment(DATA_DIR / "exp_lift.yaml")
     out = tmp_path / "o"
     expected = (ExperimentError if isinstance(fault, OSError)
@@ -989,8 +1029,11 @@ def test_each_config_file_is_read_once(monkeypatch, path, reads):
             return read(p)
         return wrapper
 
-    for name in ("_read_yaml", "_load_table_csv"):
-        monkeypatch.setattr(cli, name, counting(getattr(cli, name)))
+    # parse_config reads its file in cli; actuators and tables are read in
+    # config
+    for module, name in ((cli, "_read_yaml"), (config, "_read_yaml"),
+                         (config, "_load_table_csv")):
+        monkeypatch.setattr(module, name, counting(getattr(module, name)))
     parse_config(path)
     assert seen == reads
 

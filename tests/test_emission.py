@@ -20,9 +20,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tendonsim.cli as cli
-from tendonsim.cli import (DATA_DIR, SchemaError, _check_columns, _write_rows,
-                           main, parse_experiment, run_experiment,
-                           validate_csv_schema)
+import tendonsim.emit as emit
+from tendonsim.cli import (DATA_DIR, SchemaError, main, parse_experiment,
+                           run_experiment, validate_csv_schema)
+from tendonsim.emit import _check_columns, _write_rows
 
 GOLDEN_SHA256 = {
     "eca_stiffness_range.json":
@@ -203,7 +204,7 @@ def _csv_block_table(n_rows):
 
 
 # tables around the block size B: 0, 1, B-1, B, B+1 and 2B+1 rows
-B = cli._BLOCK_ROWS
+B = emit._BLOCK_ROWS
 TABLES += [_block_table(n, label) for label in (False, True)
            for n in (0, 1, B - 1, B, B + 1, 2 * B + 1)]
 TABLES += [_csv_block_table(n) for n in (0, 1, B - 1, B, B + 1, 2 * B + 1)]
@@ -244,8 +245,8 @@ def test_csv_rows_equal_csv_writer_with_12g_cells(tmp_path, header, columns):
 
 def _csv_lines(values):
     """The CSV rows of one float column holding values."""
-    return cli._slot_rows(cli._CSV, [None],
-                          [np.array(values, dtype=float)]).split("\n")
+    return emit._slot_rows(emit._CSV, [None],
+                           [np.array(values, dtype=float)]).split("\n")
 
 
 def test_edge_cells_equal_12g():
@@ -258,7 +259,7 @@ def test_12g_ties_are_rendered_by_python():
     # a tie at the 12th digit is inside the numpy renderer's guard band,
     # so the cell takes Python's "%.12g", which rounds it half to even
     x = np.array([1234567890.125, -1234567890.125])
-    assert not cli._significand_12g(np.abs(x))[0].any()
+    assert not emit._significand_12g(np.abs(x))[0].any()
     assert _csv_lines(x) == ["1234567890.12", "-1234567890.12", ""]
 
 
@@ -294,7 +295,7 @@ def test_csv_writer_holds_one_block_of_text(tmp_path):
 def _json_cells(values):
     """The cell lines of the JSON rows of one float column holding
     values."""
-    text = cli._slot_rows(cli._JSON, [None], [np.array(values, dtype=float)])
+    text = emit._slot_rows(emit._JSON, [None], [np.array(values, dtype=float)])
     return text.split("\n")[2::3]
 
 
@@ -346,12 +347,12 @@ def test_edge_cells_equal_repr():
 def test_ties_are_rendered_by_numpy():
     # test_edge_cells_equal_repr checks their text
     x = np.array(REPR_TIES)
-    assert cli._significand_repr(np.abs(x))[0].all()
+    assert emit._significand_repr(np.abs(x))[0].all()
 
 
 def test_zero_cells_are_rendered_by_numpy():
     zeros = [0.0, -0.0]
-    for significand in (cli._significand_12g, cli._significand_repr):
+    for significand in (emit._significand_12g, emit._significand_repr):
         assert significand(np.abs(np.array(zeros)))[0].all()
     assert _csv_lines(zeros) == ["%.12g" % v for v in zeros] + [""]
     assert _json_cells(zeros) == ["      " + repr(v) for v in zeros]
@@ -464,7 +465,7 @@ def test_schema_check_memory_is_one_block_for_any_length(tmp_path):
     # the rows are read and checked one block at a time: a table ten times
     # longer peaks within one block's worth of memory of the shorter one
     peaks = {}
-    for n in (cli._BLOCK_ROWS, 20_000, 200_000):
+    for n in (emit._BLOCK_ROWS, 20_000, 200_000):
         _time_csv(tmp_path / f"{n}.csv", n)
         tracemalloc.start()
         try:
@@ -472,7 +473,7 @@ def test_schema_check_memory_is_one_block_for_any_length(tmp_path):
             peaks[n] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert abs(peaks[200_000] - peaks[20_000]) < peaks[cli._BLOCK_ROWS]
+    assert abs(peaks[200_000] - peaks[20_000]) < peaks[emit._BLOCK_ROWS]
 
 
 @pytest.mark.parametrize("row,cell,fragment", [

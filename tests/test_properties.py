@@ -29,7 +29,7 @@ from tendonsim import (ActuatorModel, AntagonisticJointConfig,
                        joint_stiffness, joint_torque,
                        max_allowable_acceleration, max_controllable_torque,
                        mechanical_power, sample_workspace, stage_boundaries)
-from tendonsim import cli
+from tendonsim import cli, config
 from tendonsim.cli import DATA_DIR, main
 from tendonsim.joint import StageLabel
 from tendonsim.kinematics import JOINT_ORDER, default_arm
@@ -385,7 +385,7 @@ def test_mutated_bundled_runs_end_in_clean_files_or_one_line_error(
     with tempfile.TemporaryDirectory() as tmp, \
             pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
         warnings.simplefilter("error")  # a warning would print more lines
-        mp.setattr(cli, "MAX_RUN_POINTS", RUN_POINTS)
+        mp.setattr(config, "MAX_RUN_POINTS", RUN_POINTS)
         tmp = Path(tmp)
         for p in [*DATA_DIR.iterdir(), *BENCH_DATA.iterdir()]:
             shutil.copy(p, tmp)
@@ -447,3 +447,17 @@ def test_no_module_level_name_is_defined_twice():
                     twice.append(f"{path.name}:{node.lineno}: {node.name}")
                 seen.add(node.name)
     assert twice == []
+
+
+# Without cached bytecode each module is compiled whole when it is first
+# imported, and that compile is the largest allocation of a fresh process:
+# compiling a 64 KB cli.py set the peak RSS of a small `tendonsim run`.
+MAX_MODULE_BYTES = 25_000
+
+
+def test_no_module_exceeds_the_source_size_limit():
+    root = Path(__file__).resolve().parents[1]
+    sizes = {path.name: path.stat().st_size
+             for path in root.glob("src/tendonsim/*.py")}
+    assert "cli.py" in sizes
+    assert {n: b for n, b in sizes.items() if b > MAX_MODULE_BYTES} == {}
