@@ -29,10 +29,10 @@ from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
 
 import numpy as np
 
-from . import config
+from . import config, emit
 from .config import (DATA_DIR, ENV_CONFIG_DIR, ConfigError, LoadedJoint,
                      _Section, _parse_actuator, _parse_chain, _parse_joint,
-                     _parse_lift, _read_yaml, _resolve)
+                     _parse_lift, _read_config, _resolve)
 from .dynamics import LiftScenario, simulate_lift
 from .elastic import ActuatorModel, force_from_displacement
 from .emit import SchemaError, _replacing, _write_rows, validate_csv_schema
@@ -119,7 +119,7 @@ def parse_experiment(path: Union[str, Path],
                      strict: bool = False) -> ExperimentSpec:
     """Parse an experiment spec file and the config file it names."""
     path = Path(path)
-    return _parse_experiment(_read_yaml(path), path, strict)
+    return _parse_experiment(_read_config(path, strict)[1], path, strict)
 
 
 def _parse_experiment(doc: dict, path: Path, strict: bool) -> ExperimentSpec:
@@ -130,12 +130,9 @@ def _parse_experiment(doc: dict, path: Path, strict: bool) -> ExperimentSpec:
         raise sec._fail(f"unknown kind {kind_name!r}; one of "
                         f"{', '.join(EXPERIMENTS)}")
     config_path = _resolve(sec.take_str("config"), path.parent)
-    config_doc = _read_yaml(config_path)
-    config_type = _config_section(config_doc, config_path, strict)
-    if config_type != kind.config:
-        raise sec._fail(f"{config_path} is {_a(config_type)} config; "
-                        f"{kind.name} needs {_a(kind.config)} config")
-    model = CONFIG_TYPES[kind.config].parse(config_doc, config_path, strict)
+    model = CONFIG_TYPES[kind.config].parse(
+        sec.read_config(config_path, strict, kind.config, kind.name),
+        config_path, strict)
 
     sweeps: Dict[str, GridSpec] = {}
     sweep_raw = sec.take("sweep", required=False, default={})
@@ -143,7 +140,7 @@ def _parse_experiment(doc: dict, path: Path, strict: bool) -> ExperimentSpec:
     for var in kind.sweeps:
         gdata = ssec.take(var)
         gsec = _Section(gdata, path, f"experiment.sweep.{var}")
-        with gsec.checking():
+        with gsec:
             sweeps[var] = GridSpec(start=gsec.take_float("start"),
                                    stop=gsec.take_float("stop"),
                                    step=gsec.take_float("step"))
@@ -151,28 +148,45 @@ def _parse_experiment(doc: dict, path: Path, strict: bool) -> ExperimentSpec:
     ssec.finish(strict)
 
     output = sec.take_str("output")
-    # without a separator a name is never absolute; without a dot the
-    # format suffix is the only one
-    if not output or any(c in output for c in "/\\.\0"):
-        raise sec._fail(f"field 'output' must be a nonempty file name "
-                        f"without '/', '\\', '.' or NUL, got {output!r}")
     fmt = sec.take_str("format", required=False, default="csv")
     seed = sec.take_int("seed", required=False)
     delta = sec.take_positive("delta", required=False)
     n = sec.take_int("n", required=False)
     sec.finish(strict)
-    if fmt not in ("csv", "json"):
-        raise sec._fail(f"format must be csv or json, got {fmt!r}")
-    if kind.sampled and not 1 <= (n or 0) <= config.MAX_RUN_POINTS:
-        raise sec._fail(f"{kind.name} needs 1 <= n <= {config.MAX_RUN_POINTS}")
-    if math.prod(g.count() for g in sweeps.values()) > config.MAX_RUN_POINTS:
-        raise sec._fail(f"the sweep grid has more than "
-                        f"{config.MAX_RUN_POINTS} points")
     if delta is None and isinstance(model, LoadedJoint):
         delta = model.delta
-    return ExperimentSpec(experiment=kind, model=model, sweeps=sweeps,
+    spec = ExperimentSpec(experiment=kind, model=model, sweeps=sweeps,
                           output=output, fmt=fmt, seed=seed, delta=delta,
                           n=n, source=path)
+    _check_spec(spec, sec._fail)
+    return spec
+
+
+def _check_spec(spec: ExperimentSpec,
+                fail: Callable[[str], Exception]) -> None:
+    """Raise fail(message) for the first rule of a runnable spec that spec
+    breaks. The parser and run_experiment both check a spec by it."""
+    kind, output, limit = spec.experiment, spec.output, config.MAX_RUN_POINTS
+    if not isinstance(spec.model, CONFIG_TYPES[kind.config].model):
+        raise fail(f"{kind.name} needs a {kind.config} config, got "
+                   f"{type(spec.model).__name__}")
+    # without a separator a name is never absolute; without a dot the
+    # format suffix is the only one
+    if not output or any(c in output for c in "/\\.\0"):
+        raise fail(f"field 'output' must be a nonempty file name without "
+                   f"'/', '\\', '.' or NUL, got {output!r}")
+    if spec.fmt not in emit.FORMATS:
+        raise fail(f"format must be csv or json, got {spec.fmt!r}")
+    if spec.seed is not None and (isinstance(spec.seed, bool)
+                                  or not isinstance(spec.seed, int)):
+        raise fail(f"seed must be an integer, got {spec.seed!r}")
+    if kind.sampled and not 1 <= (spec.n or 0) <= limit:
+        raise fail(f"{kind.name} needs 1 <= n <= {limit}")
+    if spec.sweeps.keys() != set(kind.sweeps):
+        raise fail(f"{kind.name} needs the sweeps {list(kind.sweeps)}, got "
+                   f"{list(spec.sweeps)}")
+    if math.prod(g.count() for g in spec.sweeps.values()) > limit:
+        raise fail(f"the sweep grid has more than {limit} points")
 
 
 class _ConfigType(NamedTuple):
@@ -211,27 +225,8 @@ def parse_config(path: Union[str, Path], strict: bool = False):
     ExperimentSpec with all invariants checked.
     """
     path = Path(path)
-    doc = _read_yaml(path)
-    return CONFIG_TYPES[_config_section(doc, path, strict)].parse(doc, path,
-                                                                  strict)
-
-
-def _config_section(doc: dict, path: Path, strict: bool) -> str:
-    """The one top-level section of a config document, which names its
-    type; strict also rejects any other top-level key."""
-    kinds = [k for k in CONFIG_TYPES if k in doc]
-    if len(kinds) != 1:
-        raise ConfigError(path, f"expected exactly one of the sections "
-                                f"{sorted(CONFIG_TYPES)}, found {kinds}")
-    if strict:
-        extra = sorted(set(doc) - set(kinds), key=str)
-        if extra:
-            raise ConfigError(path, f"unknown top-level keys {extra}")
-    return kinds[0]
-
-
-def _a(word: str) -> str:
-    return ("an " if word[0] in "aeiou" else "a ") + word
+    kind, doc = _read_config(path, strict)
+    return CONFIG_TYPES[kind].parse(doc, path, strict)
 
 
 def _merge_exact(base: List[float], exact: Sequence[float]) -> List[float]:
@@ -281,18 +276,13 @@ def run_experiment(spec: ExperimentSpec, out_dir: Union[str, Path] = ".",
                    seed: Optional[int] = None) -> ExperimentResult:
     """Run one experiment spec: write the data file and a JSON summary.
 
-    fmt and seed override the spec when given; the format must be csv or
-    json and the seed an int, or None. Deterministic: identical (spec,
-    seed) produce byte-identical files.
+    fmt and seed override the spec when given. The spec, parsed or built
+    in code, is checked as the parser checks it before anything is made.
+    Deterministic: identical (spec, seed) produce byte-identical files.
     """
     spec = replace(spec, fmt=spec.fmt if fmt is None else fmt,
                    seed=spec.seed if seed is None else seed)
-    if spec.fmt not in ("csv", "json"):
-        raise ExperimentError(f"format must be csv or json, got "
-                              f"{spec.fmt!r}")
-    if spec.seed is not None and (isinstance(spec.seed, bool)
-                                  or not isinstance(spec.seed, int)):
-        raise ExperimentError(f"seed must be an integer, got {spec.seed!r}")
+    _check_spec(spec, ExperimentError)
     out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -300,9 +290,6 @@ def run_experiment(spec: ExperimentSpec, out_dir: Union[str, Path] = ".",
         raise ExperimentError(f"{out_dir}: cannot create the output "
                               f"directory: {exc.strerror or exc}") from exc
     kind = spec.experiment
-    if not isinstance(spec.model, CONFIG_TYPES[kind.config].model):
-        raise ExperimentError(f"{kind.name} needs a {kind.config} config, "
-                              f"got {type(spec.model).__name__}")
     try:
         header, columns, summary = kind.run(spec)
     except (ValueError, ArithmeticError) as exc:  # a model fault
@@ -333,7 +320,7 @@ def _run_force_displacement(spec: ExperimentSpec):
                         "force_from_displacement", pts)
     slope_below = actuator.k_et
     if slope_below is None:  # tabulated: the knot segment ending at bp
-        F, d = actuator.knots_F, actuator.knots_d
+        F, d = actuator.element.table_F, actuator.knots_d
         slope_below = float((F[-1] - F[-2]) / (d[-1] - d[-2]))
     summary = {
         "operation": "force_from_displacement",
@@ -441,7 +428,7 @@ def _run_workspace(spec: ExperimentSpec):
     summary = {
         "operation": "sample_workspace",
         "seed": spec.seed,
-        "n_samples": cloud.n_samples,
+        "n_samples": len(cloud.points),
         **cloud.stats,
     }
     return ["x_m", "y_m", "z_m"], cloud.points.T, summary
@@ -522,7 +509,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_run = sub.add_parser("run", help="run an experiment spec")
     p_run.add_argument("spec")
     p_run.add_argument("--out", default=".", help="output directory")
-    p_run.add_argument("--format", choices=("csv", "json"), default=None,
+    p_run.add_argument("--format", choices=emit.FORMATS, default=None,
                        help="override the spec's output format")
     p_run.add_argument("--seed", type=int, default=None,
                        help="override the spec's RNG seed")

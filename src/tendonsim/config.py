@@ -2,7 +2,7 @@
 
 YAML config files describe actuators, joints, kinematic chains, lift
 scenarios and experiment specs (one top-level section names the type).
-This module reads a file (_read_yaml, _load_table_csv for a tabulated
+This module reads a file (_read_config, _load_table_csv for a tabulated
 curve) and builds the model of each type but the experiment spec, whose
 parser lives in cli with the experiment table.
 
@@ -24,12 +24,10 @@ import csv
 import io
 import math
 import os
-import re
 import reprlib
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 import yaml
 
@@ -37,6 +35,7 @@ from .dynamics import LiftScenario
 from .elastic import ActuatorModel, ElasticElementSpec, ElementKind
 from .joint import AntagonisticJointConfig
 from .kinematics import DHRow, KinematicChain, default_arm, DEFAULT_ROM_DEG
+from .yaml12 import _PyYamlLoader, _YamlLoader
 
 DATA_DIR = Path(__file__).parent / "data"
 ENV_CONFIG_DIR = "TENDONSIM_CONFIG_DIR"
@@ -46,8 +45,11 @@ ENV_CONFIG_DIR = "TENDONSIM_CONFIG_DIR"
 # steps. 100x the largest bundled run (Workspace, n = 1e5). `tendonsim run`
 # of a Workspace peaks at 63 MB RSS for n = 1e6 and 113 MB for n = 3e6, CSV
 # or JSON (32 MB after import; the points take 24 B each), so near 290 MB
-# at this size. Checked on the computed size, at parse time.
+# at this size. Checked on the computed size, before a run.
 MAX_RUN_POINTS = 10_000_000
+
+# the top-level section of each config type: the keys of cli.CONFIG_TYPES
+CONFIG_SECTIONS = ("actuator", "joint", "chain", "lift", "experiment")
 
 
 class ConfigError(Exception):
@@ -80,103 +82,6 @@ def _resolve(name: Union[str, Path], base_dir: Optional[Path]) -> Path:
     raise ConfigError(name, "file not found; tried "
                       + ", ".join(str(Path(d, name)) for d in dirs))
 
-
-_TAG = "tag:yaml.org,2002:"
-_PLAIN_SCALAR_TAGS = frozenset(
-    _TAG + t for t in ("str", "int", "float", "bool", "null"))
-
-
-class _NotPlain(Exception):
-    """A node the direct builder leaves to PyYAML's constructor."""
-
-
-def _with_yaml12_floats(base: type) -> type:
-    """A safe loader class on base that also reads YAML 1.2 floats whose
-    exponent follows the digits without a dot (1e-4, -2E+3), which YAML 1.1
-    leaves as strings, and rejects a key repeated in one mapping, a `<<`
-    merge source too (keys a merge brings in may be overridden).
-
-    A plain document, only maps, sequences and str/int/float/bool/null
-    scalars under scalar keys, is built straight from its nodes by the
-    tag's own scalar constructors; an alias gets the object built for its
-    node. Any other document, and any whose build raises (a recursive
-    alias or deep nesting ends in RecursionError), goes to PyYAML's
-    constructor on the same nodes, which loads it or reports its error. A
-    tagged scalar that the tag's constructor fails on with a KeyError,
-    IndexError or AttributeError (`!!bool maybe`, `!!int ""`, `!!timestamp
-    foo`) is a ConstructorError at the scalar."""
-    class Loader(base):
-        def construct_document(self, node):
-            try:
-                return self._build(node, {})
-            except Exception:
-                self._checked = set()
-                return super().construct_document(node)
-
-        def _build(self, node, built: dict):
-            tag = node.tag
-            if tag in _PLAIN_SCALAR_TAGS and isinstance(node, yaml.ScalarNode):
-                return self.yaml_constructors[tag](self, node)
-            if node in built:
-                return built[node]
-            if tag == _TAG + "seq" and isinstance(node, yaml.SequenceNode):
-                data = [self._build(v, built) for v in node.value]
-            elif tag == _TAG + "map" and isinstance(node, yaml.MappingNode):
-                data = {}
-                for key_node, value_node in node.value:
-                    key = self._build(key_node, built)
-                    if key in data:     # TypeError if unhashable
-                        raise _NotPlain
-                    data[key] = self._build(value_node, built)
-            else:
-                raise _NotPlain
-            built[node] = data
-            return data
-
-        def construct_object(self, node, deep=False):
-            try:
-                return super().construct_object(node, deep=deep)
-            except (KeyError, IndexError, AttributeError) as exc:
-                if not isinstance(node, yaml.ScalarNode):
-                    raise
-                raise yaml.constructor.ConstructorError(
-                    None, None, f"cannot build {node.value!r} as "
-                    f"{node.tag}", node.start_mark) from exc
-
-        def flatten_mapping(self, node):
-            # every mapping, a merge source too, is flattened before it is
-            # read, and flattening rewrites node.value: check the keys the
-            # mapping names itself, once, as its first flattening found them
-            own = None if node in self._checked else [
-                k for k, _ in node.value if k.tag != _TAG + "merge"]
-            super().flatten_mapping(node)   # this also tags `=` keys str
-            if own is not None:
-                self._checked.add(node)
-                seen = set()
-                for key_node in own:
-                    key = self.construct_object(key_node)
-                    try:
-                        repeated = key in seen
-                    except TypeError:   # construct_mapping reports it
-                        continue
-                    if repeated:
-                        raise yaml.constructor.ConstructorError(
-                            "while constructing a mapping", node.start_mark,
-                            f"found duplicate key {key!r}",
-                            key_node.start_mark)
-                    seen.add(key)
-
-    Loader.add_implicit_resolver(
-        "tag:yaml.org,2002:float",
-        re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
-        list("-+.0123456789"))
-    return Loader
-
-
-# libyaml's C parser when PyYAML was built with it, else the pure-Python one
-_YamlLoader = _with_yaml12_floats(getattr(yaml, "CSafeLoader",
-                                          yaml.SafeLoader))
-_PyYamlLoader = _with_yaml12_floats(yaml.SafeLoader)
 
 # The C loader composes nodes by recursing in C, once per nesting level, and
 # overflows the C stack (a crash, not an exception) somewhere past 20000
@@ -212,11 +117,25 @@ def _read_yaml(path: Path) -> dict:
     return doc
 
 
+def _read_config(path: Path, strict: bool) -> Tuple[str, dict]:
+    """A config file's type, its one top-level section, and its document;
+    strict also rejects any other top-level key. Every file is read so."""
+    doc = _read_yaml(path)
+    kinds = [k for k in doc if k in CONFIG_SECTIONS]
+    if len(kinds) != 1:
+        raise ConfigError(path, f"expected exactly one of the sections "
+                                f"{sorted(CONFIG_SECTIONS)}, found {kinds}")
+    if strict and len(doc) > 1:
+        extra = sorted(set(doc) - set(kinds), key=str)
+        raise ConfigError(path, f"unknown top-level keys {extra}")
+    return kinds[0], doc
+
+
 class _Section:
     """A config mapping with typed field access, required-field errors that
     name the field, and unknown-key detection for strict mode. _fail builds
     every error about the section, `<path>: section '<name>': <message>`,
-    also those raised by the model built inside checking()."""
+    also those raised by the model built in its `with` block."""
 
     def __init__(self, data: object, path: Path, name: str) -> None:
         if not isinstance(data, dict):
@@ -233,13 +152,13 @@ class _Section:
         return self._fail(f"field '{key}' must be {what}, got "
                           f"{reprlib.repr(v)}")
 
-    @contextmanager
-    def checking(self) -> Iterator[None]:
-        """Re-raise a ValueError or ArithmeticError of the block (a model
-        constructor's check, an overflow) as the section's error."""
-        try:
-            yield
-        except (ValueError, ArithmeticError) as exc:
+    def __enter__(self) -> "_Section":
+        return self
+
+    def __exit__(self, kind, exc, tb) -> None:
+        # a ValueError or ArithmeticError of the block (a model constructor's
+        # check, an overflow) is the section's error
+        if isinstance(exc, (ValueError, ArithmeticError)):
             raise self._fail(str(exc)) from exc
 
     def take(self, key: str, required: bool = True, default=None):
@@ -293,6 +212,20 @@ class _Section:
         if extra and strict:
             raise self._fail(f"unknown keys {extra}")
 
+    def read_config(self, path: Path, strict: bool, want: str,
+                    user: str) -> dict:
+        """The config file at path that this section names for user: a
+        file of another type than want is the section's error."""
+        kind, doc = _read_config(path, strict)
+        if kind != want:
+            raise self._fail(f"{path} is {_a(kind)} config; {user} needs "
+                             f"{_a(want)} config")
+        return doc
+
+
+def _a(word: str) -> str:
+    return ("an " if word[0] in "aeiou" else "a ") + word
+
 
 def _load_table_csv(path: Path) -> Tuple[Tuple[float, float], ...]:
     """Two-column (displacement_mm, force_N) curve with a mandatory header."""
@@ -344,7 +277,7 @@ def _parse_actuator(doc: dict, path: Path, strict: bool) -> ActuatorModel:
     rated_force = sec.take_float("rated_force")
     rated_speed = sec.take_float("rated_speed")
 
-    with sec.checking():
+    with sec:
         if kind == ElementKind.TORSION_SPRING_INTERNAL.value:
             k_e = sec.take_float("k_e", required=False)
             k_ts = sec.take_float("k_ts", required=False)
@@ -398,26 +331,28 @@ class LoadedJoint:
     delta: float
 
 
-def _actuator_reader(base_dir: Path, strict: bool):
-    """A function from an actuator file name, resolved against base_dir, to
-    its parsed model. Models are kept by the path _resolve returns, so a
-    file named twice, as by a symmetric pair, is read (with its table) once,
-    and both names get the same model. A symlinked or `..` spelling of the
-    same file is another path: the file is read again, into an equal model
-    (but for a label defaulted from a different file name)."""
+def _actuator_reader(sec: _Section, strict: bool):
+    """A function from an actuator file name in sec, resolved against its
+    file, to its parsed model. Models are kept by the path _resolve returns,
+    so a file named twice, as by a symmetric pair, is read (with its table)
+    once, and both names get the same model. A symlinked or `..` spelling of
+    the same file is another path: the file is read again, into an equal
+    model (but for a label defaulted from a different file name)."""
     parsed: Dict[Path, ActuatorModel] = {}
+    base_dir = sec.path.parent
 
     def read(name: str) -> ActuatorModel:
         path = _resolve(name, base_dir)
         if path not in parsed:
-            parsed[path] = _parse_actuator(_read_yaml(path), path, strict)
+            doc = sec.read_config(path, strict, "actuator", sec.name)
+            parsed[path] = _parse_actuator(doc, path, strict)
         return parsed[path]
     return read
 
 
 def _parse_joint(doc: dict, path: Path, strict: bool) -> LoadedJoint:
     sec = _Section(doc.get("joint"), path, "joint")
-    read_actuator = _actuator_reader(path.parent, strict)
+    read_actuator = _actuator_reader(sec, strict)
     a1 = read_actuator(sec.take_str("actuator_1"))
     a2 = read_actuator(sec.take_str("actuator_2"))
     R = sec.take_float("R")
@@ -425,7 +360,7 @@ def _parse_joint(doc: dict, path: Path, strict: bool) -> LoadedJoint:
     inertia = sec.take_float("inertia_I")
     delta = sec.take_positive("delta", required=False, default=0.087)
     sec.finish(strict)
-    with sec.checking():
+    with sec:
         joint = AntagonisticJointConfig(actuator_1=a1, actuator_2=a2, R=R,
                                         mu_s=mu_s, inertia_I=inertia)
     return LoadedJoint(joint=joint, delta=delta)
@@ -458,7 +393,7 @@ def _parse_chain(doc: dict, path: Path, strict: bool) -> KinematicChain:
     rows_raw = sec.take("rows", required=False)
     sec.finish(strict)
     if rows_raw is None:
-        with sec.checking():
+        with sec:
             return default_arm(rom_deg={**DEFAULT_ROM_DEG, **rom_deg},
                                **lengths)
 
@@ -474,7 +409,7 @@ def _parse_chain(doc: dict, path: Path, strict: bool) -> KinematicChain:
         sign = rsec.take_int("joint_sign", required=False, default=+1)
         name = rsec.take_str("joint")
         rsec.finish(strict)
-        with rsec.checking():
+        with rsec:
             rows.append(DHRow(a=a, d=d, alpha=alpha, theta_offset=offset,
                               joint_sign=sign, joint_name=name))
     # the default ranges of the rows' joints, then the file's own
@@ -483,7 +418,7 @@ def _parse_chain(doc: dict, path: Path, strict: bool) -> KinematicChain:
                **rom_deg}
     rom = {name: (math.radians(lo), math.radians(hi))
            for name, (lo, hi) in rom_deg.items()}
-    with sec.checking():
+    with sec:
         return KinematicChain(rows=tuple(rows), link_lengths=lengths, rom=rom)
 
 
@@ -506,7 +441,7 @@ def _parse_lift(doc: dict, path: Path, strict: bool) -> LiftScenario:
             or not all(isinstance(n, str) for n in act_names)):
         raise sec._wrong_type("actuators", "a nonempty list of actuator "
                               "config files", act_names)
-    actuators = tuple(map(_actuator_reader(path.parent, strict), act_names))
+    actuators = tuple(map(_actuator_reader(sec, strict), act_names))
     kwargs = dict(
         payload_mass=sec.take_float("payload_mass"),
         limb_mass=sec.take_float("limb_mass"),
@@ -520,7 +455,7 @@ def _parse_lift(doc: dict, path: Path, strict: bool) -> LiftScenario:
         gravity=sec.take_float("gravity", required=False, default=9.81),
     )
     sec.finish(strict)
-    with sec.checking():
+    with sec:
         scenario = LiftScenario(actuators=actuators, label=label, **kwargs)
     if scenario.t_max / scenario.dt + 1 > MAX_RUN_POINTS:
         raise sec._fail(f"t_max/dt allows more than {MAX_RUN_POINTS} steps")

@@ -212,6 +212,9 @@ def step_dynamics(scenario: LiftScenario, state: LiftState,
     """Advance one explicit-Euler step under the given tendon speed command
     (m/s, signed toward the target; magnitude capped by the rated speed)."""
     v = abs(commanded_tendon_speed)
+    if not math.isfinite(v):
+        raise ValueError(f"commanded tendon speed must be finite, got "
+                         f"{commanded_tendon_speed}")
     if v > scenario.rated_tendon_speed * (1 + 1e-12):
         raise ValueError(f"commanded tendon speed {v} m/s exceeds the rated "
                          f"{scenario.rated_tendon_speed} m/s")

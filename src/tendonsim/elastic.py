@@ -259,10 +259,8 @@ class ActuatorModel:
     d_max_total: float = field(init=False, repr=False, compare=False)
     # series stiffness of element plus tendon (N/mm); None for tabulated
     k_et: Optional[float] = field(init=False, repr=False, compare=False)
-    # knots (d_i, F_i) of the exact tabulated inverse; None for linear kinds
+    # knots d_i of the tabulated inverse, at element.table_F; None if linear
     knots_d: Optional[np.ndarray] = field(init=False, repr=False,
-                                          compare=False)
-    knots_F: Optional[np.ndarray] = field(init=False, repr=False,
                                           compare=False)
 
     def __post_init__(self) -> None:
@@ -286,7 +284,6 @@ class ActuatorModel:
                 k_et = el.k_ts / ((1.0 - el.mu_p) + el.k_ts / self.k_t)
         object.__setattr__(self, "k_et", k_et)
         object.__setattr__(self, "knots_d", knots_d)
-        object.__setattr__(self, "knots_F", el.table_F)
 
     @property
     def F_tm(self) -> float:
@@ -325,7 +322,7 @@ def force_from_displacement(actuator: ActuatorModel, d):
         if actuator.k_et is not None:
             F = actuator.k_et * d_arr
         else:
-            F = np.interp(d_arr, actuator.knots_d, actuator.knots_F)
+            F = np.interp(d_arr, actuator.knots_d, actuator.element.table_F)
         tendon_only = (actuator.F_tm
                        + (d_arr - actuator.d_max_total) * actuator.k_t)
     F = np.where(d_arr >= actuator.d_max_total, tendon_only, F)

@@ -275,6 +275,9 @@ _JSON = _Format(_significand_repr, lambda v: b"%r" % v, json.dumps,
                 _cell_slots(17, 15, 56, b",\n      ", True), b",\n      ",
                 b",\n    [\n      ", b"\n    ]")
 
+# the data file formats, by name: the --format choices and file suffixes
+FORMATS = {"csv": _CSV, "json": _JSON}
+
 
 def _float_cells(x: np.ndarray, form: _Format) -> np.ndarray:
     """The slots of each cell of a float array as form renders it, followed
@@ -369,7 +372,7 @@ def _write_rows(path: Path, header: Sequence[str], columns: Sequence,
     complete.
     """
     _check_columns(path, header, columns)
-    form = _CSV if fmt == "csv" else _JSON
+    form = FORMATS[fmt]
     cells, slots = [], []
     for name, col in zip(header, columns):
         if name.endswith("_label"):
@@ -381,7 +384,7 @@ def _write_rows(path: Path, header: Sequence[str], columns: Sequence,
             cells.append(np.asarray(col, dtype=float))
             slots.append(None)
     blocks = _row_blocks(cells, partial(_slot_rows, form, slots))
-    if fmt == "csv":
+    if form is _CSV:
         with _replacing(path, newline="") as fh:
             csv.writer(fh, lineterminator="\n").writerow(header)
             fh.writelines(blocks)

@@ -80,11 +80,17 @@ def _actuators_match(a: ActuatorModel, b: ActuatorModel) -> bool:
             and a.rated_speed == b.rated_speed)
 
 
+def _out_of_range(name: str, rule: str, v) -> ValueError:
+    finite = "" if math.isfinite(v) else " and finite"
+    return ValueError(f"{name} must be {rule}{finite}, got {v}")
+
+
 def _require_nonnegative(name: str, value) -> None:
     v = np.asarray(value)
-    neg = v < 0
-    if neg.any():
-        raise ValueError(f"{name} must be >= 0, got {v[neg].flat[0]}")
+    # a nan entry makes both nan; initial=0.0 lets an empty array pass
+    if not (v.min(initial=0.0) >= 0 and v.max(initial=0.0) < math.inf):
+        bad = ~((v >= 0) & (v < math.inf))
+        raise _out_of_range(name, ">= 0", v[bad].flat[0])
 
 
 @dataclass(frozen=True)
@@ -142,8 +148,8 @@ def pretension_force(joint: AntagonisticJointConfig, d_s):
 def stage_boundaries(joint: AntagonisticJointConfig, delta: float):
     """The four stage boundaries in d_s (mm) for deflection delta (rad):
     (delta*R, d_m - delta*R, d_m, d_m + delta*R)."""
-    if delta <= 0:
-        raise ValueError(f"delta must be > 0, got {delta}")
+    if not 0 < delta < math.inf:
+        raise _out_of_range("delta", "> 0", delta)
     dR = delta * joint.R
     d_m = joint.d_m
     return (dR, d_m - dR, d_m, d_m + dR)
@@ -155,8 +161,8 @@ def classify_stage(joint: AntagonisticJointConfig, d_s: float,
 
     Boundaries are assigned to the lower-numbered stage.
     """
-    if d_s < 0:
-        raise ValueError(f"d_s must be >= 0, got {d_s}")
+    if not 0 <= d_s < math.inf:
+        raise _out_of_range("d_s", ">= 0", d_s)
     b1, b2, b3, b4 = stage_boundaries(joint, delta)
     if d_s <= b1:
         return StageLabel.S1_OPPOSING_SLACK
@@ -174,8 +180,9 @@ def external_force(joint: AntagonisticJointConfig, delta, d_s):
     (rad) at pre-tension d_s (mm). Single computation path for all stages.
     """
     d = np.asarray(delta)
-    if (d <= 0).any():
-        raise ValueError(f"delta must be > 0, got {d[d <= 0].flat[0]}")
+    bad = ~((d > 0) & (d < math.inf))
+    if bad.any():
+        raise _out_of_range("delta", "> 0", d[bad].flat[0])
     _require_nonnegative("d_s", d_s)
     dR = delta * joint.R
     return (joint.f_d(d_s + dR) - joint.f_d(d_s - dR)
@@ -199,8 +206,7 @@ def controllable_stiffness_range(joint: AntagonisticJointConfig,
     travel; past it the element saturates before the opposing tendon goes
     slack and pre-tension stops buying controllable stiffness.
     """
-    dR = delta * joint.R
-    d_m = joint.d_m
+    dR, _, d_m, _ = stage_boundaries(joint, delta)
     if not dR < d_m - dR:
         raise ValueError(f"delta={delta} rad is too large for this actuator: "
                          f"the controllable stage is empty "

@@ -163,13 +163,7 @@ class WorkspaceCloud:
 
     points: np.ndarray      # (n, 3) m
     seed: int
-    n_samples: int
     stats: Dict[str, object]
-
-    def __post_init__(self) -> None:
-        if self.points.shape != (self.n_samples, 3):
-            raise ValueError(f"points must be ({self.n_samples}, 3), "
-                             f"got {self.points.shape}")
 
 
 def dh_transform(row: DHRow, joint_value: float) -> np.ndarray:
@@ -395,4 +389,4 @@ def sample_workspace(chain: KinematicChain, n: int, seed: int) -> WorkspaceCloud
         "centroid_m": [float(v) for v in points.mean(axis=0)],
     }
     points.flags.writeable = False
-    return WorkspaceCloud(points=points, seed=seed, n_samples=n, stats=stats)
+    return WorkspaceCloud(points=points, seed=seed, stats=stats)

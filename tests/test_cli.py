@@ -10,6 +10,7 @@ import importlib.util
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import warnings
@@ -640,6 +641,87 @@ def test_output_must_be_a_bare_name(tmp_path, capsys, output):
     assert not out.exists()
 
 
+def _files_named_by(spec_name):
+    """A bundled spec, its config and the config's actuator files."""
+    config_name = yaml.safe_load((DATA_DIR / spec_name).read_text())[
+        "experiment"]["config"]
+    (section,) = yaml.safe_load((DATA_DIR / config_name).read_text()).values()
+    actuators = [section[k] for k in ("actuator_1", "actuator_2")
+                 if k in section] + section.get("actuators", [])
+    return [spec_name, config_name, *dict.fromkeys(actuators)]
+
+
+@pytest.mark.parametrize("spec_name, target", [
+    (p.name, target) for p in sorted(DATA_DIR.glob("exp_*.yaml"))
+    for target in _files_named_by(p.name)])
+def test_validate_and_run_apply_one_top_level_rule_to_every_file(
+        tmp_path, capsys, spec_name, target):
+    for p in DATA_DIR.iterdir():
+        shutil.copy(p, tmp_path)
+    with open(tmp_path / target, "a") as fh:
+        fh.write("notes: 1\n")
+    spec, out = str(tmp_path / spec_name), tmp_path / "out"
+    error = f"{tmp_path / target}: unknown top-level keys ['notes']\n"
+    assert main(["validate", "--strict", spec]) == 1
+    assert _one_line_error(capsys) == f"invalid: {error}"
+    assert main(["run", "--strict", spec, "--out", str(out)]) == 1
+    assert _one_line_error(capsys, "error: ") == f"error: {error}"
+    assert not out.exists()
+    assert main(["validate", spec]) == 0   # lax mode tolerates it
+
+
+@pytest.mark.parametrize("config_name, field, value, wrong, kind", [
+    ("ica_joint.yaml", "actuator_1", "arm.yaml", "arm.yaml", "a chain"),
+    ("eca_joint.yaml", "actuator_2", "exp_lift.yaml", "exp_lift.yaml",
+     "an experiment"),
+    ("lift_dumbbell.yaml", "actuators", ["eca.yaml", "ica_joint.yaml"],
+     "ica_joint.yaml", "a joint"),
+])
+def test_an_actuator_file_of_another_type_is_a_section_error(
+        tmp_path, capsys, config_name, field, value, wrong, kind):
+    # before, such a file was parsed as an actuator: "section 'actuator'
+    # must be a mapping", naming the wrong file
+    doc = yaml.safe_load((DATA_DIR / config_name).read_text())
+    (section,) = doc
+    doc[section][field] = value
+    p = _write(tmp_path / config_name, yaml.safe_dump(doc))
+    assert main(["validate", str(p)]) == 1
+    assert _one_line_error(capsys) == (
+        f"invalid: {p}: section '{section}': {DATA_DIR / wrong} is {kind} "
+        f"config; {section} needs an actuator config\n")
+
+
+@pytest.mark.parametrize("spec_name, change, message", [
+    ("exp_force_displacement.yaml", {"output": "../x"},
+     "field 'output' must be a nonempty file name without '/', '\\', '.' "
+     "or NUL, got '../x'"),
+    ("exp_force_displacement.yaml", {"sweeps": {}},
+     "ForceDisplacement needs the sweeps ['d'], got []"),
+    ("exp_torque_surface.yaml", {"sweeps": {"d_s": GridSpec(0.0, 1.0, 0.5)}},
+     "TorqueSurface needs the sweeps ['d_s', 'd_t'], got ['d_s']"),
+    ("exp_stiffness_range.yaml", {"sweeps": {"d_s": GridSpec(0.0, 1.0, 0.5)}},
+     "StiffnessRange needs the sweeps [], got ['d_s']"),
+    ("exp_workspace.yaml", {"n": MAX_RUN_POINTS + 1},
+     f"Workspace needs 1 <= n <= {MAX_RUN_POINTS}"),
+    ("exp_workspace.yaml", {"n": 10 ** 13},
+     f"Workspace needs 1 <= n <= {MAX_RUN_POINTS}"),
+    ("exp_force_displacement.yaml",
+     {"sweeps": {"d": GridSpec(0.0, MAX_RUN_POINTS, 1.0)}},
+     f"the sweep grid has more than {MAX_RUN_POINTS} points"),
+])
+def test_run_checks_a_built_spec_by_the_parsers_rules(tmp_path, spec_name,
+                                                      change, message):
+    spec = dataclasses.replace(parse_experiment(DATA_DIR / spec_name),
+                               **change)
+    with pytest.raises(ExperimentError, match=f"^{re.escape(message)}$"):
+        run_experiment(spec, out_dir=tmp_path / "out" / "o", seed=1)
+    assert list(tmp_path.iterdir()) == []   # no file, no directory
+
+
+def test_the_config_types_are_the_config_sections():
+    assert tuple(cli.CONFIG_TYPES) == config.CONFIG_SECTIONS
+
+
 def test_out_naming_a_file_is_a_one_line_error(tmp_path, capsys):
     spec = _write(tmp_path / "fd.yaml", FD_SPEC)
     out = _write(tmp_path / "o", "")
@@ -1029,11 +1111,9 @@ def test_each_config_file_is_read_once(monkeypatch, path, reads):
             return read(p)
         return wrapper
 
-    # parse_config reads its file in cli; actuators and tables are read in
-    # config
-    for module, name in ((cli, "_read_yaml"), (config, "_read_yaml"),
-                         (config, "_load_table_csv")):
-        monkeypatch.setattr(module, name, counting(getattr(module, name)))
+    # every config file and table is read in config
+    for name in ("_read_yaml", "_load_table_csv"):
+        monkeypatch.setattr(config, name, counting(getattr(config, name)))
     parse_config(path)
     assert seen == reads
 

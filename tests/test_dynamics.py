@@ -107,6 +107,15 @@ def test_step_rejects_overspeed_command(lift):
         step_dynamics(lift, state, lift.rated_tendon_speed * 1.01)
 
 
+@pytest.mark.parametrize("speed", [float("nan"), float("inf"),
+                                   float("-inf")])
+def test_step_rejects_a_non_finite_command(lift, speed):
+    state = LiftState(t=0.0, theta=lift.theta_start, omega=0.0)
+    with pytest.raises(ValueError, match=f"commanded tendon speed must be "
+                                         f"finite, got {speed}$"):
+        step_dynamics(lift, state, speed)
+
+
 def test_first_step_from_rest_uses_full_torque(lift):
     state = LiftState(t=0.0, theta=lift.theta_start, omega=0.0)
     nxt = step_dynamics(lift, state, lift.rated_tendon_speed)

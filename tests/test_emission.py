@@ -515,3 +515,16 @@ def test_run_with_a_nan_cell_fails_before_any_file(tmp_path, monkeypatch,
         f"error: {out / ('lift_trace.' + fmt)}: row 4: non-finite cell in "
         f"'power_W'\n")
     assert list(out.iterdir()) == []
+
+
+def test_one_table_names_the_data_formats(tmp_path, capsys):
+    # the writer, the run check and the --format choices all read FORMATS;
+    # before, the writer rendered JSON for any name but "csv"
+    assert list(emit.FORMATS) == ["csv", "json"]
+    with pytest.raises(KeyError):
+        _write_rows(tmp_path / "t.xml", ["x_m"], [np.zeros(2)], "xml")
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(DATA_DIR / "exp_lift.yaml"), "--format", "xml"])
+    assert exc.value.code == 2
+    assert "(choose from 'csv', 'json')" in capsys.readouterr().err

@@ -396,3 +396,40 @@ def test_grid_arguments_name_the_first_bad_entry():
         max_allowable_acceleration(j, np.array([1.0, -2.0, -3.0]))
     with pytest.raises(ValueError, match=r"delta must be > 0, got 0\.0$"):
         external_force(j, np.array([0.1, 0.0, -1.0]), 1.0)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda j: classify_stage(j, NAN, DELTA), "d_s must be >= 0 and finite, "
+                                              "got nan"),
+    (lambda j: classify_stage(j, INF, DELTA), "d_s must be >= 0 and finite, "
+                                              "got inf"),
+    (lambda j: classify_stage(j, 1.0, NAN), "delta must be > 0 and finite, "
+                                            "got nan"),
+    (lambda j: stage_boundaries(j, INF), "delta must be > 0 and finite, "
+                                         "got inf"),
+    (lambda j: stage_boundaries(j, -INF), "delta must be > 0 and finite, "
+                                          "got -inf"),
+    (lambda j: controllable_stiffness_range(j, NAN),
+     "delta must be > 0 and finite, got nan"),
+    (lambda j: external_force(j, np.array([DELTA, INF]), 1.0),
+     "delta must be > 0 and finite, got inf"),
+    (lambda j: joint_stiffness(j, DELTA, np.array([1.0, NAN])),
+     "d_s must be >= 0 and finite, got nan"),
+    (lambda j: joint_torque(j, 1.0, INF),
+     "d_t must be >= 0 and finite, got inf"),
+    (lambda j: pretension_force(j, NAN),
+     "d_s must be >= 0 and finite, got nan"),
+    (lambda j: max_controllable_torque(j, NAN),
+     "d_s must be >= 0 and finite, got nan"),
+    (lambda j: max_allowable_acceleration(j, np.array([NAN])),
+     "d_s must be >= 0 and finite, got nan"),
+])
+def test_non_finite_deflection_or_pretension_is_rejected(call, message):
+    # nan passes every comparison check as false, and inf passes `> 0`:
+    # before, classify_stage(j, nan, delta) was S5 and stage_boundaries(j,
+    # inf) was (inf, -inf, d_m, inf)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(torsion_pair())
