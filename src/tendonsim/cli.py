@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import reprlib
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -31,8 +32,9 @@ import numpy as np
 
 from . import config, emit
 from .config import (DATA_DIR, ENV_CONFIG_DIR, ConfigError, LoadedJoint,
-                     _Section, _parse_actuator, _parse_chain, _parse_joint,
-                     _parse_lift, _read_config, _resolve)
+                     _Section, _check_lift_steps, _parse_actuator,
+                     _parse_chain, _parse_joint, _parse_lift, _read_config,
+                     _resolve, _wrong_type_file)
 from .dynamics import LiftScenario, simulate_lift
 from .elastic import ActuatorModel, force_from_displacement
 from .emit import SchemaError, _replacing, _write_rows, validate_csv_schema
@@ -115,14 +117,17 @@ class ExperimentSpec:
     source: Optional[Path] = None
 
 
-def parse_experiment(path: Union[str, Path],
-                     strict: bool = False) -> ExperimentSpec:
+def parse_experiment(path: Union[str, Path]) -> ExperimentSpec:
     """Parse an experiment spec file and the config file it names."""
     path = Path(path)
-    return _parse_experiment(_read_config(path, strict)[1], path, strict)
+    kind, doc = _read_config(path)
+    if kind != "experiment":
+        raise ConfigError(path, _wrong_type_file("the file", kind,
+                                                 "experiment", "run"))
+    return _parse_experiment(doc, path)
 
 
-def _parse_experiment(doc: dict, path: Path, strict: bool) -> ExperimentSpec:
+def _parse_experiment(doc: dict, path: Path) -> ExperimentSpec:
     sec = _Section(doc.get("experiment"), path, "experiment")
     kind_name = sec.take_str("kind")
     kind = EXPERIMENTS.get(kind_name)
@@ -131,8 +136,7 @@ def _parse_experiment(doc: dict, path: Path, strict: bool) -> ExperimentSpec:
                         f"{', '.join(EXPERIMENTS)}")
     config_path = _resolve(sec.take_str("config"), path.parent)
     model = CONFIG_TYPES[kind.config].parse(
-        sec.read_config(config_path, strict, kind.config, kind.name),
-        config_path, strict)
+        sec.read_config(config_path, kind.config, kind.name), config_path)
 
     sweeps: Dict[str, GridSpec] = {}
     sweep_raw = sec.take("sweep", required=False, default={})
@@ -144,15 +148,15 @@ def _parse_experiment(doc: dict, path: Path, strict: bool) -> ExperimentSpec:
             sweeps[var] = GridSpec(start=gsec.take_float("start"),
                                    stop=gsec.take_float("stop"),
                                    step=gsec.take_float("step"))
-        gsec.finish(strict)
-    ssec.finish(strict)
+        gsec.finish()
+    ssec.finish()
 
     output = sec.take_str("output")
     fmt = sec.take_str("format", required=False, default="csv")
     seed = sec.take_int("seed", required=False)
     delta = sec.take_positive("delta", required=False)
     n = sec.take_int("n", required=False)
-    sec.finish(strict)
+    sec.finish()
     if delta is None and isinstance(model, LoadedJoint):
         delta = model.delta
     spec = ExperimentSpec(experiment=kind, model=model, sweeps=sweeps,
@@ -165,23 +169,35 @@ def _parse_experiment(doc: dict, path: Path, strict: bool) -> ExperimentSpec:
 def _check_spec(spec: ExperimentSpec,
                 fail: Callable[[str], Exception]) -> None:
     """Raise fail(message) for the first rule of a runnable spec that spec
-    breaks. The parser and run_experiment both check a spec by it."""
+    breaks, the field types of a spec built in code included. The parser
+    and run_experiment both check a spec by it."""
     kind, output, limit = spec.experiment, spec.output, config.MAX_RUN_POINTS
     if not isinstance(spec.model, CONFIG_TYPES[kind.config].model):
         raise fail(f"{kind.name} needs a {kind.config} config, got "
                    f"{type(spec.model).__name__}")
     # without a separator a name is never absolute; without a dot the
     # format suffix is the only one
-    if not output or any(c in output for c in "/\\.\0"):
+    if (not isinstance(output, str) or not output
+            or any(c in output for c in "/\\.\0")):
         raise fail(f"field 'output' must be a nonempty file name without "
                    f"'/', '\\', '.' or NUL, got {output!r}")
-    if spec.fmt not in emit.FORMATS:
+    if not isinstance(spec.fmt, str) or spec.fmt not in emit.FORMATS:
         raise fail(f"format must be csv or json, got {spec.fmt!r}")
-    if spec.seed is not None and (isinstance(spec.seed, bool)
-                                  or not isinstance(spec.seed, int)):
+    if spec.seed is not None and not _is_a(spec.seed, int):
         raise fail(f"seed must be an integer, got {spec.seed!r}")
-    if kind.sampled and not 1 <= (spec.n or 0) <= limit:
+    # a joint spec without a delta takes its joint's when parsed
+    if (spec.delta is not None or kind.config == "joint") and not (
+            _is_a(spec.delta, (int, float)) and 0 < spec.delta < math.inf):
+        raise fail(f"delta must be a finite number > 0, got "
+                   f"{reprlib.repr(spec.delta)}")
+    if kind.sampled and not (_is_a(spec.n, int) and 1 <= spec.n <= limit):
         raise fail(f"{kind.name} needs 1 <= n <= {limit}")
+    if isinstance(spec.model, LiftScenario):
+        _check_lift_steps(spec.model, fail)
+    if not (isinstance(spec.sweeps, dict) and all(
+            isinstance(g, GridSpec) for g in spec.sweeps.values())):
+        raise fail(f"sweeps must map variables to GridSpecs, got "
+                   f"{reprlib.repr(spec.sweeps)}")
     if spec.sweeps.keys() != set(kind.sweeps):
         raise fail(f"{kind.name} needs the sweeps {list(kind.sweeps)}, got "
                    f"{list(spec.sweeps)}")
@@ -189,10 +205,15 @@ def _check_spec(spec: ExperimentSpec,
         raise fail(f"the sweep grid has more than {limit} points")
 
 
+def _is_a(v: object, types) -> bool:
+    """v is of one of types, where a bool is not a number."""
+    return isinstance(v, types) and not isinstance(v, bool)
+
+
 class _ConfigType(NamedTuple):
     """A config file type, named by its one top-level section."""
 
-    parse: Callable[[dict, Path, bool], object]
+    parse: Callable[[dict, Path], object]
     model: type
     describe: Callable[[object], str]      # the `validate` OK line
 
@@ -218,15 +239,15 @@ CONFIG_TYPES = {
 }
 
 
-def parse_config(path: Union[str, Path], strict: bool = False):
+def parse_config(path: Union[str, Path]):
     """Parse any config file; the top-level section names the type.
 
     Returns ActuatorModel, LoadedJoint, KinematicChain, LiftScenario or
     ExperimentSpec with all invariants checked.
     """
     path = Path(path)
-    kind, doc = _read_config(path, strict)
-    return CONFIG_TYPES[kind].parse(doc, path, strict)
+    kind, doc = _read_config(path)
+    return CONFIG_TYPES[kind].parse(doc, path)
 
 
 def _merge_exact(base: List[float], exact: Sequence[float]) -> List[float]:
@@ -283,6 +304,9 @@ def run_experiment(spec: ExperimentSpec, out_dir: Union[str, Path] = ".",
     spec = replace(spec, fmt=spec.fmt if fmt is None else fmt,
                    seed=spec.seed if seed is None else seed)
     _check_spec(spec, ExperimentError)
+    if spec.experiment.sampled and (spec.seed is None or spec.seed < 0):
+        raise ExperimentError(f"{spec.experiment.name} needs a seed >= 0 "
+                              f"(spec field or --seed), got {spec.seed}")
     out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -421,9 +445,6 @@ def _run_stiffness_range(spec: ExperimentSpec):
 
 
 def _run_workspace(spec: ExperimentSpec):
-    if spec.seed is None or spec.seed < 0:
-        raise ExperimentError(f"Workspace needs a seed >= 0 (spec field or "
-                              f"--seed), got {spec.seed}")
     cloud = sample_workspace(spec.model, spec.n, spec.seed)
     summary = {
         "operation": "sample_workspace",
@@ -503,8 +524,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_val = sub.add_parser("validate", help="parse a config file and check "
                                             "all its invariants")
     p_val.add_argument("config")
-    p_val.add_argument("--strict", action="store_true",
-                       help="also reject unknown keys")
 
     p_run = sub.add_parser("run", help="run an experiment spec")
     p_run.add_argument("spec")
@@ -513,8 +532,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                        help="override the spec's output format")
     p_run.add_argument("--seed", type=int, default=None,
                        help="override the spec's RNG seed")
-    p_run.add_argument("--strict", action="store_true",
-                       help="also reject unknown config keys")
 
     sub.add_parser("list-experiments", help="list experiment kinds")
 
@@ -529,10 +546,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # an overflow fails a check on its result; no numpy warning lines
         with np.errstate(all="ignore"):
             if args.command == "validate":
-                obj = parse_config(_resolve(args.config, None), args.strict)
+                obj = parse_config(_resolve(args.config, None))
             else:
-                spec = parse_experiment(_resolve(args.spec, None),
-                                        args.strict)
+                spec = parse_experiment(_resolve(args.spec, None))
                 result = run_experiment(spec, out_dir=args.out,
                                         fmt=args.format, seed=args.seed)
     except (ConfigError, ExperimentError, SchemaError) as exc:

@@ -27,7 +27,7 @@ import os
 import reprlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 import yaml
 
@@ -117,25 +117,25 @@ def _read_yaml(path: Path) -> dict:
     return doc
 
 
-def _read_config(path: Path, strict: bool) -> Tuple[str, dict]:
-    """A config file's type, its one top-level section, and its document;
-    strict also rejects any other top-level key. Every file is read so."""
+def _read_config(path: Path) -> Tuple[str, dict]:
+    """A config file's type, its one top-level section, and its document,
+    which has no other top-level key. Every file is read so."""
     doc = _read_yaml(path)
     kinds = [k for k in doc if k in CONFIG_SECTIONS]
     if len(kinds) != 1:
         raise ConfigError(path, f"expected exactly one of the sections "
                                 f"{sorted(CONFIG_SECTIONS)}, found {kinds}")
-    if strict and len(doc) > 1:
+    if len(doc) > 1:
         extra = sorted(set(doc) - set(kinds), key=str)
         raise ConfigError(path, f"unknown top-level keys {extra}")
     return kinds[0], doc
 
 
 class _Section:
-    """A config mapping with typed field access, required-field errors that
-    name the field, and unknown-key detection for strict mode. _fail builds
-    every error about the section, `<path>: section '<name>': <message>`,
-    also those raised by the model built in its `with` block."""
+    """A config mapping with typed field access, and errors that name a
+    missing field or unknown keys. _fail builds every error about the
+    section, `<path>: section '<name>': <message>`, also those raised by
+    the model built in its `with` block."""
 
     def __init__(self, data: object, path: Path, name: str) -> None:
         if not isinstance(data, dict):
@@ -207,24 +207,25 @@ class _Section:
                  default: Optional[str] = None) -> Optional[str]:
         return self._take_typed(key, required, default, (str,), "a string")
 
-    def finish(self, strict: bool) -> None:
+    def finish(self) -> None:
         extra = sorted(set(self.data) - self.used, key=str)
-        if extra and strict:
+        if extra:
             raise self._fail(f"unknown keys {extra}")
 
-    def read_config(self, path: Path, strict: bool, want: str,
-                    user: str) -> dict:
+    def read_config(self, path: Path, want: str, user: str) -> dict:
         """The config file at path that this section names for user: a
         file of another type than want is the section's error."""
-        kind, doc = _read_config(path, strict)
+        kind, doc = _read_config(path)
         if kind != want:
-            raise self._fail(f"{path} is {_a(kind)} config; {user} needs "
-                             f"{_a(want)} config")
+            raise self._fail(_wrong_type_file(str(path), kind, want, user))
         return doc
 
 
-def _a(word: str) -> str:
-    return ("an " if word[0] in "aeiou" else "a ") + word
+def _wrong_type_file(name: str, kind: str, want: str, user: str) -> str:
+    """The error of a config file, called name, of type kind where user
+    needs want."""
+    a, b = (("an " if w[0] in "aeiou" else "a ") + w for w in (kind, want))
+    return f"{name} is {a} config; {user} needs {b} config"
 
 
 def _load_table_csv(path: Path) -> Tuple[Tuple[float, float], ...]:
@@ -269,7 +270,7 @@ def _load_table_csv(path: Path) -> Tuple[Tuple[float, float], ...]:
 # parse_config reads a file once to find its type and to parse it.
 
 
-def _parse_actuator(doc: dict, path: Path, strict: bool) -> ActuatorModel:
+def _parse_actuator(doc: dict, path: Path) -> ActuatorModel:
     sec = _Section(doc.get("actuator"), path, "actuator")
     label = sec.take_str("label", required=False, default=path.stem)
     kind = sec.take_str("kind")
@@ -302,7 +303,7 @@ def _parse_actuator(doc: dict, path: Path, strict: bool) -> ActuatorModel:
             kinds = ", ".join(k.value for k in ElementKind)
             raise sec._fail(f"field 'kind' must be one of {kinds}; "
                             f"got {kind!r}")
-        sec.finish(strict)
+        sec.finish()
         return ActuatorModel(element=element, k_t=k_t,
                              rated_force=rated_force,
                              rated_speed=rated_speed, label=label)
@@ -331,7 +332,7 @@ class LoadedJoint:
     delta: float
 
 
-def _actuator_reader(sec: _Section, strict: bool):
+def _actuator_reader(sec: _Section):
     """A function from an actuator file name in sec, resolved against its
     file, to its parsed model. Models are kept by the path _resolve returns,
     so a file named twice, as by a symmetric pair, is read (with its table)
@@ -344,22 +345,22 @@ def _actuator_reader(sec: _Section, strict: bool):
     def read(name: str) -> ActuatorModel:
         path = _resolve(name, base_dir)
         if path not in parsed:
-            doc = sec.read_config(path, strict, "actuator", sec.name)
-            parsed[path] = _parse_actuator(doc, path, strict)
+            doc = sec.read_config(path, "actuator", sec.name)
+            parsed[path] = _parse_actuator(doc, path)
         return parsed[path]
     return read
 
 
-def _parse_joint(doc: dict, path: Path, strict: bool) -> LoadedJoint:
+def _parse_joint(doc: dict, path: Path) -> LoadedJoint:
     sec = _Section(doc.get("joint"), path, "joint")
-    read_actuator = _actuator_reader(sec, strict)
+    read_actuator = _actuator_reader(sec)
     a1 = read_actuator(sec.take_str("actuator_1"))
     a2 = read_actuator(sec.take_str("actuator_2"))
     R = sec.take_float("R")
     mu_s = sec.take_float("mu_s")
     inertia = sec.take_float("inertia_I")
     delta = sec.take_positive("delta", required=False, default=0.087)
-    sec.finish(strict)
+    sec.finish()
     with sec:
         joint = AntagonisticJointConfig(actuator_1=a1, actuator_2=a2, R=R,
                                         mu_s=mu_s, inertia_I=inertia)
@@ -369,12 +370,12 @@ def _parse_joint(doc: dict, path: Path, strict: bool) -> LoadedJoint:
 _LINK_NAMES = ("b", "c", "d")
 
 
-def _parse_chain(doc: dict, path: Path, strict: bool) -> KinematicChain:
+def _parse_chain(doc: dict, path: Path) -> KinematicChain:
     sec = _Section(doc.get("chain"), path, "chain")
     links_raw = sec.take("link_lengths")
     links = _Section(links_raw, path, "chain.link_lengths")
     lengths = {name: links.take_float(name) for name in _LINK_NAMES}
-    links.finish(strict)
+    links.finish()
 
     rom_raw = sec.take("rom_deg", required=False)
     rom_deg = {}
@@ -388,17 +389,17 @@ def _parse_chain(doc: dict, path: Path, strict: bool) -> KinematicChain:
                 raise rsec._wrong_type(name, "a [lo, hi] pair of numbers",
                                        pair)
             rom_deg[name] = tuple(rsec._float(name, v) for v in pair)
-        rsec.finish(strict)
+        rsec.finish()
 
     rows_raw = sec.take("rows", required=False)
-    sec.finish(strict)
+    if rows_raw is not None and not isinstance(rows_raw, list):
+        raise sec._wrong_type("rows", "a list", rows_raw)
+    sec.finish()
     if rows_raw is None:
         with sec:
             return default_arm(rom_deg={**DEFAULT_ROM_DEG, **rom_deg},
                                **lengths)
 
-    if not isinstance(rows_raw, list):
-        raise sec._wrong_type("rows", "a list", rows_raw)
     rows = []
     for i, rdata in enumerate(rows_raw, start=1):
         rsec = _Section(rdata, path, f"chain.rows[{i}]")
@@ -408,7 +409,7 @@ def _parse_chain(doc: dict, path: Path, strict: bool) -> KinematicChain:
         offset = math.radians(rsec.take_float("theta_offset_deg"))
         sign = rsec.take_int("joint_sign", required=False, default=+1)
         name = rsec.take_str("joint")
-        rsec.finish(strict)
+        rsec.finish()
         with rsec:
             rows.append(DHRow(a=a, d=d, alpha=alpha, theta_offset=offset,
                               joint_sign=sign, joint_name=name))
@@ -433,7 +434,7 @@ def _length_field(rsec: _Section, key: str, lengths: Dict[str, float]) -> float:
     return lengths[v]
 
 
-def _parse_lift(doc: dict, path: Path, strict: bool) -> LiftScenario:
+def _parse_lift(doc: dict, path: Path) -> LiftScenario:
     sec = _Section(doc.get("lift"), path, "lift")
     label = sec.take_str("label", required=False, default=path.stem)
     act_names = sec.take("actuators")
@@ -441,7 +442,7 @@ def _parse_lift(doc: dict, path: Path, strict: bool) -> LiftScenario:
             or not all(isinstance(n, str) for n in act_names)):
         raise sec._wrong_type("actuators", "a nonempty list of actuator "
                               "config files", act_names)
-    actuators = tuple(map(_actuator_reader(sec, strict), act_names))
+    actuators = tuple(map(_actuator_reader(sec), act_names))
     kwargs = dict(
         payload_mass=sec.take_float("payload_mass"),
         limb_mass=sec.take_float("limb_mass"),
@@ -454,9 +455,16 @@ def _parse_lift(doc: dict, path: Path, strict: bool) -> LiftScenario:
         t_max=sec.take_float("t_max"),
         gravity=sec.take_float("gravity", required=False, default=9.81),
     )
-    sec.finish(strict)
+    sec.finish()
     with sec:
         scenario = LiftScenario(actuators=actuators, label=label, **kwargs)
-    if scenario.t_max / scenario.dt + 1 > MAX_RUN_POINTS:
-        raise sec._fail(f"t_max/dt allows more than {MAX_RUN_POINTS} steps")
+    _check_lift_steps(scenario, sec._fail)
     return scenario
+
+
+def _check_lift_steps(scenario: LiftScenario,
+                      fail: Callable[[str], Exception]) -> None:
+    """Raise fail(message) if the lift may take more than MAX_RUN_POINTS
+    steps. The lift parser and a run's spec check both apply it."""
+    if scenario.t_max / scenario.dt + 1 > MAX_RUN_POINTS:
+        raise fail(f"t_max/dt allows more than {MAX_RUN_POINTS} steps")

@@ -8,6 +8,7 @@ shipped file doubles as a test vector.
 import dataclasses
 import importlib.util
 import json
+import math
 import os
 import re
 import shutil
@@ -71,9 +72,10 @@ def test_every_bundled_config_validates(capsys):
 
 
 def test_validate_strict_accepts_bundled_configs(capsys):
-    for name in ("ica.yaml", "eca_joint.yaml", "arm.yaml",
-                 "lift_dumbbell.yaml", "exp_workspace.yaml"):
-        assert main(["validate", "--strict", name]) == 0
+    paths = sorted(DATA_DIR.glob("*.yaml")) + sorted(BENCH_DATA.glob("*.yaml"))
+    assert len(paths) == 17
+    for path in paths:
+        assert main(["validate", str(path)]) == 0, path
         capsys.readouterr()
 
 
@@ -168,17 +170,14 @@ def test_exponent_floats_without_a_dot(tmp_path):
 def test_strict_rejects_unknown_keys(tmp_path):
     p = _write(tmp_path / "a.yaml",
                ACT_TPL.format(label="x") + "  typo_key: 3\n")
-    parse_config(p)   # lax mode tolerates it
     with pytest.raises(ConfigError, match=r"unknown keys \['typo_key'\]"):
-        parse_config(p, strict=True)
+        parse_config(p)
 
 
 def test_strict_rejects_unknown_top_level_keys(tmp_path, capsys):
     p = _write(tmp_path / "arm.yaml",
                (DATA_DIR / "arm.yaml").read_text() + "notes: right arm\n")
-    assert main(["validate", str(p)]) == 0   # lax mode tolerates it
-    capsys.readouterr()
-    assert main(["validate", "--strict", str(p)]) == 1
+    assert main(["validate", str(p)]) == 1
     assert _one_line_error(capsys) == (
         f"invalid: {p}: unknown top-level keys ['notes']\n")
 
@@ -641,6 +640,20 @@ def test_output_must_be_a_bare_name(tmp_path, capsys, output):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config_name, kind", [
+    ("ica.yaml", "an actuator"), ("arm.yaml", "a chain"),
+    ("lift_dumbbell.yaml", "a lift")])
+def test_run_of_a_config_but_a_spec_names_its_type(tmp_path, capsys,
+                                                   config_name, kind):
+    # it once said "section 'experiment' must be a mapping"
+    out = tmp_path / "o"
+    assert main(["run", config_name, "--out", str(out)]) == 1
+    assert _one_line_error(capsys, "error: ") == (
+        f"error: {DATA_DIR / config_name}: the file is {kind} config; run "
+        f"needs an experiment config\n")
+    assert not out.exists()
+
+
 def _files_named_by(spec_name):
     """A bundled spec, its config and the config's actuator files."""
     config_name = yaml.safe_load((DATA_DIR / spec_name).read_text())[
@@ -662,12 +675,55 @@ def test_validate_and_run_apply_one_top_level_rule_to_every_file(
         fh.write("notes: 1\n")
     spec, out = str(tmp_path / spec_name), tmp_path / "out"
     error = f"{tmp_path / target}: unknown top-level keys ['notes']\n"
-    assert main(["validate", "--strict", spec]) == 1
+    assert main(["validate", spec]) == 1
     assert _one_line_error(capsys) == f"invalid: {error}"
-    assert main(["run", "--strict", spec, "--out", str(out)]) == 1
+    assert main(["run", spec, "--out", str(out)]) == 1
     assert _one_line_error(capsys, "error: ") == f"error: {error}"
     assert not out.exists()
-    assert main(["validate", spec]) == 0   # lax mode tolerates it
+
+
+@pytest.mark.parametrize("spec_name, target, old, new, message", [
+    ("exp_force_displacement.yaml", "exp_force_displacement.yaml",
+     "format: csv", "format: csv\nnotes: 1",
+     "unknown top-level keys ['notes']"),
+    ("exp_force_displacement.yaml", "exp_force_displacement.yaml",
+     "format: csv", "format: csv\n  notes: 1",
+     "section 'experiment': unknown keys ['notes']"),
+    ("exp_force_displacement.yaml", "ica.yaml", "mu_p: 0.1",
+     "mu_p: 0.1\n  mu: 0.1", "section 'actuator': unknown keys ['mu']"),
+    ("exp_stiffness_range.yaml", "eca_joint.yaml", "delta: 0.087",
+     "delta: 0.087\n  deltaa: 0.1", "section 'joint': unknown keys ['deltaa']"),
+    ("exp_lift.yaml", "lift_dumbbell.yaml", "t_max: 5.0",
+     "t_max: 5.0\n  gravty: 1.62", "section 'lift': unknown keys ['gravty']"),
+    ("exp_force_displacement.yaml", "exp_force_displacement.yaml",
+     "    d: {", "    x: {start: 0.0, stop: 1.0, step: 0.5}\n    d: {",
+     "section 'experiment.sweep': unknown keys ['x']"),
+    ("exp_force_displacement.yaml", "exp_force_displacement.yaml",
+     "step: 0.1}", "step: 0.1, stepp: 1}",
+     "section 'experiment.sweep.d': unknown keys ['stepp']"),
+    ("exp_workspace.yaml", "arm.yaml", "    d: 0.08", "    e: 1\n    d: 0.08",
+     "section 'chain.link_lengths': unknown keys ['e']"),
+    ("exp_workspace.yaml", "arm.yaml", "    theta_31: [-40, 65]",
+     "    theta_31: [-40, 65]\n    theta_99: [0, 1]",
+     "section 'chain': ROM intervals for unknown joints ['theta_99']"),
+    ("exp_workspace.yaml", "arm.yaml", "{joint: theta_32, a: 0,",
+     "{joint: theta_32, z: 0, a: 0,",
+     "section 'chain.rows[2]': unknown keys ['z']"),
+])
+def test_an_unknown_key_at_any_level_is_a_one_line_error(
+        tmp_path, capsys, spec_name, target, old, new, message):
+    for p in DATA_DIR.iterdir():
+        shutil.copy(p, tmp_path)
+    text = (tmp_path / target).read_text()
+    assert text.count(old) == 1
+    (tmp_path / target).write_text(text.replace(old, new))
+    spec, out = str(tmp_path / spec_name), tmp_path / "out"
+    error = f"{tmp_path / target}: {message}"
+    assert main(["validate", spec]) == 1
+    assert _one_line_error(capsys).startswith(f"invalid: {error}")
+    assert main(["run", spec, "--out", str(out)]) == 1
+    assert _one_line_error(capsys, "error: ").startswith(f"error: {error}")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("config_name, field, value, wrong, kind", [
@@ -716,6 +772,48 @@ def test_run_checks_a_built_spec_by_the_parsers_rules(tmp_path, spec_name,
     with pytest.raises(ExperimentError, match=f"^{re.escape(message)}$"):
         run_experiment(spec, out_dir=tmp_path / "out" / "o", seed=1)
     assert list(tmp_path.iterdir()) == []   # no file, no directory
+
+
+@pytest.mark.parametrize("spec_name, change, message", [
+    ("exp_stiffness_vs_pretension.yaml", {"delta": None},
+     "delta must be a finite number > 0, got None"),
+    ("exp_stiffness_range.yaml", {"delta": "0.1"},
+     "delta must be a finite number > 0, got '0.1'"),
+    ("exp_force_displacement.yaml", {"delta": float("nan")},
+     "delta must be a finite number > 0, got nan"),
+    ("exp_max_torque.yaml", {"delta": -math.inf},
+     "delta must be a finite number > 0, got -inf"),
+    ("exp_force_displacement.yaml", {"output": 5},
+     "field 'output' must be a nonempty file name without '/', '\\', '.' "
+     "or NUL, got 5"),
+    ("exp_force_displacement.yaml", {"sweeps": {"d": (0.0, 1.0, 0.5)}},
+     "sweeps must map variables to GridSpecs, got {'d': (0.0, 1.0, 0.5)}"),
+    ("exp_force_displacement.yaml", {"sweeps": ("d",)},
+     "sweeps must map variables to GridSpecs, got ('d',)"),
+    ("exp_force_displacement.yaml", {"fmt": ["csv"]},
+     "format must be csv or json, got ['csv']"),
+    ("exp_workspace.yaml", {"n": 100.0},
+     f"Workspace needs 1 <= n <= {MAX_RUN_POINTS}"),
+])
+def test_run_rejects_a_built_spec_with_a_field_of_the_wrong_type(
+        tmp_path, spec_name, change, message):
+    # each of these ended in a TypeError or AttributeError traceback
+    spec = dataclasses.replace(parse_experiment(DATA_DIR / spec_name),
+                               **change)
+    with pytest.raises(ExperimentError, match=f"^{re.escape(message)}$"):
+        run_experiment(spec, out_dir=tmp_path / "out", seed=1)
+    assert list(tmp_path.iterdir()) == []   # no file, no directory
+
+
+def test_run_checks_the_step_count_of_a_built_lift(tmp_path, monkeypatch):
+    # the bundled lift takes 7,102 steps; only the lift parser checked the
+    # bound, so a lift built in code, say at dt = 1e-8, ran unbounded
+    spec = parse_experiment(DATA_DIR / "exp_lift.yaml")
+    monkeypatch.setattr(config, "MAX_RUN_POINTS", 1000)
+    with pytest.raises(ExperimentError,
+                       match="^t_max/dt allows more than 1000 steps$"):
+        run_experiment(spec, out_dir=tmp_path / "out")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_the_config_types_are_the_config_sections():
@@ -1374,6 +1472,22 @@ def test_workspace_seed_must_be_nonnegative(tmp_path, capsys):
     assert main(["run", str(spec), "--out", str(tmp_path / "o"),
                  "--seed", "-1"]) == 1
     assert "needs a seed >= 0" in _one_line_error(capsys, "error: ")
+
+
+@pytest.mark.parametrize("spec_seed, seed", [(None, None), (None, -1),
+                                             (3, -1), (-2, None)])
+def test_workspace_seed_is_checked_before_the_output_directory_is_made(
+        tmp_path, capsys, spec_seed, seed):
+    text = WS_SPEC + ("" if spec_seed is None else f"  seed: {spec_seed}\n")
+    spec = _write(tmp_path / "ws.yaml", text)
+    out = tmp_path / "o"
+    args = [] if seed is None else ["--seed", str(seed)]
+    assert main(["run", str(spec), "--out", str(out), *args]) == 1
+    got = spec_seed if seed is None else seed
+    assert _one_line_error(capsys, "error: ") == (
+        f"error: Workspace needs a seed >= 0 (spec field or --seed), got "
+        f"{got}\n")
+    assert not out.exists()
 
 
 # --------------------------------------------------------------------------

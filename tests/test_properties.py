@@ -298,10 +298,8 @@ def _mutate(path, edits):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(BUNDLED_YAML + ["misa_like_curve.csv"]), byte_edits(),
-       st.booleans())
-def test_mutated_bundled_configs_end_in_ok_or_one_line_error(target, edits,
-                                                             strict):
+@given(st.sampled_from(BUNDLED_YAML + ["misa_like_curve.csv"]), byte_edits())
+def test_mutated_bundled_configs_end_in_ok_or_one_line_error(target, edits):
     validated = target if target.endswith(".yaml") else "misa_like.yaml"
     with tempfile.TemporaryDirectory() as tmp:
         # bare names resolve against the referencing file's directory first
@@ -311,8 +309,7 @@ def test_mutated_bundled_configs_end_in_ok_or_one_line_error(target, edits,
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(err):
-            code = main(["validate", str(Path(tmp) / validated)]
-                        + ["--strict"] * strict)
+            code = main(["validate", str(Path(tmp) / validated)])
     assert code in (0, 1)
     if code == 1:
         assert err.getvalue().startswith("invalid: ")
@@ -376,10 +373,9 @@ def run_inputs(draw):
 @settings(max_examples=150, deadline=None)
 @given(run_inputs(), st.one_of(byte_edits().map(lambda e: (_mutate, e)),
                               number_edits().map(
-                                  lambda e: (_replace_numbers, e))),
-       st.booleans())
+                                  lambda e: (_replace_numbers, e))))
 def test_mutated_bundled_runs_end_in_clean_files_or_one_line_error(
-        inputs, mutation, strict):
+        inputs, mutation):
     spec, target = inputs
     mutate, edits = mutation
     with tempfile.TemporaryDirectory() as tmp, \
@@ -398,8 +394,7 @@ def test_mutated_bundled_runs_end_in_clean_files_or_one_line_error(
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(err):
-            code = main(["run", str(tmp / spec), "--out", str(out)]
-                        + ["--strict"] * strict)
+            code = main(["run", str(tmp / spec), "--out", str(out)])
         written = sorted(out.iterdir()) if out.exists() else []
         if code == 1:
             assert err.getvalue().startswith("error: ")
