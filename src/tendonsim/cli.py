@@ -153,15 +153,13 @@ def _parse_experiment(doc: dict, path: Path) -> ExperimentSpec:
 
     output = sec.take_str("output")
     fmt = sec.take_str("format", required=False, default="csv")
-    seed = sec.take_int("seed", required=False)
-    delta = sec.take_positive("delta", required=False)
-    n = sec.take_int("n", required=False)
-    sec.finish()
-    if delta is None and isinstance(model, LoadedJoint):
-        delta = model.delta
+    takes = dict(seed=sec.take_int, delta=sec.take_positive, n=sec.take_int)
+    read = {f: takes[f](f, required=False) for f in kind.reads}
+    sec.finish()    # a field the kind does not read is an unknown key
+    if "delta" in read and read["delta"] is None:
+        read["delta"] = model.delta
     spec = ExperimentSpec(experiment=kind, model=model, sweeps=sweeps,
-                          output=output, fmt=fmt, seed=seed, delta=delta,
-                          n=n, source=path)
+                          output=output, fmt=fmt, source=path, **read)
     _check_spec(spec, sec._fail)
     return spec
 
@@ -185,12 +183,15 @@ def _check_spec(spec: ExperimentSpec,
         raise fail(f"format must be csv or json, got {spec.fmt!r}")
     if spec.seed is not None and not _is_a(spec.seed, int):
         raise fail(f"seed must be an integer, got {spec.seed!r}")
-    # a joint spec without a delta takes its joint's when parsed
-    if (spec.delta is not None or kind.config == "joint") and not (
+    if "seed" in kind.reads and spec.seed is not None and spec.seed < 0:
+        raise fail(f"{kind.name} needs a seed >= 0 (spec field or --seed), "
+                   f"got {spec.seed}")
+    # a parsed spec without a delta takes its joint's
+    if (spec.delta is not None or "delta" in kind.reads) and not (
             _is_a(spec.delta, (int, float)) and 0 < spec.delta < math.inf):
         raise fail(f"delta must be a finite number > 0, got "
                    f"{reprlib.repr(spec.delta)}")
-    if kind.sampled and not (_is_a(spec.n, int) and 1 <= spec.n <= limit):
+    if "n" in kind.reads and not (_is_a(spec.n, int) and 1 <= spec.n <= limit):
         raise fail(f"{kind.name} needs 1 <= n <= {limit}")
     if isinstance(spec.model, LiftScenario):
         _check_lift_steps(spec.model, fail)
@@ -304,9 +305,9 @@ def run_experiment(spec: ExperimentSpec, out_dir: Union[str, Path] = ".",
     spec = replace(spec, fmt=spec.fmt if fmt is None else fmt,
                    seed=spec.seed if seed is None else seed)
     _check_spec(spec, ExperimentError)
-    if spec.experiment.sampled and (spec.seed is None or spec.seed < 0):
+    if "seed" in spec.experiment.reads and spec.seed is None:
         raise ExperimentError(f"{spec.experiment.name} needs a seed >= 0 "
-                              f"(spec field or --seed), got {spec.seed}")
+                              f"(spec field or --seed), got None")
     out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -479,7 +480,7 @@ class _ExperimentKind(NamedTuple):
     config: str                       # a key of CONFIG_TYPES
     sweeps: Tuple[str, ...]
     run: Callable[[ExperimentSpec], tuple]
-    sampled: bool = False             # draws n samples from a seed
+    reads: Tuple[str, ...] = ()       # of the spec's delta, n and seed
 
 
 EXPERIMENTS = {kind.name: kind for kind in (
@@ -488,7 +489,7 @@ EXPERIMENTS = {kind.name: kind for kind in (
                     "actuator", ("d",), _run_force_displacement),
     _ExperimentKind("StiffnessVsPretension",
                     "joint stiffness and stage vs pre-tension",
-                    "joint", ("d_s",), _run_stiffness_sweep),
+                    "joint", ("d_s",), _run_stiffness_sweep, ("delta",)),
     _ExperimentKind("MaxAcceleration",
                     "slack-avoidance acceleration bound vs pre-tension",
                     "joint", ("d_s",), _run_acceleration),
@@ -499,10 +500,10 @@ EXPERIMENTS = {kind.name: kind for kind in (
                     "controllable torque ceiling vs pre-tension",
                     "joint", ("d_s",), _run_max_torque),
     _ExperimentKind("StiffnessRange", "controllable stiffness range endpoints",
-                    "joint", (), _run_stiffness_range),
+                    "joint", (), _run_stiffness_range, ("delta",)),
     _ExperimentKind("Workspace",
                     "Monte Carlo end-effector point cloud of the arm",
-                    "chain", (), _run_workspace, sampled=True),
+                    "chain", (), _run_workspace, ("n", "seed")),
     _ExperimentKind("Lift", "single-joint payload lift trace under saturation",
                     "lift", (), _run_lift),
 )}

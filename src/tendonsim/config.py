@@ -395,13 +395,9 @@ def _parse_chain(doc: dict, path: Path) -> KinematicChain:
     if rows_raw is not None and not isinstance(rows_raw, list):
         raise sec._wrong_type("rows", "a list", rows_raw)
     sec.finish()
-    if rows_raw is None:
-        with sec:
-            return default_arm(rom_deg={**DEFAULT_ROM_DEG, **rom_deg},
-                               **lengths)
 
     rows = []
-    for i, rdata in enumerate(rows_raw, start=1):
+    for i, rdata in enumerate(rows_raw or (), start=1):
         rsec = _Section(rdata, path, f"chain.rows[{i}]")
         a = _length_field(rsec, "a", lengths)
         d = _length_field(rsec, "d", lengths)
@@ -413,6 +409,9 @@ def _parse_chain(doc: dict, path: Path) -> KinematicChain:
         with rsec:
             rows.append(DHRow(a=a, d=d, alpha=alpha, theta_offset=offset,
                               joint_sign=sign, joint_name=name))
+    if rows_raw is None:
+        with sec:
+            rows = default_arm(**lengths).rows
     # the default ranges of the rows' joints, then the file's own
     names = {row.joint_name for row in rows}
     rom_deg = {**{n: r for n, r in DEFAULT_ROM_DEG.items() if n in names},

@@ -162,7 +162,6 @@ class WorkspaceCloud:
     """Monte Carlo workspace sample: end-effector points and summary stats."""
 
     points: np.ndarray      # (n, 3) m
-    seed: int
     stats: Dict[str, object]
 
 
@@ -389,4 +388,4 @@ def sample_workspace(chain: KinematicChain, n: int, seed: int) -> WorkspaceCloud
         "centroid_m": [float(v) for v in points.mean(axis=0)],
     }
     points.flags.writeable = False
-    return WorkspaceCloud(points=points, seed=seed, stats=stats)
+    return WorkspaceCloud(points=points, stats=stats)

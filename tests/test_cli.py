@@ -1484,10 +1484,63 @@ def test_workspace_seed_is_checked_before_the_output_directory_is_made(
     args = [] if seed is None else ["--seed", str(seed)]
     assert main(["run", str(spec), "--out", str(out), *args]) == 1
     got = spec_seed if seed is None else seed
+    # a seed the spec itself gets wrong is the parser's error
+    where = (f"{spec}: section 'experiment': "
+             if seed is None and spec_seed is not None else "")
     assert _one_line_error(capsys, "error: ") == (
-        f"error: Workspace needs a seed >= 0 (spec field or --seed), got "
-        f"{got}\n")
+        f"error: {where}Workspace needs a seed >= 0 (spec field or --seed), "
+        f"got {got}\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text, line, verdict", [
+    *[pytest.param((DATA_DIR / name).read_text(), f"{key}: {value}",
+                   f"section 'experiment': unknown keys ['{key}']",
+                   id=f"{name}-{key}")
+      for name in ("exp_force_displacement.yaml", "exp_max_torque.yaml",
+                   "exp_lift.yaml")
+      for key, value in (("n", 1000), ("seed", 3), ("delta", 0.5))],
+    pytest.param(WS_SPEC, "seed: -1",
+                 "section 'experiment': Workspace needs a seed >= 0 (spec "
+                 "field or --seed), got -1", id="workspace-negative-seed"),
+    pytest.param((DATA_DIR / "exp_stiffness_vs_pretension.yaml").read_text(),
+                 "delta: 0.05", None, id="stiffness-own-delta"),
+])
+def test_validate_and_run_give_one_verdict(tmp_path, capsys, text, line,
+                                           verdict):
+    # a kind takes only the optional fields it reads; the rest are unknown
+    spec = _write(tmp_path / "spec.yaml", f"{text}  {line}\n")
+    out = tmp_path / "o"
+    for args, word in ((["validate", str(spec)], "invalid"),
+                       (["run", str(spec), "--out", str(out)], "error")):
+        if verdict is None:
+            assert main(args) == 0
+            capsys.readouterr()
+        else:
+            assert main(args) == 1
+            assert _one_line_error(capsys, f"{word}: ") == (
+                f"{word}: {spec}: {verdict}\n")
+    assert out.exists() == (verdict is None)
+    if verdict is None:
+        summary = json.loads((out / "ica_stiffness_vs_pretension_summary.json")
+                             .read_text())
+        assert summary["delta_rad"] == 0.05
+
+
+@pytest.mark.parametrize("name", sorted(
+    p.name for p in DATA_DIR.glob("exp_*.yaml")
+    if p.name != "exp_workspace.yaml"))
+def test_seed_is_ignored_by_kinds_without_one(tmp_path, capsys, name):
+    # the benchmark passes a seed to every bundled spec
+    outs = [tmp_path / "plain", tmp_path / "seeded"]
+    assert main(["run", str(DATA_DIR / name), "--out", str(outs[0])]) == 0
+    assert main(["run", str(DATA_DIR / name), "--out", str(outs[1]),
+                 "--seed", "5"]) == 0
+    files = [sorted(o.iterdir()) for o in outs]
+    assert [p.name for p in files[0]] == [p.name for p in files[1]]
+    assert len(files[0]) == 2
+    for plain, seeded in zip(*files):
+        assert plain.read_bytes() == seeded.read_bytes()
 
 
 # --------------------------------------------------------------------------
