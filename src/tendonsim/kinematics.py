@@ -31,7 +31,8 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import (Dict, Iterable, Iterator, Mapping, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -66,10 +67,13 @@ DEFAULT_ROM_DEG: Dict[str, Tuple[float, float]] = {
 
 _HALF_PI = math.pi / 2.0
 
-# poses in flight across the FK workers: each of the w workers runs slices
-# of FK_CHUNK // w samples, so the (slice, 4, 4) transform buffers stay in
-# cache, where whole-cloud ones would stream through memory
-FK_CHUNK = 4096
+# poses in flight across the FK workers, each of which runs slices of
+# FK_CHUNK // 2 poses whatever the worker count. A slice's (4, 4) transform
+# buffers stay in cache, where whole-cloud ones would stream through
+# memory. Each of the ~130 numpy calls of a slice releases the GIL and
+# takes it back, so two workers on smaller slices would wait on each other
+# more often for the same poses
+FK_CHUNK = 8192
 
 
 class RomError(ValueError):
@@ -209,7 +213,7 @@ def forward_kinematics(chain: KinematicChain,
             raise RomError(f"joint '{name}' = {v:.6f} rad is outside its "
                            f"ROM [{lo:.6f}, {hi:.6f}] rad")
     T = _fk_transforms(chain, np.array([[values[row.joint_name]
-                                         for row in chain.rows]]))[0]
+                                         for row in chain.rows]]).T)[0]
     return FKResult(position=T[:3, 3].copy(), rotation=T[:3, :3].copy(),
                     transform=T)
 
@@ -272,20 +276,24 @@ def _dh_fill(row: DHRow, q: np.ndarray,
     return M
 
 
-def _fk_transforms(chain: KinematicChain, samples: np.ndarray,
+def _fk_transforms(chain: KinematicChain, joints: Iterable[np.ndarray],
                    M: Optional[np.ndarray] = None,
                    U: Optional[np.ndarray] = None) -> np.ndarray:
-    """End-effector transforms (n, 4, 4) for joint samples (n, 7) in row
-    order: the one D-H path of forward_kinematics and sample_workspace.
+    """End-effector transforms (n, 4, 4) for the 7 joint columns (n,) in
+    row order: the one D-H path of forward_kinematics and sample_workspace.
 
-    M (n, 4, 4), zeroed or from an earlier call, takes each row's fill, and
-    U (2, n, 4, 4) takes the running product; the result is a view of U."""
-    n = len(samples)
+    joints is any iterable of the columns, such as samples.T of an (n, 7)
+    array; each column is taken only as its row's fill needs it. M (n, 4,
+    4), zeroed or from an earlier call, takes each row's fill, and U (2, n,
+    4, 4) takes the running product; the result is a view of U."""
+    columns = iter(joints)
+    q = next(columns)
+    n = len(q)
     M = np.zeros((n, 4, 4)) if M is None else M
     T, nxt = np.empty((2, n, 4, 4)) if U is None else U
-    np.copyto(T, _dh_fill(chain.rows[0], samples[:, 0], M))
-    for j, row in enumerate(chain.rows[1:], 1):
-        np.matmul(T, _dh_fill(row, samples[:, j], M), out=nxt)
+    np.copyto(T, _dh_fill(chain.rows[0], q, M))
+    for row, q in zip(chain.rows[1:], columns):
+        np.matmul(T, _dh_fill(row, q, M), out=nxt)
         T, nxt = nxt, T
     return T
 
@@ -293,18 +301,23 @@ def _fk_transforms(chain: KinematicChain, samples: np.ndarray,
 def _sample_slices(chain: KinematicChain, points: np.ndarray, first: int,
                    step: int, draws: list, buffers: tuple) -> float:
     """Draw and run FK on slices first, first + step, ... of the points,
-    each of len(samples) poses, into those rows of points; return the
-    largest norm among them. draws holds each joint's generator, at the
-    first slice's place in the stream, and its ROM bounds."""
-    samples, M, U = buffers
-    size = len(samples)
+    each of len(M) poses, into those rows of points; return the largest
+    norm among them. draws holds each joint's generator, at the first
+    slice's place in the stream, and its ROM bounds; each joint's column
+    is drawn as FK reaches its row."""
+    M, U = buffers
+    size = len(M)
+
+    def columns(m: int) -> Iterator[np.ndarray]:
+        for rng, lo, hi in draws:
+            q = rng.uniform(lo, hi, m)
+            rng.bit_generator.advance((step - 1) * size)
+            yield q
+
     max_reach = 0.0
     for i in range(first * size, len(points), step * size):
         m = min(size, len(points) - i)
-        for j, (rng, lo, hi) in enumerate(draws):
-            samples[:m, j] = rng.uniform(lo, hi, m)
-            rng.bit_generator.advance((step - 1) * size)
-        points[i:i + m] = _fk_transforms(chain, samples[:m], M[:m],
+        points[i:i + m] = _fk_transforms(chain, columns(m), M[:m],
                                          U[:, :m])[:, :3, 3]
         max_reach = max(max_reach,
                         float(np.linalg.norm(points[i:i + m], axis=1).max()))
@@ -327,18 +340,18 @@ def sample_workspace(chain: KinematicChain, n: int, seed: int) -> WorkspaceCloud
     draws were taken in one uniform(lo, hi, n) call after the previous
     joint's. Results are deterministic in (chain, n, seed).
 
-    Sampling and FK run over slices, on up to two workers: the calling
-    thread and, when n spans more than one FK_CHUNK and a second CPU is
-    free to the process, one more thread. Each worker takes every other
-    slice of FK_CHUNK // workers samples, so FK_CHUNK poses are in flight.
-    Each joint's generator starts at its slice's place in the stream
+    Sampling and FK run over slices of FK_CHUNK // 2 poses, on up to two
+    workers: the calling thread and, when n spans more than one FK_CHUNK
+    and a second CPU is free to the process, one more thread, each taking
+    every other slice. A slice draws each joint's column as FK reaches its
+    row. Each joint's generator starts at its slice's place in the stream
     (PCG64 advanced by j*n outputs plus the slice's start, one output per
     double), and each pose is computed alone, so neither the slicing nor
     the worker count changes a bit of the result. The calling thread
     allocates every worker's buffers before any worker starts, so memory
-    is the (n, 3) points, 24 bytes per sample, plus FK_CHUNK poses of
-    samples and transforms, whatever the worker count. Every thread is
-    joined before the call returns or raises.
+    is the (n, 3) points, 24 bytes per sample, plus the transforms of one
+    slice per worker: FK_CHUNK // 2 poses on one worker, FK_CHUNK on two.
+    Every thread is joined before the call returns or raises.
     The bbox is taken one coordinate column at a time, which is faster
     than the axis-0 reduction over rows and, min and max being exact,
     gives the same bits.
@@ -346,15 +359,14 @@ def sample_workspace(chain: KinematicChain, n: int, seed: int) -> WorkspaceCloud
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     workers = min(2, _cpus(), -(-n // FK_CHUNK))
-    size = min(n, FK_CHUNK // workers)
+    size = min(n, FK_CHUNK // 2)
     # whatever a worker uses is made here, before any starts: buffers that
     # a thread allocated would grow its own malloc arena, and the first
     # generator of a process imports numpy.random
     jobs = [([(np.random.Generator(np.random.PCG64(seed).advance(
                   j * n + w * size)), *chain.rom[row.joint_name])
               for j, row in enumerate(chain.rows)],
-             (np.empty((size, len(chain.rows))), np.zeros((size, 4, 4)),
-              np.empty((2, size, 4, 4))))
+             (np.zeros((size, 4, 4)), np.empty((2, size, 4, 4))))
             for w in range(workers)]
     points = np.empty((n, 3))
     reach = [0.0] * workers

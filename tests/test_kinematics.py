@@ -296,7 +296,7 @@ def test_chunked_workspace_fk_equals_one_batch_bitwise(arm, n, seed):
     rng = np.random.default_rng(seed)
     samples = np.column_stack([rng.uniform(*arm.rom[row.joint_name], n)
                                for row in arm.rows])
-    whole = _fk_transforms(arm, samples)[:, :3, 3]
+    whole = _fk_transforms(arm, samples.T)[:, :3, 3]
     assert sample_workspace(arm, n, seed).points.tobytes() == whole.tobytes()
 
 
@@ -320,7 +320,7 @@ def test_workspace_is_the_same_on_one_worker_and_two(arm, monkeypatch, n):
     rng = np.random.default_rng(42)
     samples = np.column_stack([rng.uniform(*arm.rom[row.joint_name], n)
                                for row in arm.rows])
-    whole = _fk_transforms(arm, samples)[:, :3, 3]
+    whole = _fk_transforms(arm, samples.T)[:, :3, 3]
     digests = set()
     for cpus in (1, 2):
         _with_cpus(monkeypatch, cpus)
@@ -377,6 +377,36 @@ def test_a_worker_failure_propagates_and_every_thread_is_joined(
     assert threading.active_count() == before
 
 
+def test_fk_transforms_of_an_array_and_of_its_columns_agree(arm):
+    lo, hi = np.array([arm.rom[row.joint_name] for row in arm.rows]).T
+    samples = np.random.default_rng(5).uniform(lo, hi, (1000, 7))
+    columns = [samples[:, j].copy() for j in range(7)]
+    assert (_fk_transforms(arm, iter(columns)).tobytes()
+            == _fk_transforms(arm, samples.T).tobytes())
+
+
+@pytest.mark.parametrize("cpus, threads", [(1, 1), (2, 2)])
+def test_every_worker_runs_full_slices(arm, monkeypatch, cpus, threads):
+    # halving a worker's slice doubles the GIL handoffs of its numpy calls,
+    # so every slice but a worker's last holds FK_CHUNK // 2 poses
+    _with_cpus(monkeypatch, cpus)
+    fk, sizes, lock = _fk_transforms, {}, threading.Lock()
+
+    def recorded(*args):
+        T = fk(*args)
+        with lock:
+            sizes.setdefault(threading.current_thread(), []).append(len(T))
+        return T
+
+    monkeypatch.setattr(kinematics, "_fk_transforms", recorded)
+    n = 3 * FK_CHUNK + 5
+    sample_workspace(arm, n, seed=7)
+    assert len(sizes) == threads
+    assert sum(map(sum, sizes.values())) == n
+    for slices in sizes.values():
+        assert slices[:-1] == [FK_CHUNK // 2] * (len(slices) - 1)
+
+
 @pytest.mark.parametrize("n, threads", [(1, 0), (FK_CHUNK, 0),
                                         (FK_CHUNK + 1, 1), (10**5, 1)])
 def test_one_slice_starts_no_thread(arm, monkeypatch, n, threads):
@@ -396,11 +426,17 @@ def test_one_slice_starts_no_thread(arm, monkeypatch, n, threads):
     assert len(started) == threads
 
 
+@pytest.mark.parametrize("cpus, slice_bytes", [
+    # a slice per worker: three (4, 4) transforms (the buffer, the running
+    # product and the next) and a few per-pose vectors, with room
+    (2, FK_CHUNK * 8 * 64),
+    # one worker, bounded as when it ran FK_CHUNK // 2 poses with their 7
+    # samples
+    (1, (FK_CHUNK // 2) * 8 * 80)], ids=["two_workers", "one_worker"])
 @pytest.mark.parametrize("n", [100000, 1000000])
-def test_workspace_memory_is_the_points_plus_one_slice(arm, n):
-    # one slice: its 7 samples, three (4, 4) transforms (the buffer, the
-    # running product and the next) and a few per-pose vectors, with room
-    slice_bytes = FK_CHUNK * 8 * 80
+def test_workspace_memory_is_the_points_plus_one_slice(arm, monkeypatch, n,
+                                                        cpus, slice_bytes):
+    _with_cpus(monkeypatch, cpus)
     sample_workspace(arm, 10, seed=7)
     tracemalloc.start()
     try:
