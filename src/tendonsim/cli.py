@@ -253,21 +253,15 @@ def parse_config(path: Union[str, Path]):
 
 def _merge_exact(base: List[float], exact: Sequence[float]) -> List[float]:
     """Sorted union of grid points and exactly computed breakpoints inside
-    the grid span; near-duplicates collapse onto the exact value."""
+    the grid span; a point within 1e-9 of a later breakpoint gives way to
+    it, and no grid point ever gives way to another."""
     if not base:
         return sorted(exact)
-    lo, hi = base[0], base[-1]
-    tagged = [(v, False) for v in base]
-    tagged += [(v, True) for v in exact if lo <= v <= hi]
-    tagged.sort()
-    out: List[Tuple[float, bool]] = []
-    for v, is_exact in tagged:
-        if out and abs(v - out[-1][0]) <= 1e-9:
-            if is_exact and not out[-1][1]:
-                out[-1] = (v, True)
-            continue
-        out.append((v, is_exact))
-    return [v for v, _ in out]
+    pts = list(base)
+    for b in exact:
+        if base[0] <= b <= base[-1]:
+            pts = [v for v in pts if abs(v - b) > 1e-9] + [b]
+    return sorted(pts)
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,14 @@ At q = full_extension_joint_values() the three link offsets are collinear
 and the reach is exactly b + c + d; the elbow (theta_21 = 0) and the first
 wrist axis (theta_11 = +pi/2) pin the pose, the other five joints do not
 affect reach there.
+
+alpha is exactly 0 or +-pi/2 (DHRow snaps it), so a row's product with the
+running transform has a closed form: the new x axis is x*ctheta +
+y*stheta, the other two axes are the old z and +-(y*ctheta - x*stheta),
+and the origin moves by a along the new x and d along the old z. The FK
+applies that step to the upper 3x4 of the transforms, as four (3, n)
+column arrays, with elementwise numpy ops that round once apiece, so the
+bits depend on neither the BLAS nor the SIMD level.
 """
 
 from __future__ import annotations
@@ -68,12 +76,16 @@ DEFAULT_ROM_DEG: Dict[str, Tuple[float, float]] = {
 _HALF_PI = math.pi / 2.0
 
 # poses in flight across the FK workers, each of which runs slices of
-# FK_CHUNK // 2 poses whatever the worker count. A slice's (4, 4) transform
-# buffers stay in cache, where whole-cloud ones would stream through
-# memory. Each of the ~130 numpy calls of a slice releases the GIL and
+# FK_CHUNK // 2 poses whatever the worker count. A slice's (3, n) frame
+# columns stay in cache, where whole-cloud ones would stream through
+# memory. Each of the ~120 numpy calls of a slice releases the GIL and
 # takes it back, so two workers on smaller slices would wait on each other
 # more often for the same poses
 FK_CHUNK = 8192
+
+# the identity frame: the x, y, z axes and origin as (3, 1) columns, which
+# broadcast against the first row's (n,) joint values
+_IDENTITY = tuple(np.eye(3, 4)[:, j:j + 1] for j in range(4))
 
 
 class RomError(ValueError):
@@ -85,7 +97,9 @@ class DHRow:
     """One standard D-H row; theta = theta_offset + joint_sign*q.
 
     a and d in meters, alpha and theta_offset in radians. alpha is 0 or
-    +-pi/2 for this family of chains; joint_sign is +1 or -1.
+    +-pi/2 for this family of chains; a value within 1e-12 of one is
+    stored as exactly that one, the alpha the FK computes with. joint_sign
+    is +1 or -1.
     """
 
     a: float
@@ -100,8 +114,11 @@ class DHRow:
             v = getattr(self, field)
             if not math.isfinite(v):
                 raise ValueError(f"{field} must be finite, got {v}")
-        if not min(abs(self.alpha), abs(abs(self.alpha) - _HALF_PI)) <= 1e-12:
+        near = [v for v in (0.0, _HALF_PI, -_HALF_PI)
+                if abs(self.alpha - v) <= 1e-12]
+        if not near:
             raise ValueError(f"alpha must be 0 or +-pi/2, got {self.alpha}")
+        object.__setattr__(self, "alpha", near[0])
         if self.joint_sign not in (+1, -1):
             raise ValueError(f"joint_sign must be +1 or -1, got {self.joint_sign}")
         if not self.joint_name:
@@ -173,7 +190,7 @@ def dh_transform(row: DHRow, joint_value: float) -> np.ndarray:
     """4x4 homogeneous transform of one D-H row at the given joint value."""
     if not math.isfinite(joint_value):
         raise ValueError(f"joint value must be finite, got {joint_value}")
-    return _dh_fill(row, np.array([joint_value]))[0]
+    return _transform(_dh_step(row, np.array([joint_value]), *_IDENTITY))
 
 
 def _as_named(chain: KinematicChain,
@@ -212,8 +229,8 @@ def forward_kinematics(chain: KinematicChain,
         if not lo <= v <= hi:   # after clamping, only a NaN
             raise RomError(f"joint '{name}' = {v:.6f} rad is outside its "
                            f"ROM [{lo:.6f}, {hi:.6f}] rad")
-    T = _fk_transforms(chain, np.array([[values[row.joint_name]
-                                         for row in chain.rows]]).T)[0]
+    T = _transform(_fk_frame(chain, np.array([[values[row.joint_name]]
+                                              for row in chain.rows])))
     return FKResult(position=T[:3, 3].copy(), rotation=T[:3, :3].copy(),
                     transform=T)
 
@@ -253,61 +270,49 @@ def default_arm(b: float = 0.30, c: float = 0.25, d: float = 0.08,
                           rom=rom)
 
 
-def _dh_fill(row: DHRow, q: np.ndarray,
-             M: Optional[np.ndarray] = None) -> np.ndarray:
-    """The row's transforms (n, 4, 4) at the joint values q (n,), written
-    into M when given: a buffer from an earlier call, whose zeros stay."""
-    M = np.zeros((len(q), 4, 4)) if M is None else M
+def _dh_step(row: DHRow, q: np.ndarray, x: np.ndarray, y: np.ndarray,
+             z: np.ndarray, p: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """The frames (x, y, z, p), each axis and the origin as (3, n) columns
+    of the upper 3x4 of n transforms, times the row's transforms at the
+    joint values q (n,)."""
     theta = row.theta_offset + row.joint_sign * q
     ct, st = np.cos(theta), np.sin(theta)
-    ca, sa = math.cos(row.alpha), math.sin(row.alpha)
-    M[:, 0, 0] = ct
-    np.multiply(st, -ca, out=M[:, 0, 1])
-    np.multiply(st, sa, out=M[:, 0, 2])
-    np.multiply(ct, row.a, out=M[:, 0, 3])
-    M[:, 1, 0] = st
-    np.multiply(ct, ca, out=M[:, 1, 1])
-    np.multiply(ct, -sa, out=M[:, 1, 2])
-    np.multiply(st, row.a, out=M[:, 1, 3])
-    M[:, 2, 1] = sa
-    M[:, 2, 2] = ca
-    M[:, 2, 3] = row.d
-    M[:, 3, 3] = 1.0
-    return M
+    c0 = x * ct + y * st
+    if row.alpha == 0.0:
+        c1, c2 = y * ct - x * st, z
+    elif row.alpha > 0.0:
+        c1, c2 = z, x * st - y * ct
+    else:
+        c1, c2 = -z, y * ct - x * st
+    return c0, c1, c2, p + row.a * c0 + row.d * z
 
 
-def _fk_transforms(chain: KinematicChain, joints: Iterable[np.ndarray],
-                   M: Optional[np.ndarray] = None,
-                   U: Optional[np.ndarray] = None) -> np.ndarray:
-    """End-effector transforms (n, 4, 4) for the 7 joint columns (n,) in
-    row order: the one D-H path of forward_kinematics and sample_workspace.
+def _fk_frame(chain: KinematicChain,
+              joints: Iterable[np.ndarray]) -> Tuple[np.ndarray, ...]:
+    """End-effector frames (x, y, z, p), as in _dh_step, for the 7 joint
+    columns (n,) in row order: the one D-H path of forward_kinematics and
+    sample_workspace. joints is any iterable of the columns, such as
+    samples.T of an (n, 7) array; each is taken only as its row needs it."""
+    frame = _IDENTITY
+    for row, q in zip(chain.rows, joints):
+        frame = _dh_step(row, q, *frame)
+    return frame
 
-    joints is any iterable of the columns, such as samples.T of an (n, 7)
-    array; each column is taken only as its row's fill needs it. M (n, 4,
-    4), zeroed or from an earlier call, takes each row's fill, and U (2, n,
-    4, 4) takes the running product; the result is a view of U."""
-    columns = iter(joints)
-    q = next(columns)
-    n = len(q)
-    M = np.zeros((n, 4, 4)) if M is None else M
-    T, nxt = np.empty((2, n, 4, 4)) if U is None else U
-    np.copyto(T, _dh_fill(chain.rows[0], q, M))
-    for row, q in zip(chain.rows[1:], columns):
-        np.matmul(T, _dh_fill(row, q, M), out=nxt)
-        T, nxt = nxt, T
+
+def _transform(frame: Tuple[np.ndarray, ...]) -> np.ndarray:
+    """The 4x4 homogeneous transform of a one-pose frame."""
+    T = np.eye(4)
+    T[:3] = np.hstack(frame)
     return T
 
 
 def _sample_slices(chain: KinematicChain, points: np.ndarray, first: int,
-                   step: int, draws: list, buffers: tuple) -> float:
+                   step: int, size: int, draws: list) -> float:
     """Draw and run FK on slices first, first + step, ... of the points,
-    each of len(M) poses, into those rows of points; return the largest
+    each of size poses, into those rows of points; return the largest
     norm among them. draws holds each joint's generator, at the first
     slice's place in the stream, and its ROM bounds; each joint's column
     is drawn as FK reaches its row."""
-    M, U = buffers
-    size = len(M)
-
     def columns(m: int) -> Iterator[np.ndarray]:
         for rng, lo, hi in draws:
             q = rng.uniform(lo, hi, m)
@@ -317,8 +322,7 @@ def _sample_slices(chain: KinematicChain, points: np.ndarray, first: int,
     max_reach = 0.0
     for i in range(first * size, len(points), step * size):
         m = min(size, len(points) - i)
-        points[i:i + m] = _fk_transforms(chain, columns(m), M[:m],
-                                         U[:, :m])[:, :3, 3]
+        points[i:i + m] = _fk_frame(chain, columns(m))[3].T
         max_reach = max(max_reach,
                         float(np.linalg.norm(points[i:i + m], axis=1).max()))
     return max_reach
@@ -347,10 +351,9 @@ def sample_workspace(chain: KinematicChain, n: int, seed: int) -> WorkspaceCloud
     row. Each joint's generator starts at its slice's place in the stream
     (PCG64 advanced by j*n outputs plus the slice's start, one output per
     double), and each pose is computed alone, so neither the slicing nor
-    the worker count changes a bit of the result. The calling thread
-    allocates every worker's buffers before any worker starts, so memory
-    is the (n, 3) points, 24 bytes per sample, plus the transforms of one
-    slice per worker: FK_CHUNK // 2 poses on one worker, FK_CHUNK on two.
+    the worker count changes a bit of the result. Memory is the (n, 3)
+    points, 24 bytes per sample, plus the frames and temporaries of one
+    slice per worker: about a dozen (3, FK_CHUNK // 2) arrays, 1.1 MB.
     Every thread is joined before the call returns or raises.
     The bbox is taken one coordinate column at a time, which is faster
     than the axis-0 reduction over rows and, min and max being exact,
@@ -360,21 +363,21 @@ def sample_workspace(chain: KinematicChain, n: int, seed: int) -> WorkspaceCloud
         raise ValueError(f"n must be >= 1, got {n}")
     workers = min(2, _cpus(), -(-n // FK_CHUNK))
     size = min(n, FK_CHUNK // 2)
-    # whatever a worker uses is made here, before any starts: buffers that
-    # a thread allocated would grow its own malloc arena, and the first
-    # generator of a process imports numpy.random
-    jobs = [([(np.random.Generator(np.random.PCG64(seed).advance(
+    # every generator is made here, before any worker starts: the first
+    # generator of a process imports numpy.random, and a thread that did
+    # would grow its own malloc arena with the import
+    draws = [[(np.random.Generator(np.random.PCG64(seed).advance(
                   j * n + w * size)), *chain.rom[row.joint_name])
-              for j, row in enumerate(chain.rows)],
-             (np.zeros((size, 4, 4)), np.empty((2, size, 4, 4))))
-            for w in range(workers)]
+              for j, row in enumerate(chain.rows)]
+             for w in range(workers)]
     points = np.empty((n, 3))
     reach = [0.0] * workers
     errors = []
 
     def work(w: int) -> None:
         try:
-            reach[w] = _sample_slices(chain, points, w, workers, *jobs[w])
+            reach[w] = _sample_slices(chain, points, w, workers, size,
+                                      draws[w])
         except BaseException as exc:    # raised once every worker is done
             errors.append(exc)
 

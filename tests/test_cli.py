@@ -978,6 +978,24 @@ def test_merge_exact_with_empty_base():
     assert _merge_exact([], [2.0, 1.0]) == [1.0, 2.0]
 
 
+def test_a_fine_grid_keeps_every_point(tmp_path):
+    # grid points 1e-10 apart once collapsed onto each other, leaving 10
+    # of the 101 rows; the benchmark's oracle, loaded by path, rebuilds the
+    # grid from the raw spec and checks every row
+    spec = _write(tmp_path / "fine.yaml", (
+        "experiment:\n"
+        "  kind: ForceDisplacement\n"
+        "  config: eca.yaml\n"
+        "  sweep:\n"
+        "    d: {start: 0.0, stop: 1.0e-8, step: 1.0e-10}\n"
+        "  output: fine\n"))
+    result = run_experiment(parse_experiment(spec), out_dir=tmp_path)
+    data = result.output_path.read_bytes()
+    assert len(data.splitlines()) == 1 + 101
+    case = _bench_module("oracle").Case(spec, DATA_DIR)
+    assert case.check(data, result.summary_path.read_bytes()) == []
+
+
 # --------------------------------------------------------------------------
 # the YAML loader, reading each file once, and malformed input
 
@@ -1547,9 +1565,9 @@ def test_seed_is_ignored_by_kinds_without_one(tmp_path, capsys, name):
 # the benchmark's tracer
 
 
-def _bench_tracer():
-    path = ROOT / "bench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+def _bench_module(name):
+    path = ROOT / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -1572,7 +1590,7 @@ class _PatchLog:
 def test_names_the_benchmark_tracer_patches_are_cli_callables():
     # the tracer wraps these names in cli's namespace; were a runner to
     # call them from elsewhere, its per-layer spans would read 0
-    tracer = _bench_tracer()
+    tracer = _bench_module("tracer")
     log = _PatchLog(cli)
     with tracer.Tracer().installed(log, _PatchLog(joint), _PatchLog(elastic)):
         pass
@@ -1584,7 +1602,7 @@ def test_names_the_benchmark_tracer_patches_are_cli_callables():
 
 
 def test_traced_runs_reach_every_model_layer(tmp_path):
-    t = _bench_tracer().Tracer()
+    t = _bench_module("tracer").Tracer()
     specs = [DATA_DIR / "exp_force_displacement.yaml",
              DATA_DIR / "exp_max_torque.yaml",
              _write(tmp_path / "ws.yaml", WS_SPEC),

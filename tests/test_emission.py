@@ -55,9 +55,9 @@ GOLDEN_SHA256 = {
     "lift_trace_summary.json":
         "0f961797861f54ec320d24adf7035454afbb24c6ad4730b5581e42e232e69d5f",
     "workspace_points.csv":
-        "931c1f740fca252ad3eb4b9561c620c17eb955545a98617e84c2856e0a73e921",
+        "33b10d52df5ace6a3831d53de183bd13a76461c06e217abbe814f246da426902",
     "workspace_points_summary.json":
-        "9b512746a4b1f4ec6dacdee1ec7cdfb339af35af67a8728e80af5d340f260465",
+        "660fdd4dca0be6c500124c716a727b79b511ad64e0bce8219f6e0341909d8f98",
 }
 
 
@@ -79,9 +79,9 @@ BENCH_GOLDEN_SHA256 = {
     "lift_trace_summary.json":
         "0f961797861f54ec320d24adf7035454afbb24c6ad4730b5581e42e232e69d5f",
     "workspace_points.csv":
-        "38a22600f7d503bdc6c1912107e16e6b8889c2e454229e59962c5b802b0a7557",
+        "6b636809c712523fbdbeac7dfd87f352a468c88ee8902be18124e315a47b7791",
     "workspace_points_summary.json":
-        "0d18542c235f13c59299d70d7a5c643929a61f6ef7945f6c327fc52cce5bbc14",
+        "1fe228e6248318a50f1e88741126628293f1de5121161422eb5d330a644c4291",
 }
 
 

@@ -1,18 +1,20 @@
 """Arm kinematics: D-H rows, reference poses, ROM handling, workspace.
 
-One batched builder computes every D-H transform: forward_kinematics and
+One closed-form D-H step computes every transform: forward_kinematics and
 dh_transform are its one-pose calls, and sample_workspace runs it over
 slices. The row transform is checked against an elementary-transform
 oracle (Rz * Tz * Tx * Rx composed here from scratch). Pinned sha256s of
-forward_kinematics transforms, taken from the former scalar path, hold the
-builder to its bits, and a workspace point is bitwise the position of its
-pose.
+forward_kinematics transforms hold the step to its bits, in process and
+under an OpenBLAS kernel without FMA, and a workspace point is bitwise the
+position of its pose.
 """
 
+import functools
 import hashlib
 import json
 import math
 import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -25,7 +27,7 @@ from tendonsim import (DHRow, KinematicChain, RomError, default_arm,
                        full_extension_joint_values, kinematics,
                        sample_workspace)
 from tendonsim.kinematics import (DEFAULT_ROM_DEG, FK_CHUNK, JOINT_ORDER,
-                                  _fk_transforms)
+                                  _fk_frame)
 
 B, C, D = 0.30, 0.25, 0.08
 
@@ -251,21 +253,53 @@ def _offset_chain():
     return KinematicChain(rows=rows, link_lengths={}, rom=default_arm().rom)
 
 
-@pytest.mark.parametrize("chain, digest", [
-    (default_arm(),
-     "1d59488624482096f45440800f1401222d02b05251678aae4acf52de49cea64c"),
-    (_offset_chain(),
-     "e20d4ba6b7e3f33ef988e18ed70c0477af608d9372580a4c5f96af6fde6c1cfa"),
-], ids=["bundled_arm", "offset_chain"])
-def test_fk_transforms_keep_the_scalar_path_bits(chain, digest):
-    # the digests were taken from the scalar math.cos / np.eye(4) @ ...
-    # path that the batched builder replaced
+CHAINS = {"bundled_arm": default_arm, "offset_chain": _offset_chain}
+
+
+@functools.lru_cache(maxsize=None)
+def _fk_digest(name):
+    chain = CHAINS[name]()
     lo, hi = np.array([chain.rom[row.joint_name] for row in chain.rows]).T
     poses = np.random.default_rng(3).uniform(lo, hi, (20000, 7))
     h = hashlib.sha256()
     for q in poses:
         h.update(forward_kinematics(chain, q).transform.tobytes())
-    assert h.hexdigest() == digest
+    return h.hexdigest()
+
+
+def _fk_digests():
+    """The digests that test_fk_bits_do_not_depend_on_the_blas_kernel
+    compares across processes."""
+    return [_digest(sample_workspace(default_arm(), 20000, 7)),
+            *map(_fk_digest, CHAINS)]
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("bundled_arm",
+     "cf07803450fb83f361147083dc9b867ee488a1ca9f14cf1262e83c3cb4438125"),
+    ("offset_chain",
+     "1c626947bf356846a61aa4f552c155485616bdcfdf30f082b37a4659c7c8f492"),
+], ids=list(CHAINS))
+def test_forward_kinematics_keeps_its_pinned_bits(name, digest):
+    # the digests pin the closed-form D-H step, whose elementwise ops round
+    # once apiece; test_fk_bits_do_not_depend_on_the_blas_kernel checks
+    # the same poses under another kernel
+    assert _fk_digest(name) == digest
+
+
+def test_fk_bits_do_not_depend_on_the_blas_kernel():
+    # OpenBLAS's Sandybridge kernels have no FMA, so a BLAS product in the
+    # FK would round differently there than under the default kernel
+    paths = (os.path.dirname(os.path.dirname(kinematics.__file__)),
+             os.path.dirname(__file__), os.environ.get("PYTHONPATH", ""))
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Sandybridge",
+           "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    out = subprocess.run(
+        [sys.executable, "-c", "import test_kinematics as t\n"
+                               "print(*t._fk_digests())"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == _fk_digests()
 
 
 def test_workspace_is_deterministic(arm):
@@ -296,7 +330,7 @@ def test_chunked_workspace_fk_equals_one_batch_bitwise(arm, n, seed):
     rng = np.random.default_rng(seed)
     samples = np.column_stack([rng.uniform(*arm.rom[row.joint_name], n)
                                for row in arm.rows])
-    whole = _fk_transforms(arm, samples.T)[:, :3, 3]
+    whole = _fk_frame(arm, samples.T)[3].T
     assert sample_workspace(arm, n, seed).points.tobytes() == whole.tobytes()
 
 
@@ -320,7 +354,7 @@ def test_workspace_is_the_same_on_one_worker_and_two(arm, monkeypatch, n):
     rng = np.random.default_rng(42)
     samples = np.column_stack([rng.uniform(*arm.rom[row.joint_name], n)
                                for row in arm.rows])
-    whole = _fk_transforms(arm, samples.T)[:, :3, 3]
+    whole = _fk_frame(arm, samples.T)[3].T
     digests = set()
     for cpus in (1, 2):
         _with_cpus(monkeypatch, cpus)
@@ -363,26 +397,26 @@ def test_concurrent_calls_under_fast_thread_switching_keep_the_bits(
 def test_a_worker_failure_propagates_and_every_thread_is_joined(
         arm, monkeypatch, failing):
     _with_cpus(monkeypatch, 2)
-    caller, fk = threading.current_thread(), _fk_transforms
+    caller, fk = threading.current_thread(), _fk_frame
 
     def flaky(*args):
         if (threading.current_thread() is caller) == (failing == "calling"):
             raise RuntimeError(f"FK failed on the {failing} worker")
         return fk(*args)
 
-    monkeypatch.setattr(kinematics, "_fk_transforms", flaky)
+    monkeypatch.setattr(kinematics, "_fk_frame", flaky)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match=failing):
         sample_workspace(arm, 3 * FK_CHUNK, seed=7)
     assert threading.active_count() == before
 
 
-def test_fk_transforms_of_an_array_and_of_its_columns_agree(arm):
+def test_fk_frame_of_an_array_and_of_its_columns_agree(arm):
     lo, hi = np.array([arm.rom[row.joint_name] for row in arm.rows]).T
     samples = np.random.default_rng(5).uniform(lo, hi, (1000, 7))
     columns = [samples[:, j].copy() for j in range(7)]
-    assert (_fk_transforms(arm, iter(columns)).tobytes()
-            == _fk_transforms(arm, samples.T).tobytes())
+    assert (np.hstack(_fk_frame(arm, iter(columns))).tobytes()
+            == np.hstack(_fk_frame(arm, samples.T)).tobytes())
 
 
 @pytest.mark.parametrize("cpus, threads", [(1, 1), (2, 2)])
@@ -390,15 +424,16 @@ def test_every_worker_runs_full_slices(arm, monkeypatch, cpus, threads):
     # halving a worker's slice doubles the GIL handoffs of its numpy calls,
     # so every slice but a worker's last holds FK_CHUNK // 2 poses
     _with_cpus(monkeypatch, cpus)
-    fk, sizes, lock = _fk_transforms, {}, threading.Lock()
+    fk, sizes, lock = _fk_frame, {}, threading.Lock()
 
     def recorded(*args):
-        T = fk(*args)
+        frame = fk(*args)
         with lock:
-            sizes.setdefault(threading.current_thread(), []).append(len(T))
-        return T
+            sizes.setdefault(threading.current_thread(),
+                             []).append(frame[3].shape[1])
+        return frame
 
-    monkeypatch.setattr(kinematics, "_fk_transforms", recorded)
+    monkeypatch.setattr(kinematics, "_fk_frame", recorded)
     n = 3 * FK_CHUNK + 5
     sample_workspace(arm, n, seed=7)
     assert len(sizes) == threads
@@ -427,12 +462,12 @@ def test_one_slice_starts_no_thread(arm, monkeypatch, n, threads):
 
 
 @pytest.mark.parametrize("cpus, slice_bytes", [
-    # a slice per worker: three (4, 4) transforms (the buffer, the running
-    # product and the next) and a few per-pose vectors, with room
-    (2, FK_CHUNK * 8 * 64),
-    # one worker, bounded as when it ran FK_CHUNK // 2 poses with their 7
-    # samples
-    (1, (FK_CHUNK // 2) * 8 * 80)], ids=["two_workers", "one_worker"])
+    # a slice per worker: the D-H step holds the old and the new frame and
+    # its temporaries, a traced peak of 34.3 doubles a pose (1.12 MB at
+    # FK_CHUNK // 2 poses) on one worker; two workers may peak at once, 2.25
+    # MB. 40 doubles a pose leaves 17% room on one worker and 16% on two
+    (2, FK_CHUNK * 8 * 40),
+    (1, (FK_CHUNK // 2) * 8 * 40)], ids=["two_workers", "one_worker"])
 @pytest.mark.parametrize("n", [100000, 1000000])
 def test_workspace_memory_is_the_points_plus_one_slice(arm, monkeypatch, n,
                                                         cpus, slice_bytes):
