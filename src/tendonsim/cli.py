@@ -25,8 +25,8 @@ import reprlib
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
-                    Tuple, Union)
+from typing import (Callable, Dict, NamedTuple, Optional, Sequence, Tuple,
+                    Union)
 
 import numpy as np
 
@@ -96,11 +96,11 @@ class GridSpec:
         n, tail = self._extent()
         return n + 1 + tail
 
-    def points(self) -> List[float]:
+    def points(self) -> np.ndarray:
         n, tail = self._extent()
-        pts = [self.start + i * self.step for i in range(n + 1)]
+        pts = np.arange(n + 1 + tail, dtype=float) * self.step + self.start
         if tail:
-            pts.append(self.stop)
+            pts[-1] = self.stop
         return pts
 
 
@@ -251,17 +251,16 @@ def parse_config(path: Union[str, Path]):
     return CONFIG_TYPES[kind].parse(doc, path)
 
 
-def _merge_exact(base: List[float], exact: Sequence[float]) -> List[float]:
+def _merge_exact(base: np.ndarray, exact: Sequence[float]) -> np.ndarray:
     """Sorted union of grid points and exactly computed breakpoints inside
     the grid span; a point within 1e-9 of a later breakpoint gives way to
     it, and no grid point ever gives way to another."""
-    if not base:
-        return sorted(exact)
-    pts = list(base)
-    for b in exact:
-        if base[0] <= b <= base[-1]:
-            pts = [v for v in pts if abs(v - b) > 1e-9] + [b]
-    return sorted(pts)
+    inside = [b for b in exact if base[0] <= b <= base[-1]]
+    pts = np.concatenate([base, inside])
+    keep = np.ones(len(pts), dtype=bool)
+    for i, b in enumerate(inside, start=len(base)):
+        keep[:i] &= np.abs(pts[:i] - b) > 1e-9
+    return np.sort(pts[keep])
 
 
 @dataclass(frozen=True)
@@ -272,18 +271,26 @@ class ExperimentResult:
 
 
 def _sweep_eval(fn, label: str, *coords: np.ndarray):
-    """fn over whole coordinate arrays in one call. If that fails, the
-    points are re-run one at a time so the error names the first failing
-    sweep coordinate."""
+    """fn over whole coordinate arrays in one call. If that fails, the first
+    failing point is found by bisection, in O(log n) calls on windows of the
+    coordinates, and re-run as scalars for an error that names it."""
     try:
         return fn(*coords)
     except ValueError:
-        for point in zip(*(c.tolist() for c in coords)):
+        lo, hi = 0, len(coords[0])    # c[:lo] passes; the fault is before hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
             try:
-                fn(*point)
-            except ValueError as exc:
-                at = ", ".join(f"{v:g}" for v in point)
-                raise ExperimentError(f"{label} at ({at}): {exc}") from exc
+                fn(*(c[lo:mid] for c in coords))
+                lo = mid
+            except ValueError:
+                hi = mid
+        point = [c[lo].item() for c in coords]
+        try:
+            fn(*point)
+        except ValueError as exc:
+            at = ", ".join(f"{v:g}" for v in point)
+            raise ExperimentError(f"{label} at ({at}): {exc}") from exc
         raise
 
 
@@ -334,7 +341,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: Union[str, Path] = ".",
 def _run_force_displacement(spec: ExperimentSpec):
     actuator = spec.model
     bp = actuator.d_max_total
-    pts = np.array(_merge_exact(spec.sweeps["d"].points(), [bp]))
+    pts = _merge_exact(spec.sweeps["d"].points(), [bp])
     force = _sweep_eval(lambda d: force_from_displacement(actuator, d),
                         "force_from_displacement", pts)
     slope_below = actuator.k_et
@@ -356,12 +363,12 @@ def _run_force_displacement(spec: ExperimentSpec):
 def _run_stiffness_sweep(spec: ExperimentSpec):
     joint, delta = spec.model.joint, spec.delta
     bounds = stage_boundaries(joint, delta)
-    pts = np.array(_merge_exact(spec.sweeps["d_s"].points(), bounds))
+    pts = _merge_exact(spec.sweeps["d_s"].points(), bounds)
     F_e, K_s = _sweep_eval(
         lambda d_s: (external_force(joint, delta, d_s),
                      joint_stiffness(joint, delta, d_s)),
         "joint_stiffness", pts)
-    stages = [classify_stage(joint, d_s, delta).value for d_s in pts.tolist()]
+    stages = [s.value for s in classify_stage(joint, pts, delta).tolist()]
     summary = {
         "operation": "joint_stiffness",
         "delta_rad": delta,
@@ -376,8 +383,7 @@ def _run_stiffness_sweep(spec: ExperimentSpec):
 def _run_acceleration(spec: ExperimentSpec):
     joint = spec.model.joint
     kink = joint.d_m / 2.0
-    pts = np.array(_merge_exact(spec.sweeps["d_s"].points(),
-                                [kink, joint.d_m]))
+    pts = _merge_exact(spec.sweeps["d_s"].points(), [kink, joint.d_m])
     acc = _sweep_eval(lambda d_s: max_allowable_acceleration(joint, d_s),
                       "max_allowable_acceleration", pts)
     summary = {
@@ -408,8 +414,8 @@ def _run_torque_surface(spec: ExperimentSpec):
 
 def _run_max_torque(spec: ExperimentSpec):
     joint = spec.model.joint
-    pts = np.array(_merge_exact(spec.sweeps["d_s"].points(),
-                                [joint.d_m / 2.0, joint.d_m]))
+    pts = _merge_exact(spec.sweeps["d_s"].points(),
+                       [joint.d_m / 2.0, joint.d_m])
     tau = _sweep_eval(lambda d_s: max_controllable_torque(joint, d_s),
                       "max_controllable_torque", pts)
     summary = {

@@ -26,10 +26,11 @@ Five regimes (stages) of d_s for a passive deflection delta:
 where d_m is the actuator displacement limit including tendon stretch
 (d_max_total) and ties go to the lower-numbered stage.
 
-pretension_force, external_force, joint_stiffness, joint_torque,
-max_controllable_torque and max_allowable_acceleration take d_s (and d_t,
-and the deflection delta of external_force) as floats or as arrays that
-broadcast together; a float argument gives a float result.
+pretension_force, classify_stage, external_force, joint_stiffness,
+joint_torque, max_controllable_torque and max_allowable_acceleration take
+d_s (and d_t, and the deflection delta of external_force) as floats or as
+arrays that broadcast together; a float argument gives a float result
+(classify_stage: a StageLabel).
 
 Units: millimeters and newtons internally; SI conversions (m, Nm, rad/s^2)
 happen only at the acceleration interface.
@@ -71,6 +72,9 @@ class StageLabel(Enum):
     S3_DRIVING_AT_LIMIT = "S3_DrivingAtLimit"
     S4_PRETENSION_PAST_LIMIT = "S4_PretensionPastLimit"
     S5_TENDON_ONLY = "S5_TendonOnly"
+
+
+_STAGES = np.array(list(StageLabel), dtype=object)    # in stage order
 
 
 def _actuators_match(a: ActuatorModel, b: ActuatorModel) -> bool:
@@ -155,24 +159,13 @@ def stage_boundaries(joint: AntagonisticJointConfig, delta: float):
     return (dR, d_m - dR, d_m, d_m + dR)
 
 
-def classify_stage(joint: AntagonisticJointConfig, d_s: float,
-                   delta: float) -> StageLabel:
-    """Stage of pre-tension d_s under passive deflection delta.
-
-    Boundaries are assigned to the lower-numbered stage.
-    """
-    if not 0 <= d_s < math.inf:
-        raise _out_of_range("d_s", ">= 0", d_s)
-    b1, b2, b3, b4 = stage_boundaries(joint, delta)
-    if d_s <= b1:
-        return StageLabel.S1_OPPOSING_SLACK
-    if d_s <= b2:
-        return StageLabel.S2_CONTROLLABLE
-    if d_s <= b3:
-        return StageLabel.S3_DRIVING_AT_LIMIT
-    if d_s <= b4:
-        return StageLabel.S4_PRETENSION_PAST_LIMIT
-    return StageLabel.S5_TENDON_ONLY
+def classify_stage(joint: AntagonisticJointConfig, d_s, delta: float):
+    """Stage of pre-tension d_s under passive deflection delta: the first
+    whose upper boundary is at or above d_s, so ties go to the lower stage.
+    A float d_s gives a StageLabel, an array an object array of them."""
+    _require_nonnegative("d_s", d_s)
+    upper = (*stage_boundaries(joint, delta), math.inf)
+    return _STAGES[np.argmax(np.asarray(d_s)[..., None] <= upper, axis=-1)]
 
 
 def external_force(joint: AntagonisticJointConfig, delta, d_s):

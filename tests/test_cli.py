@@ -17,15 +17,17 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tendonsim import cli, config, default_arm, elastic, emit, joint
-from tendonsim.cli import (DATA_DIR, ENV_CONFIG_DIR, ConfigError,
-                           ExperimentError, GridSpec, LoadedJoint,
-                           _merge_exact, main, parse_config,
+from tendonsim.cli import (DATA_DIR, ENV_CONFIG_DIR, EXPERIMENTS,
+                           ConfigError, ExperimentError, ExperimentSpec,
+                           GridSpec, LoadedJoint, _merge_exact, _sweep_eval,
+                           main, parse_config,
                            parse_experiment, run_experiment,
                            validate_csv_schema)
 from tendonsim.config import (MAX_RUN_POINTS, _PyYamlLoader, _YamlLoader,
@@ -529,6 +531,37 @@ def test_vector_sweep_failure_names_the_first_bad_coordinate(tmp_path,
         "error: joint_torque at (-1, 0): d_s must be >= 0, got -1.0\n")
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 100, 4097])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_sweep_fault_is_found_by_bisection(n, where):
+    # the point the error names is the first one a scalar search fails on,
+    # found in O(log n) calls on windows that halve, so a fault near the end
+    # of a sweep at the run size limit costs seconds, not minutes
+    j = parse_config(DATA_DIR / "ica_joint.yaml").joint
+    bad = {"first": 0, "middle": n // 2, "last": n - 1}[where]
+    ds = np.linspace(0.0, 30.0, n)
+    dt = ds[::-1].copy()
+    ds[bad] = -1.0
+    ds[bad + 1::7] = -2.0          # later faults, with another message
+    calls = []
+
+    def fn(ds, dt):
+        calls.append(np.size(ds))
+        return joint.joint_torque(j, ds, dt)
+
+    with pytest.raises(ExperimentError) as got:
+        _sweep_eval(fn, "joint_torque", ds, dt)
+    for point in zip(ds.tolist(), dt.tolist()):
+        try:
+            joint.joint_torque(j, *point)
+        except ValueError as exc:
+            expected = f"joint_torque at ({point[0]:g}, {point[1]:g}): {exc}"
+            break
+    assert str(got.value) == expected
+    assert len(calls) <= 2 * math.ceil(math.log2(n)) + 2
+    assert sum(calls) <= 2 * n + 1    # the windows halve: O(n) work
+
+
 @pytest.mark.parametrize("config, below, above", [
     ("ica.yaml", 3.178807947019868, 30.0),
     ("eca.yaml", 8.863636363636363, 60.0),
@@ -934,7 +967,7 @@ def test_schema_rejections(tmp_path, text, fragment):
 
 def test_grid_points_inclusive_when_step_divides():
     g = GridSpec(0.0, 1.0, 0.25)
-    assert g.points() == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert g.points().tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
     assert g.count() == 5
 
 
@@ -966,16 +999,15 @@ def test_grid_validation(kw):
 
 
 def test_merge_exact_inserts_breakpoints_inside_span():
-    assert _merge_exact([0.0, 1.0, 2.0], [1.5, 5.0]) == [0.0, 1.0, 1.5, 2.0]
+    assert (_merge_exact([0.0, 1.0, 2.0], [1.5, 5.0]).tolist()
+            == [0.0, 1.0, 1.5, 2.0])
 
 
 def test_merge_exact_collapses_near_duplicates_onto_exact_value():
-    assert _merge_exact([0.0, 1.0 + 2e-10, 2.0], [1.0]) == [0.0, 1.0, 2.0]
-    assert _merge_exact([0.0, 1.0 - 2e-10, 2.0], [1.0]) == [0.0, 1.0, 2.0]
-
-
-def test_merge_exact_with_empty_base():
-    assert _merge_exact([], [2.0, 1.0]) == [1.0, 2.0]
+    assert (_merge_exact([0.0, 1.0 + 2e-10, 2.0], [1.0]).tolist()
+            == [0.0, 1.0, 2.0])
+    assert (_merge_exact([0.0, 1.0 - 2e-10, 2.0], [1.0]).tolist()
+            == [0.0, 1.0, 2.0])
 
 
 def test_a_fine_grid_keeps_every_point(tmp_path):
@@ -994,6 +1026,43 @@ def test_a_fine_grid_keeps_every_point(tmp_path):
     assert len(data.splitlines()) == 1 + 101
     case = _bench_module("oracle").Case(spec, DATA_DIR)
     assert case.check(data, result.summary_path.read_bytes()) == []
+
+
+def _sweep_case(kind):
+    """(model, breakpoints, top of its grids) of a 1-D sweep kind on the
+    bundled ica actuator and joint."""
+    if kind == "ForceDisplacement":
+        actuator = parse_config(DATA_DIR / "ica.yaml")
+        return actuator, [actuator.d_max_total], 45.0
+    loaded = parse_config(DATA_DIR / "ica_joint.yaml")
+    d_m = loaded.joint.d_m
+    if kind == "StiffnessVsPretension":
+        return loaded, joint.stage_boundaries(loaded.joint, loaded.delta), 40.0
+    return loaded, [d_m / 2.0, d_m], d_m    # defined up to d_m only
+
+
+@pytest.mark.parametrize("grid", ["fine", "coarse", "off_grid"])
+@pytest.mark.parametrize("kind", ["ForceDisplacement",
+                                  "StiffnessVsPretension", "MaxAcceleration",
+                                  "MaxTorqueVsPretension"])
+def test_a_sweep_writes_its_grid_and_breakpoints(tmp_path, kind, grid):
+    # count() rows, plus the breakpoints inside the span, less the grid
+    # points within 1e-9 of one of them
+    model, bps, top = _sweep_case(kind)
+    b = bps[0]
+    g = {"fine": GridSpec(b - 5e-9, b + 5e-9, 1e-10),  # ~20 collapse onto b
+         "coarse": GridSpec(0.0, top, 100.0),           # start and stop
+         "off_grid": GridSpec(0.25, top, 0.3)}[grid]
+    pts = g.points().tolist()
+    inside = [x for x in bps if pts[0] <= x <= pts[-1]]
+    collapsed = sum(any(abs(v - x) <= 1e-9 for x in inside) for v in pts)
+    var, = EXPERIMENTS[kind].sweeps
+    spec = ExperimentSpec(EXPERIMENTS[kind], model, {var: g}, "sweep",
+                          delta=getattr(model, "delta", None))
+    result = run_experiment(spec, out_dir=tmp_path)
+    rows = len(result.output_path.read_bytes().splitlines()) - 1
+    assert rows == g.count() + len(inside) - collapsed
+    assert grid != "fine" or collapsed >= 19
 
 
 # --------------------------------------------------------------------------

@@ -167,22 +167,32 @@ def test_external_force_nonnegative_and_stiffness_positive(joint, frac, pos):
 
 
 @settings(max_examples=100, deadline=None)
-@given(joints(), st.floats(0.05, 0.45), st.floats(0.0, 1.4))
-def test_classification_matches_interval_arithmetic(joint, frac, pos):
+@given(joints(), st.floats(0.05, 2.0),
+       st.lists(st.floats(0.0, 3.5), min_size=1, max_size=20))
+def test_classification_matches_interval_arithmetic(joint, frac, positions):
+    # delta*R past d_m/2 (frac > 0.5) puts the boundaries out of order and
+    # past d_m (frac > 1) makes d_m - delta*R negative; the boundaries
+    # themselves are ties, which go to the lower stage
     delta = frac * joint.d_m / joint.R
-    d_s = pos * joint.d_m
-    b1, b2, b3, b4 = stage_boundaries(joint, delta)
-    if d_s <= b1:
-        expected = StageLabel.S1_OPPOSING_SLACK
-    elif d_s <= b2:
-        expected = StageLabel.S2_CONTROLLABLE
-    elif d_s <= b3:
-        expected = StageLabel.S3_DRIVING_AT_LIMIT
-    elif d_s <= b4:
-        expected = StageLabel.S4_PRETENSION_PAST_LIMIT
-    else:
-        expected = StageLabel.S5_TENDON_ONLY
-    assert classify_stage(joint, d_s, delta) is expected
+    bounds = stage_boundaries(joint, delta)
+    d_s = [pos * joint.d_m for pos in positions] + [b for b in bounds
+                                                     if b >= 0]
+    labels = classify_stage(joint, np.array(d_s), delta)
+    assert labels.shape == (len(d_s),)
+    b1, b2, b3, b4 = bounds
+    for v, label in zip(d_s, labels):
+        if v <= b1:
+            expected = StageLabel.S1_OPPOSING_SLACK
+        elif v <= b2:
+            expected = StageLabel.S2_CONTROLLABLE
+        elif v <= b3:
+            expected = StageLabel.S3_DRIVING_AT_LIMIT
+        elif v <= b4:
+            expected = StageLabel.S4_PRETENSION_PAST_LIMIT
+        else:
+            expected = StageLabel.S5_TENDON_ONLY
+        assert classify_stage(joint, v, delta) is expected
+        assert label is expected
 
 
 @settings(max_examples=100, deadline=None)
