@@ -67,8 +67,8 @@ def _check_columns(path: Path, header: Sequence[str],
             raise SchemaError(f"{path}: column '{name}' has {len(col)} "
                               f"cells, expected {n}")
         if name.endswith("_label"):
-            bad = next((i for i, s in enumerate(col)
-                        if not (isinstance(s, str) and s)), None)
+            bad = None if _all_labels(col) else next(
+                i for i, s in enumerate(col) if not _is_label(s))
             what = "empty label"
         else:
             finite = np.isfinite(col)
@@ -77,6 +77,20 @@ def _check_columns(path: Path, header: Sequence[str],
         if bad is not None:
             raise SchemaError(f"{path}: row {first_row + bad + 1}: {what} "
                               f"in '{name}'")
+
+
+def _is_label(s: object) -> bool:
+    return isinstance(s, str) and s != ""
+
+
+def _all_labels(col: Sequence) -> bool:
+    """Whether every cell of col is a nonempty str, each distinct cell
+    checked once; a cell that cannot be hashed is no label."""
+    try:
+        distinct = dict.fromkeys(col)
+    except TypeError:
+        return False
+    return all(map(_is_label, distinct))
 
 
 def _csv_cell(s: str) -> str:

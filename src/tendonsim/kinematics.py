@@ -31,6 +31,15 @@ and the origin moves by a along the new x and d along the old z. The FK
 applies that step to the upper 3x4 of the transforms, as four (3, n)
 column arrays, with elementwise numpy ops that round once apiece, so the
 bits depend on neither the BLAS nor the SIMD level.
+
+A backward pass over the rows (_liveness) marks which of those columns
+each row must produce for the ones wanted after the last row, and which
+rows need their joint value at all; the step computes only those. A
+transform wants all four. A Workspace point wants only the origin: on the
+default arm every a is 0, so the last wrist joint (theta_12) cannot move
+it and is never drawn, and the row before it turns only its z axis. The
+first rows still need every column, so a Workspace slice of FK_CHUNK // 2
+poses peaks there, at about 34 doubles a pose under tracemalloc (1.12 MB).
 """
 
 from __future__ import annotations
@@ -78,14 +87,19 @@ _HALF_PI = math.pi / 2.0
 # poses in flight across the FK workers, each of which runs slices of
 # FK_CHUNK // 2 poses whatever the worker count. A slice's (3, n) frame
 # columns stay in cache, where whole-cloud ones would stream through
-# memory. Each of the ~120 numpy calls of a slice releases the GIL and
-# takes it back, so two workers on smaller slices would wait on each other
-# more often for the same poses
+# memory. Each of the ~75 numpy calls of a Workspace slice releases the GIL
+# and takes it back, so two workers on smaller slices would wait on each
+# other more often for the same poses
 FK_CHUNK = 8192
 
 # the identity frame: the x, y, z axes and origin as (3, 1) columns, which
 # broadcast against the first row's (n,) joint values
 _IDENTITY = tuple(np.eye(3, 4)[:, j:j + 1] for j in range(4))
+
+# the frame columns (x, y, z, p) wanted after the last row: all of them for
+# a transform, only the origin for a Workspace point
+_ALL = (True, True, True, True)
+_POSITION = (False, False, False, True)
 
 
 class RomError(ValueError):
@@ -190,7 +204,8 @@ def dh_transform(row: DHRow, joint_value: float) -> np.ndarray:
     """4x4 homogeneous transform of one D-H row at the given joint value."""
     if not math.isfinite(joint_value):
         raise ValueError(f"joint value must be finite, got {joint_value}")
-    return _transform(_dh_step(row, np.array([joint_value]), *_IDENTITY))
+    return _transform(_dh_step(row, _liveness((row,), _ALL)[0],
+                               np.array([joint_value]), *_IDENTITY))
 
 
 def _as_named(chain: KinematicChain,
@@ -270,32 +285,71 @@ def default_arm(b: float = 0.30, c: float = 0.25, d: float = 0.08,
                           rom=rom)
 
 
-def _dh_step(row: DHRow, q: np.ndarray, x: np.ndarray, y: np.ndarray,
+def _liveness(rows: Sequence[DHRow], wanted: Tuple[bool, ...]) -> list:
+    """For each row, (uses_q, out): out flags which of the frame columns
+    (x, y, z, p) the row must produce for the columns wanted after the
+    last row, and uses_q whether those need the row's joint value. One
+    backward pass over rows."""
+    plan = []
+    for row in reversed(rows):
+        x, y, z, p = wanted
+        # x', the turned axis (y' at alpha 0, else z') and a move along x'
+        # mix the old x and y by theta; the other of y' and z' is +-z, and
+        # p' moves by d along z
+        uses_q = x or (y if row.alpha == 0.0 else z) or (p and row.a != 0.0)
+        keep_z = (z if row.alpha == 0.0 else y) or (p and row.d != 0.0)
+        plan.append((uses_q, wanted))
+        wanted = (uses_q, uses_q, keep_z, p)
+    return plan[::-1]
+
+
+def _dh_step(row: DHRow, live: Tuple[bool, Tuple[bool, ...]],
+             q: Optional[np.ndarray], x: np.ndarray, y: np.ndarray,
              z: np.ndarray, p: np.ndarray) -> Tuple[np.ndarray, ...]:
     """The frames (x, y, z, p), each axis and the origin as (3, n) columns
     of the upper 3x4 of n transforms, times the row's transforms at the
-    joint values q (n,)."""
-    theta = row.theta_offset + row.joint_sign * q
-    ct, st = np.cos(theta), np.sin(theta)
-    c0 = x * ct + y * st
+    joint values q (n,). live is the row's (uses_q, out) of _liveness:
+    only the columns out flags are computed, the others are None, and q is
+    read only when uses_q is set."""
+    uses_q, (want_x, want_y, want_z, want_p) = live
+    if uses_q:
+        # offset + sign*q, as sign*q is q or -q exactly
+        theta = (row.theta_offset + q if row.joint_sign > 0
+                 else row.theta_offset - q)
+        ct, st = np.cos(theta), np.sin(theta)
+    c0 = x * ct + y * st if want_x or (want_p and row.a) else None
     if row.alpha == 0.0:
-        c1, c2 = y * ct - x * st, z
+        c1 = y * ct - x * st if want_y else None
+        c2 = z if want_z else None
     elif row.alpha > 0.0:
-        c1, c2 = z, x * st - y * ct
+        c1 = z if want_y else None
+        c2 = x * st - y * ct if want_z else None
     else:
-        c1, c2 = -z, y * ct - x * st
-    return c0, c1, c2, p + row.a * c0 + row.d * z
+        c1 = -z if want_y else None
+        c2 = y * ct - x * st if want_z else None
+    if want_p:
+        # p starts at +0, and a sum is -0 only if every addend is, so p is
+        # never -0 and adding a zero a*c0 or d*z, as skipped here, would
+        # leave its bits as they are
+        if row.a:
+            p = p + row.a * c0
+        if row.d:
+            p = p + row.d * z
+    return c0 if want_x else None, c1, c2, p if want_p else None
 
 
-def _fk_frame(chain: KinematicChain,
-              joints: Iterable[np.ndarray]) -> Tuple[np.ndarray, ...]:
+def _fk_frame(chain: KinematicChain, joints: Iterable[Optional[np.ndarray]],
+              plan: Optional[list] = None) -> Tuple[np.ndarray, ...]:
     """End-effector frames (x, y, z, p), as in _dh_step, for the 7 joint
     columns (n,) in row order: the one D-H path of forward_kinematics and
     sample_workspace. joints is any iterable of the columns, such as
-    samples.T of an (n, 7) array; each is taken only as its row needs it."""
+    samples.T of an (n, 7) array; each is taken only as its row needs it,
+    and one whose row needs no joint value may be None. plan is the
+    chain's _liveness, all four columns by default."""
     frame = _IDENTITY
-    for row, q in zip(chain.rows, joints):
-        frame = _dh_step(row, q, *frame)
+    for row, live, q in zip(chain.rows,
+                            plan or _liveness(chain.rows, _ALL), joints):
+        frame = _dh_step(row, live, q, *frame)
     return frame
 
 
@@ -307,25 +361,34 @@ def _transform(frame: Tuple[np.ndarray, ...]) -> np.ndarray:
 
 
 def _sample_slices(chain: KinematicChain, points: np.ndarray, first: int,
-                   step: int, size: int, draws: list) -> float:
+                   step: int, size: int, draws: list, plan: list) -> float:
     """Draw and run FK on slices first, first + step, ... of the points,
     each of size poses, into those rows of points; return the largest
-    norm among them. draws holds each joint's generator, at the first
-    slice's place in the stream, and its ROM bounds; each joint's column
-    is drawn as FK reaches its row."""
-    def columns(m: int) -> Iterator[np.ndarray]:
-        for rng, lo, hi in draws:
+    norm among them. plan is the chain's _liveness for the position. draws
+    holds each joint's generator, at the first slice's place in the
+    stream, and its ROM bounds, or None for a joint the position does not
+    need; each joint's column is drawn as FK reaches its row."""
+    def columns(m: int) -> Iterator[Optional[np.ndarray]]:
+        for draw in draws:
+            if draw is None:
+                yield None
+                continue
+            rng, lo, hi = draw
             q = rng.uniform(lo, hi, m)
             rng.bit_generator.advance((step - 1) * size)
             yield q
 
-    max_reach = 0.0
+    # the squared norm sums left to right, as np.linalg.norm(points,
+    # axis=1) does, so its root is that norm's max to the bit
+    max_square = 0.0
     for i in range(first * size, len(points), step * size):
         m = min(size, len(points) - i)
-        points[i:i + m] = _fk_frame(chain, columns(m))[3].T
-        max_reach = max(max_reach,
-                        float(np.linalg.norm(points[i:i + m], axis=1).max()))
-    return max_reach
+        p = _fk_frame(chain, columns(m), plan)[3]
+        points[i:i + m] = p.T
+        max_square = max(max_square,
+                         float((p[0] * p[0] + p[1] * p[1]
+                                + p[2] * p[2]).max()))
+    return math.sqrt(max_square)
 
 
 def _cpus() -> int:
@@ -347,13 +410,17 @@ def sample_workspace(chain: KinematicChain, n: int, seed: int) -> WorkspaceCloud
     Sampling and FK run over slices of FK_CHUNK // 2 poses, on up to two
     workers: the calling thread and, when n spans more than one FK_CHUNK
     and a second CPU is free to the process, one more thread, each taking
-    every other slice. A slice draws each joint's column as FK reaches its
-    row. Each joint's generator starts at its slice's place in the stream
-    (PCG64 advanced by j*n outputs plus the slice's start, one output per
-    double), and each pose is computed alone, so neither the slicing nor
-    the worker count changes a bit of the result. Memory is the (n, 3)
-    points, 24 bytes per sample, plus the frames and temporaries of one
-    slice per worker: about a dozen (3, FK_CHUNK // 2) arrays, 1.1 MB.
+    every other slice. FK computes only the frame columns that reach the
+    end-effector position, and a slice draws the column of only the
+    joints those need (_liveness), each as FK reaches its row; on the
+    default arm theta_12 is never drawn. Each joint's generator starts at
+    its slice's place in the stream (PCG64 advanced by j*n outputs plus the
+    slice's start, one output per double), and each pose is computed alone,
+    so neither the slicing, the worker count nor the joints left undrawn
+    change a bit of the result. Memory is the (n, 3) points, 24 bytes per
+    sample, plus the frames and temporaries of one slice per worker: a
+    traced peak of about eleven (3, FK_CHUNK // 2) arrays, 1.12 MB, in the
+    first rows, which need every column.
     Every thread is joined before the call returns or raises.
     The bbox is taken one coordinate column at a time, which is faster
     than the axis-0 reduction over rows and, min and max being exact,
@@ -363,12 +430,14 @@ def sample_workspace(chain: KinematicChain, n: int, seed: int) -> WorkspaceCloud
         raise ValueError(f"n must be >= 1, got {n}")
     workers = min(2, _cpus(), -(-n // FK_CHUNK))
     size = min(n, FK_CHUNK // 2)
+    plan = _liveness(chain.rows, _POSITION)
     # every generator is made here, before any worker starts: the first
     # generator of a process imports numpy.random, and a thread that did
     # would grow its own malloc arena with the import
     draws = [[(np.random.Generator(np.random.PCG64(seed).advance(
                   j * n + w * size)), *chain.rom[row.joint_name])
-              for j, row in enumerate(chain.rows)]
+              if uses_q else None
+              for j, (row, (uses_q, _)) in enumerate(zip(chain.rows, plan))]
              for w in range(workers)]
     points = np.empty((n, 3))
     reach = [0.0] * workers
@@ -377,7 +446,7 @@ def sample_workspace(chain: KinematicChain, n: int, seed: int) -> WorkspaceCloud
     def work(w: int) -> None:
         try:
             reach[w] = _sample_slices(chain, points, w, workers, size,
-                                      draws[w])
+                                      draws[w], plan)
         except BaseException as exc:    # raised once every worker is done
             errors.append(exc)
 

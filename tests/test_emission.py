@@ -497,6 +497,36 @@ def test_schema_rows_count_across_blocks(tmp_path, row, cell, fragment):
     assert str(err.value) == f"{path}: row {row}: {fragment}"
 
 
+# rows past the first block of the file check, the last and the first of a
+# block, and the last row of the table
+@pytest.mark.parametrize("row", [5000, 2 * 4096, 2 * 4096 + 1, 3 * 4096 + 17])
+def test_a_bad_label_deep_in_a_long_column_names_its_row(tmp_path, row):
+    # the labels are checked once per distinct label; the row of a bad one
+    # counts from the table's first, in the writer and in the file check
+    n = 3 * 4096 + 17
+    x = np.arange(n, dtype=float)
+    labels = [("S1", "a,b", "S2")[i % 3] for i in range(n)]
+    path = tmp_path / "t.csv"
+    _write_rows(path, ["x_m", "stage_label"], [x, labels], "csv")
+    validate_csv_schema(path)
+    for bad in ("", None, math.nan, ["S1"]):
+        spoiled = list(labels)
+        spoiled[row - 1] = bad
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"bad.{fmt}"
+            with pytest.raises(SchemaError) as err:
+                _write_rows(out, ["x_m", "stage_label"], [x, spoiled], fmt)
+            assert str(err.value) == (f"{out}: row {row}: empty label in "
+                                      f"'stage_label'")
+            assert not out.exists()
+    lines = path.read_text().split("\n")
+    lines[row] = lines[row].split(",")[0] + ","
+    path.write_text("\n".join(lines))
+    with pytest.raises(SchemaError) as err:
+        validate_csv_schema(path)
+    assert str(err.value) == f"{path}: row {row}: empty label in 'stage_label'"
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_run_with_a_nan_cell_fails_before_any_file(tmp_path, monkeypatch,
                                                    capsys, fmt):

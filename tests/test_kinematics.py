@@ -9,6 +9,7 @@ under an OpenBLAS kernel without FMA, and a workspace point is bitwise the
 position of its pose.
 """
 
+import collections
 import functools
 import hashlib
 import json
@@ -21,13 +22,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tendonsim import (DHRow, KinematicChain, RomError, default_arm,
                        dh_transform, forward_kinematics,
                        full_extension_joint_values, kinematics,
                        sample_workspace)
-from tendonsim.kinematics import (DEFAULT_ROM_DEG, FK_CHUNK, JOINT_ORDER,
-                                  _fk_frame)
+from tendonsim.kinematics import (_POSITION, DEFAULT_ROM_DEG, FK_CHUNK,
+                                  JOINT_ORDER, _fk_frame, _liveness)
 
 B, C, D = 0.30, 0.25, 0.08
 
@@ -417,6 +420,105 @@ def test_fk_frame_of_an_array_and_of_its_columns_agree(arm):
     columns = [samples[:, j].copy() for j in range(7)]
     assert (np.hstack(_fk_frame(arm, iter(columns))).tobytes()
             == np.hstack(_fk_frame(arm, samples.T)).tobytes())
+
+
+def _reference_frame(chain, joints):
+    # every column of every row, and p moved by a*c0 + d*z whether or not
+    # a and d are zero: the D-H step before the liveness pass
+    x, y, z, p = (np.eye(3, 4)[:, j:j + 1] for j in range(4))
+    for row, q in zip(chain.rows, joints):
+        theta = row.theta_offset + row.joint_sign * q
+        ct, st_ = np.cos(theta), np.sin(theta)
+        c0 = x * ct + y * st_
+        if row.alpha == 0.0:
+            c1, c2 = y * ct - x * st_, z
+        elif row.alpha > 0.0:
+            c1, c2 = z, x * st_ - y * ct
+        else:
+            c1, c2 = -z, y * ct - x * st_
+        x, y, z, p = c0, c1, c2, p + row.a * c0 + row.d * z
+    return x, y, z, p
+
+
+@st.composite
+def chains_and_joints(draw):
+    # a and d each zero, of either sign, or not; alpha 0 or +-pi/2; any
+    # offset and sign; joint values with zeros of either sign among them
+    length = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.0, 1.0))
+    h = math.pi / 2.0
+    rows = tuple(DHRow(draw(length), draw(length),
+                       draw(st.sampled_from([0.0, h, -h])),
+                       draw(st.floats(-4.0, 4.0)),
+                       draw(st.sampled_from([1, -1])), name)
+                 for name in JOINT_ORDER)
+    chain = KinematicChain(rows=rows, link_lengths={}, rom=default_arm().rom)
+    n = draw(st.integers(1, 6))
+    value = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-4.0, 4.0))
+    joints = [np.array(draw(st.lists(value, min_size=n, max_size=n)))
+              for _ in JOINT_ORDER]
+    return chain, joints
+
+
+@settings(max_examples=400, deadline=None)
+@given(chains_and_joints())
+def test_the_position_alone_keeps_the_bits_of_the_whole_frame(case):
+    chain, joints = case
+    n = len(joints[0])
+    reference = _reference_frame(chain, joints)
+    whole = _fk_frame(chain, joints)
+    for got, want in zip(whole, reference):
+        assert (np.broadcast_to(got, want.shape).tobytes()
+                == np.broadcast_to(want, got.shape).tobytes())
+    plan = _liveness(chain.rows, _POSITION)
+    # a dead joint is never read
+    alone = _fk_frame(chain, [q if uses_q else None
+                              for q, (uses_q, _) in zip(joints, plan)], plan)
+    assert alone[:3] == (None, None, None)
+    assert (np.broadcast_to(alone[3], (3, n)).tobytes()
+            == np.broadcast_to(whole[3], (3, n)).tobytes())
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("chain, undrawn", [(default_arm, {"theta_12"}),
+                                            (_offset_chain, set())],
+                         ids=["bundled_arm", "offset_chain"])
+def test_workspace_draws_only_the_joints_that_move_the_point(
+        monkeypatch, cpus, chain, undrawn):
+    # every a of the bundled arm is 0, so its last wrist joint turns the
+    # hand about the axis it points along
+    _with_cpus(monkeypatch, cpus)
+    chain = chain()
+    joint_of = {chain.rom[name]: name for name in chain.joint_names}
+    calls = collections.Counter()
+
+    class Counted(np.random.Generator):
+        def uniform(self, lo, hi, size):
+            calls[joint_of[lo, hi]] += 1
+            return super().uniform(lo, hi, size)
+
+    n = 3 * FK_CHUNK + 5
+    expected = sample_workspace(chain, n, seed=7)
+    monkeypatch.setattr(np.random, "Generator", Counted)
+    cloud = sample_workspace(chain, n, seed=7)
+    slices = -(-n // (FK_CHUNK // 2))
+    assert calls == {name: slices for name in chain.joint_names
+                     if name not in undrawn}
+    assert _digest(cloud) == _digest(expected)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("chain", [default_arm, _offset_chain],
+                         ids=["bundled_arm", "offset_chain"])
+@pytest.mark.parametrize("n, seed", [(1, 0), (FK_CHUNK + 1, 7),
+                                     (100_000, 42)])
+def test_max_reach_is_the_largest_point_norm_bit_for_bit(
+        monkeypatch, cpus, chain, n, seed):
+    # max_reach_m is emitted: the root of the largest x*x + y*y + z*z,
+    # summed left to right, is np.linalg.norm's largest to the bit
+    _with_cpus(monkeypatch, cpus)
+    cloud = sample_workspace(chain(), n, seed)
+    assert (cloud.stats["max_reach_m"]
+            == float(np.linalg.norm(cloud.points, axis=1).max()))
 
 
 @pytest.mark.parametrize("cpus, threads", [(1, 1), (2, 2)])
