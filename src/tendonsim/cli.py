@@ -32,7 +32,7 @@ import numpy as np
 
 from . import config, emit
 from .config import (DATA_DIR, ENV_CONFIG_DIR, ConfigError, LoadedJoint,
-                     _Section, _check_lift_steps, _parse_actuator,
+                     _Section, _check_lift_steps, _is_a, _parse_actuator,
                      _parse_chain, _parse_joint, _parse_lift, _read_config,
                      _resolve, _wrong_type_file)
 from .dynamics import LiftScenario, simulate_lift
@@ -204,11 +204,6 @@ def _check_spec(spec: ExperimentSpec,
                    f"{list(spec.sweeps)}")
     if math.prod(g.count() for g in spec.sweeps.values()) > limit:
         raise fail(f"the sweep grid has more than {limit} points")
-
-
-def _is_a(v: object, types) -> bool:
-    """v is of one of types, where a bool is not a number."""
-    return isinstance(v, types) and not isinstance(v, bool)
 
 
 class _ConfigType(NamedTuple):

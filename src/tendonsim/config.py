@@ -176,7 +176,7 @@ class _Section:
         v = self.take(key, required, default)
         if v is None and not required:
             return default
-        if isinstance(v, bool) or not isinstance(v, types):
+        if not _is_a(v, types):
             raise self._wrong_type(key, what, v)
         return v
 
@@ -221,6 +221,11 @@ class _Section:
         return doc
 
 
+def _is_a(v: object, types) -> bool:
+    """v is of one of types, where a bool is not a number."""
+    return isinstance(v, types) and not isinstance(v, bool)
+
+
 def _wrong_type_file(name: str, kind: str, want: str, user: str) -> str:
     """The error of a config file, called name, of type kind where user
     needs want."""
@@ -231,7 +236,7 @@ def _wrong_type_file(name: str, kind: str, want: str, user: str) -> str:
 def _load_table_csv(path: Path) -> Tuple[Tuple[float, float], ...]:
     """Two-column (displacement_mm, force_N) curve with a mandatory header."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
@@ -384,8 +389,7 @@ def _parse_chain(doc: dict, path: Path) -> KinematicChain:
         for name in list(rom_raw):
             pair = rsec.take(name)
             if (not isinstance(pair, (list, tuple)) or len(pair) != 2
-                    or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                           for v in pair)):
+                    or not all(_is_a(v, (int, float)) for v in pair)):
                 raise rsec._wrong_type(name, "a [lo, hi] pair of numbers",
                                        pair)
             rom_deg[name] = tuple(rsec._float(name, v) for v in pair)
@@ -419,7 +423,7 @@ def _parse_chain(doc: dict, path: Path) -> KinematicChain:
     rom = {name: (math.radians(lo), math.radians(hi))
            for name, (lo, hi) in rom_deg.items()}
     with sec:
-        return KinematicChain(rows=tuple(rows), link_lengths=lengths, rom=rom)
+        return KinematicChain(rows=tuple(rows), rom=rom)
 
 
 def _length_field(rsec: _Section, key: str, lengths: Dict[str, float]) -> float:

@@ -34,7 +34,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .elastic import ActuatorModel
+from .elastic import MM_PER_M, ActuatorModel
 
 __all__ = [
     "LiftScenario",
@@ -44,8 +44,6 @@ __all__ = [
     "simulate_lift",
     "mechanical_power",
 ]
-
-MM_PER_M = 1000.0
 
 
 @dataclass(frozen=True)

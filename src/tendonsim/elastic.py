@@ -58,6 +58,9 @@ __all__ = [
     "effective_stiffness",
 ]
 
+# the models work in mm; joint and dynamics convert at their SI interfaces
+MM_PER_M = 1000.0
+
 # Relative slack allowed between the user-quoted travel limit and the limit
 # implied by the element's own law. Published parameter sets are only about
 # 2% self-consistent, so construction tolerates that much and no more.

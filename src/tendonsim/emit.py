@@ -6,8 +6,9 @@ Conventions:
     numbers) with _check_columns before it opens the file;
     validate_csv_schema is _check_columns on a CSV file read from disk,
     after the checks only a file can fail (header, ragged rows, numbers),
-  * CSV dialect: comma separated, LF line endings, '.' decimal, header row
-    mandatory,
+  * CSV dialect: comma separated, '.' decimal, header row mandatory,
+  * every output file (CSV, JSON, summary) is UTF-8 with LF line endings
+    on every platform, written by _replacing,
   * rows are rendered a block at a time (_row_blocks) and streamed to a
     temporary file in the output directory, renamed onto the output name
     once complete; both formats render a block by numpy in one slot layout
@@ -23,6 +24,7 @@ import csv
 import io
 import json
 import os
+import threading
 from contextlib import contextmanager, suppress
 from functools import partial, reduce
 from itertools import count, islice
@@ -351,14 +353,16 @@ def _slot_rows(form: _Format, slots: Sequence[Optional[np.ndarray]],
 
 
 @contextmanager
-def _replacing(path: Path,
-               newline: Optional[str] = None) -> Iterator[TextIO]:
+def _replacing(path: Path) -> Iterator[TextIO]:
     """A UTF-8 text file written under a temporary name in path's directory
     and moved onto path when the block ends; on an exception it is removed,
-    so a failed write leaves no truncated file at path."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    so a failed write leaves no truncated file at path. Its line ends are
+    LF on every platform. The name is the writer's own (process and
+    thread), so two writers of one path never share a temporary file."""
+    tmp = path.with_name(
+        f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
-        with open(tmp, "w", newline=newline, encoding="utf-8") as fh:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -399,7 +403,7 @@ def _write_rows(path: Path, header: Sequence[str], columns: Sequence,
             slots.append(None)
     blocks = _row_blocks(cells, partial(_slot_rows, form, slots))
     if form is _CSV:
-        with _replacing(path, newline="") as fh:
+        with _replacing(path) as fh:
             csv.writer(fh, lineterminator="\n").writerow(header)
             fh.writelines(blocks)
         return

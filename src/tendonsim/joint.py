@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .elastic import ActuatorModel, force_from_displacement
+from .elastic import MM_PER_M, ActuatorModel, force_from_displacement
 
 __all__ = [
     "AntagonisticJointConfig",
@@ -62,8 +62,6 @@ __all__ = [
     "max_controllable_torque",
     "absolute_max_torque",
 ]
-
-MM_PER_M = 1000.0
 
 
 class StageLabel(Enum):
@@ -95,6 +93,13 @@ def _require_nonnegative(name: str, value) -> None:
     if not (v.min(initial=0.0) >= 0 and v.max(initial=0.0) < math.inf):
         bad = ~((v >= 0) & (v < math.inf))
         raise _out_of_range(name, ">= 0", v[bad].flat[0])
+
+
+def _require_positive(name: str, value) -> None:
+    v = np.asarray(value)
+    bad = ~((v > 0) & (v < math.inf))
+    if bad.any():
+        raise _out_of_range(name, "> 0", v[bad].flat[0])
 
 
 @dataclass(frozen=True)
@@ -152,8 +157,7 @@ def pretension_force(joint: AntagonisticJointConfig, d_s):
 def stage_boundaries(joint: AntagonisticJointConfig, delta: float):
     """The four stage boundaries in d_s (mm) for deflection delta (rad):
     (delta*R, d_m - delta*R, d_m, d_m + delta*R)."""
-    if not 0 < delta < math.inf:
-        raise _out_of_range("delta", "> 0", delta)
+    _require_positive("delta", delta)
     dR = delta * joint.R
     d_m = joint.d_m
     return (dR, d_m - dR, d_m, d_m + dR)
@@ -172,10 +176,7 @@ def external_force(joint: AntagonisticJointConfig, delta, d_s):
     """Restoring tendon force F_e (N) against a passive deflection delta
     (rad) at pre-tension d_s (mm). Single computation path for all stages.
     """
-    d = np.asarray(delta)
-    bad = ~((d > 0) & (d < math.inf))
-    if bad.any():
-        raise _out_of_range("delta", "> 0", d[bad].flat[0])
+    _require_positive("delta", delta)
     _require_nonnegative("d_s", d_s)
     dR = delta * joint.R
     return (joint.f_d(d_s + dR) - joint.f_d(d_s - dR)

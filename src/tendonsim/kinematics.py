@@ -141,14 +141,11 @@ class DHRow:
 
 @dataclass(frozen=True)
 class KinematicChain:
-    """Ordered D-H rows, named link lengths and per-joint ROM intervals.
-
-    link_lengths holds the named offsets (b, c, d) in meters; rom maps each
-    joint name to a closed (lo, hi) interval in radians.
+    """Ordered D-H rows and per-joint ROM intervals: rom maps each joint
+    name to a closed (lo, hi) interval in radians.
     """
 
     rows: Tuple[DHRow, ...]
-    link_lengths: Mapping[str, float]
     rom: Mapping[str, Tuple[float, float]]
 
     def __post_init__(self) -> None:
@@ -257,13 +254,12 @@ def full_extension_joint_values() -> Dict[str, float]:
     return values
 
 
-def default_arm(b: float = 0.30, c: float = 0.25, d: float = 0.08,
-                rom_deg: Optional[Mapping[str, Tuple[float, float]]] = None,
-                ) -> KinematicChain:
-    """The 7-joint arm: 3 shoulder + 2 elbow/forearm + 2 wrist axes.
+def default_arm(b: float = 0.30, c: float = 0.25,
+                d: float = 0.08) -> KinematicChain:
+    """The 7-joint arm: 3 shoulder + 2 elbow/forearm + 2 wrist axes, with
+    the ROM of DEFAULT_ROM_DEG.
 
     b, c, d are the upper-arm, forearm and hand link offsets in meters.
-    rom_deg optionally overrides the default ROM table (degrees).
     """
     for name, v in (("b", b), ("c", c), ("d", d)):
         if not 0 < v < math.inf:
@@ -278,11 +274,9 @@ def default_arm(b: float = 0.30, c: float = 0.25, d: float = 0.08,
         DHRow(0.0, 0.0, -_HALF_PI, -_HALF_PI, -1, "theta_11"),
         DHRow(0.0, d, _HALF_PI, 0.0, +1, "theta_12"),
     )
-    table = dict(DEFAULT_ROM_DEG if rom_deg is None else rom_deg)
     rom = {name: (math.radians(lo), math.radians(hi))
-           for name, (lo, hi) in table.items()}
-    return KinematicChain(rows=rows, link_lengths={"b": b, "c": c, "d": d},
-                          rom=rom)
+           for name, (lo, hi) in DEFAULT_ROM_DEG.items()}
+    return KinematicChain(rows=rows, rom=rom)
 
 
 def _liveness(rows: Sequence[DHRow], wanted: Tuple[bool, ...]) -> list:

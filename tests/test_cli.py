@@ -232,6 +232,19 @@ def test_blank_table_rows_are_skipped(tmp_path):
     assert parse_config(p) == parse_config(DATA_DIR / "misa_like.yaml")
 
 
+def test_a_curve_csv_may_start_with_a_bom(tmp_path, capsys):
+    """A spreadsheet export starts its CSV with a UTF-8 BOM; the curve
+    loads as without one, as a YAML config with a BOM does."""
+    bom = "\ufeff".encode()
+    p = _misa_with_curve(tmp_path, "")
+    (tmp_path / "misa_like_curve.csv").write_bytes(
+        bom + (DATA_DIR / "misa_like_curve.csv").read_bytes())
+    p.write_bytes(bom + p.read_bytes())
+    assert main(["validate", str(p)]) == 0
+    capsys.readouterr()
+    assert parse_config(p) == parse_config(DATA_DIR / "misa_like.yaml")
+
+
 def test_joint_requires_identical_actuators(tmp_path):
     _write(tmp_path / "a1.yaml", ACT_TPL.format(label="a1"))
     _write(tmp_path / "a2.yaml",

@@ -11,6 +11,7 @@ import csv
 import hashlib
 import json
 import math
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -558,3 +559,70 @@ def test_one_table_names_the_data_formats(tmp_path, capsys):
         main(["run", str(DATA_DIR / "exp_lift.yaml"), "--format", "xml"])
     assert exc.value.code == 2
     assert "(choose from 'csv', 'json')" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_every_output_file_is_opened_with_one_newline_rule(tmp_path,
+                                                           monkeypatch,
+                                                           capsys, fmt):
+    """The data file and the summary are both opened with newline="", so
+    their line ends are LF whatever the platform's os.linesep."""
+    opened = []
+
+    def spy(file, mode="r", *args, **kwargs):
+        opened.append((Path(file).name, mode, kwargs.get("newline")))
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(emit, "open", spy, raising=False)
+    assert main(["run", str(DATA_DIR / "exp_max_torque.yaml"),
+                 "--out", str(tmp_path), "--format", fmt]) == 0
+    capsys.readouterr()
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == [f"ica_max_torque.{fmt}", "ica_max_torque_summary.json"]
+    assert len([mode for _, mode, _ in opened if "w" in mode]) == 2
+    for out in written:    # each is written under a temporary name
+        assert [(mode, newline) for name, mode, newline in opened
+                if name.startswith(f".{out}.") and name.endswith(".tmp")
+                ] == [("w", "")], out
+
+
+def test_two_writers_of_one_path_do_not_share_a_temp_file(tmp_path,
+                                                          monkeypatch):
+    """Two threads write one path, and both have opened their temporary
+    file before either moves it onto the path: both calls return, the file
+    holds one writer's whole table, and no temporary file is left."""
+    tables = [np.arange(5.0), np.arange(5.0) + 10]
+    expected = set()
+    for i, col in enumerate(tables):
+        alone = tmp_path / f"alone{i}.csv"
+        _write_rows(alone, ["x_mm"], [col], "csv")
+        expected.add(alone.read_bytes())
+        alone.unlink()
+    assert len(expected) == 2
+
+    barrier = threading.Barrier(2, timeout=30)
+    slot_rows = emit._slot_rows
+
+    def meet(*args):
+        barrier.wait()
+        return slot_rows(*args)
+
+    monkeypatch.setattr(emit, "_slot_rows", meet)
+    path = tmp_path / "t.csv"
+    errors = []
+
+    def write(col):
+        try:
+            _write_rows(path, ["x_mm"], [col], "csv")
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=write, args=(col,)) for col in tables]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert path.read_bytes() in expected
+    assert list(tmp_path.iterdir()) == [path]

@@ -100,11 +100,10 @@ def test_row_validation():
 def test_chain_validation():
     arm = default_arm()
     with pytest.raises(ValueError, match="exactly 7"):
-        KinematicChain(rows=arm.rows[:5], link_lengths=arm.link_lengths,
-                       rom=arm.rom)
+        KinematicChain(rows=arm.rows[:5], rom=arm.rom)
     rom = {k: v for k, v in arm.rom.items() if k != "theta_12"}
     with pytest.raises(ValueError, match="theta_12"):
-        KinematicChain(rows=arm.rows, link_lengths=arm.link_lengths, rom=rom)
+        KinematicChain(rows=arm.rows, rom=rom)
     with pytest.raises(ValueError, match="link length"):
         default_arm(b=0.0)
     with pytest.raises(ValueError, match="link length b must be positive "
@@ -118,13 +117,12 @@ def test_chain_validation():
     rom = {**arm.rom, "theta_3l": (-0.5, 0.5)}    # a typo of theta_31
     with pytest.raises(ValueError,
                        match=r"ROM intervals for unknown joints \['theta_3l'\]"):
-        KinematicChain(rows=arm.rows, link_lengths=arm.link_lengths, rom=rom)
+        KinematicChain(rows=arm.rows, rom=rom)
     for bounds in ((0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan)):
         rom = {**arm.rom, "theta_21": bounds}
         with pytest.raises(ValueError, match="ROM interval for 'theta_21' "
                                              "must be finite"):
-            KinematicChain(rows=arm.rows, link_lengths=arm.link_lengths,
-                           rom=rom)
+            KinematicChain(rows=arm.rows, rom=rom)
 
 
 def test_reach_limit_is_link_sum():
@@ -253,7 +251,7 @@ def _offset_chain():
              (0.09, -0.11, h, math.pi, -1), (-0.04, 0.06, -h, 0.0, +1),
              (0.03, 0.08, 0.0, 1.0, -1))
     rows = tuple(DHRow(*spec, name) for spec, name in zip(specs, JOINT_ORDER))
-    return KinematicChain(rows=rows, link_lengths={}, rom=default_arm().rom)
+    return KinematicChain(rows=rows, rom=default_arm().rom)
 
 
 CHAINS = {"bundled_arm": default_arm, "offset_chain": _offset_chain}
@@ -451,7 +449,7 @@ def chains_and_joints(draw):
                        draw(st.floats(-4.0, 4.0)),
                        draw(st.sampled_from([1, -1])), name)
                  for name in JOINT_ORDER)
-    chain = KinematicChain(rows=rows, link_lengths={}, rom=default_arm().rom)
+    chain = KinematicChain(rows=rows, rom=default_arm().rom)
     n = draw(st.integers(1, 6))
     value = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-4.0, 4.0))
     joints = [np.array(draw(st.lists(value, min_size=n, max_size=n)))
