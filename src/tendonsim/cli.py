@@ -324,8 +324,8 @@ def run_experiment(spec: ExperimentSpec, out_dir: Union[str, Path] = ".",
         _write_rows(out_path, header, columns, spec.fmt)
         path = summary_path
         with _replacing(summary_path) as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write((json.dumps(summary, indent=2, sort_keys=True)
+                      + "\n").encode())
     except OSError as exc:
         raise ExperimentError(f"{path}: cannot write: "
                               f"{exc.strerror or exc}") from exc

@@ -7,12 +7,15 @@ Conventions:
     validate_csv_schema is _check_columns on a CSV file read from disk,
     after the checks only a file can fail (header, ragged rows, numbers),
   * CSV dialect: comma separated, '.' decimal, header row mandatory,
-  * every output file (CSV, JSON, summary) is UTF-8 with LF line endings
-    on every platform, written by _replacing,
+  * every output file (CSV, JSON, summary) is written as UTF-8 bytes with
+    LF line ends, opened in binary mode by _replacing, so no platform
+    newline rule applies and nothing is decoded and encoded again,
   * rows are rendered a block at a time (_row_blocks) and streamed to a
     temporary file in the output directory, renamed onto the output name
-    once complete; both formats render a block by numpy in one slot layout
-    (_slot_rows), a CSV float cell's "%.12g" text from its 12-digit
+    once complete; a block holds as many rows as fill _BLOCK_BYTES of
+    slots (_block_rows), so its memory is bounded in bytes whatever the
+    format and the columns; both formats render a block by numpy in one
+    slot layout (_slot_rows), a CSV float cell's "%.12g" text from its 12-digit
     significand, a JSON float cell's repr text from its shortest
     round-trip digits; Python renders the cells outside 1e-4 <= |x| < 1e11
     (CSV) or 1e16 (JSON) and those its guard cannot be sure of.
@@ -26,11 +29,11 @@ import json
 import os
 import threading
 from contextlib import contextmanager, suppress
-from functools import partial, reduce
+from functools import reduce
 from itertools import count, islice
 from pathlib import Path
-from typing import (Callable, Iterator, List, NamedTuple, Optional, Sequence,
-                    TextIO, Tuple, Union)
+from typing import (BinaryIO, Callable, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple, Union)
 
 import numpy as np
 
@@ -95,11 +98,11 @@ def _all_labels(col: Sequence) -> bool:
     return all(map(_is_label, distinct))
 
 
-def _csv_cell(s: str) -> str:
-    """A string cell exactly as csv.writer quotes it inside a row."""
+def _csv_line(cells: Sequence[str]) -> str:
+    """A row of string cells exactly as csv.writer writes it, LF ended."""
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([s])
-    return buf.getvalue()[:-1]
+    csv.writer(buf, lineterminator="\n").writerow(cells)
+    return buf.getvalue()
 
 
 # A block of rows is laid out as uint8 slots, a fixed number per cell, that
@@ -107,21 +110,14 @@ def _csv_cell(s: str) -> str:
 # in no UTF-8 text, so a label slot may hold any quoted label.
 _FILL = b"\xff"
 
-# a block of a table's rows, rendered at once by one numpy pass: at most
-# _BLOCK_ROWS rows and _BLOCK_CELLS cells (a Workspace block of three
-# columns), so a wide table, such as the Lift's six, holds no more cells
-# and temporaries at once
-_BLOCK_ROWS = 4096
-_BLOCK_CELLS = 3 * _BLOCK_ROWS
+# the slot bytes of a block of a table's rows, rendered at once by one
+# numpy pass: a block's temporaries grow with its slots, so a wide row (a
+# JSON cell's 56 slots against a CSV cell's 32, the Lift's six columns
+# against the Workspace's three) makes a block of fewer rows
+_BLOCK_BYTES = 256 * 1024
 
-
-def _row_blocks(columns: Sequence, render: Callable[[list], str]
-                ) -> Iterator[str]:
-    """The text of a table's rows, render of each block's slice of the
-    columns in turn, so only one block of cells and text exists at once."""
-    step = min(_BLOCK_ROWS, max(1, _BLOCK_CELLS // len(columns)))
-    for start in range(0, len(columns[0]), step):
-        yield render([col[start:start + step] for col in columns])
+# rows of a CSV file read and checked at once by validate_csv_schema
+_CHECK_ROWS = 4096
 
 
 # A float cell with 1e-4 <= |x| < 10**(X_max + 1) is written in fixed
@@ -284,7 +280,8 @@ class _Format(NamedTuple):
     end: bytes                 # after each row, in its last cell's sep
 
 
-_CSV = _Format(_significand_12g, lambda v: b"%.12g" % v, _csv_cell,
+_CSV = _Format(_significand_12g, lambda v: b"%.12g" % v,
+               lambda s: _csv_line([s])[:-1],
                _cell_slots(12, 10, 32, b",", False), b",", b"", b"\n")
 # json.dump(indent=2) puts one cell on each line, a row in brackets
 _JSON = _Format(_significand_repr, lambda v: b"%r" % v, json.dumps,
@@ -329,7 +326,7 @@ def _label_slots(labels: Sequence[str], form: _Format) -> np.ndarray:
 
 
 def _slot_rows(form: _Format, slots: Sequence[Optional[np.ndarray]],
-               block: list) -> str:
+               block: list) -> bytes:
     """The rows of a block, as form lays them out. Its float columns are
     rendered by _float_cells together; a *_label column holds indices into
     its slots, the _label_slots of its distinct labels (None for a float
@@ -349,20 +346,61 @@ def _slot_rows(form: _Format, slots: Sequence[Optional[np.ndarray]],
             for col, s in zip(block, slots)], axis=1)
     row[:, -len(form.sep):] = np.frombuffer(
         form.end.ljust(len(form.sep), _FILL), np.uint8)
-    return row.tobytes().translate(None, _FILL).decode()
+    return row.tobytes().translate(None, _FILL)
+
+
+# a table as the writer renders it: per column, (cells, slots), a float
+# column as its float array and None, a *_label column as the index of each
+# cell's label and the _label_slots of its distinct labels
+_SlotTable = List[Tuple[np.ndarray, Optional[np.ndarray]]]
+
+
+def _slot_table(header: Sequence[str], columns: Sequence,
+                form: _Format) -> _SlotTable:
+    """The columns of a checked table as form renders them."""
+    table = []
+    for name, col in zip(header, columns):
+        if name.endswith("_label"):
+            labels = list(dict.fromkeys(col))
+            index = {s: i for i, s in enumerate(labels)}
+            table.append((np.array([index[s] for s in col], dtype=np.intp),
+                          _label_slots(labels, form)))
+        else:
+            table.append((np.asarray(col, dtype=float), None))
+    return table
+
+
+def _block_rows(form: _Format, table: _SlotTable) -> int:
+    """Rows in a block of the table: as many as fill _BLOCK_BYTES with
+    slots, at least one. A row's slots are the lead, a float cell's for
+    each float column and each *_label column's own."""
+    width = len(form.lead) + sum(8 * form.slots.shape[-1] if s is None
+                                 else s.shape[1] for _, s in table)
+    return max(1, _BLOCK_BYTES // width)
+
+
+def _row_blocks(form: _Format, table: _SlotTable) -> Iterator[bytes]:
+    """The bytes of a table's rows, _slot_rows of each block of
+    _block_rows rows in turn, so only one block of cells and text exists
+    at once."""
+    step = _block_rows(form, table)
+    cells, slots = zip(*table)
+    for start in range(0, len(cells[0]), step):
+        yield _slot_rows(form, slots, [c[start:start + step] for c in cells])
 
 
 @contextmanager
-def _replacing(path: Path) -> Iterator[TextIO]:
-    """A UTF-8 text file written under a temporary name in path's directory
+def _replacing(path: Path) -> Iterator[BinaryIO]:
+    """A binary file written under a temporary name in path's directory
     and moved onto path when the block ends; on an exception it is removed,
-    so a failed write leaves no truncated file at path. Its line ends are
-    LF on every platform. The name is the writer's own (process and
-    thread), so two writers of one path never share a temporary file."""
+    so a failed write leaves no truncated file at path. Writers hand it
+    UTF-8 bytes with LF line ends, the same on every platform. The name is
+    the writer's own (process and thread), so two writers of one path
+    never share a temporary file."""
     tmp = path.with_name(
         f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
-        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+        with open(tmp, "wb") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -379,8 +417,9 @@ def _write_rows(path: Path, header: Sequence[str], columns: Sequence,
     file is opened.
 
     columns are float arrays, or lists of str for *_label columns. The rows
-    are rendered by _row_blocks a block at a time and streamed to the file,
-    so neither the table's cells nor its text are held whole. Both formats
+    are rendered by _row_blocks a block at a time, as bytes, and streamed to
+    the file, so neither the table's cells nor its text are held whole, and
+    a block's memory is bounded by its slot bytes. Both formats
     render a block by numpy in slots (_slot_rows): each float cell from its
     correctly rounded 12-digit significand (CSV) or its shortest round-trip
     digits (JSON), each label from its distinct labels' slots. Python
@@ -391,33 +430,23 @@ def _write_rows(path: Path, header: Sequence[str], columns: Sequence,
     """
     _check_columns(path, header, columns)
     form = FORMATS[fmt]
-    cells, slots = [], []
-    for name, col in zip(header, columns):
-        if name.endswith("_label"):
-            labels = list(dict.fromkeys(col))
-            index = {s: i for i, s in enumerate(labels)}
-            cells.append(np.array([index[s] for s in col], dtype=np.intp))
-            slots.append(_label_slots(labels, form))
-        else:
-            cells.append(np.asarray(col, dtype=float))
-            slots.append(None)
-    blocks = _row_blocks(cells, partial(_slot_rows, form, slots))
+    blocks = _row_blocks(form, _slot_table(header, columns, form))
     if form is _CSV:
         with _replacing(path) as fh:
-            csv.writer(fh, lineterminator="\n").writerow(header)
+            fh.write(_csv_line(header).encode())
             fh.writelines(blocks)
         return
     # json.dump(indent=2) puts "rows" last (sorted keys)
     head, tail = json.dumps({"columns": list(header), "rows": []}, indent=2,
-                            sort_keys=True).rsplit("[]", 1)
+                            sort_keys=True).encode().rsplit(b"[]", 1)
     with _replacing(path) as fh:
-        fh.write(head + "[")
+        fh.write(head + b"[")
         first = next(blocks, None)
         if first is not None:
-            fh.write(first[1:])
+            fh.write(memoryview(first)[1:])
             fh.writelines(blocks)
-            fh.write("\n  ")
-        fh.write("]" + tail + "\n")
+            fh.write(b"\n  ")
+        fh.write(b"]" + tail + b"\n")
 
 
 def validate_csv_schema(path: Union[str, Path]) -> None:
@@ -427,8 +456,8 @@ def validate_csv_schema(path: Union[str, Path]) -> None:
     own _check_columns on the columns read. Rows count from the first after
     the header. Raises SchemaError on the first violation.
 
-    The rows are read and checked _BLOCK_ROWS at a time, so memory stays
-    one block's, however long the file."""
+    The rows are read and checked _CHECK_ROWS at a time, so memory stays
+    that many rows', however long the file."""
     path = Path(path)
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -436,10 +465,10 @@ def validate_csv_schema(path: Union[str, Path]) -> None:
             header = next(reader, None)
             if not header:
                 raise SchemaError(f"{path}: missing header row")
-            for start in count(0, _BLOCK_ROWS):
-                rows = list(islice(reader, _BLOCK_ROWS))
+            for start in count(0, _CHECK_ROWS):
+                rows = list(islice(reader, _CHECK_ROWS))
                 _check_rows(path, header, rows, start)
-                if len(rows) < _BLOCK_ROWS:
+                if len(rows) < _CHECK_ROWS:
                     return
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 text: {exc}") from exc

@@ -228,9 +228,10 @@ def max_allowable_acceleration(joint: AntagonisticJointConfig, d_s):
                          f"slack-avoidance bound is not defined there")
     delta = d / joint.R
     taut = delta != 0
-    acc = np.zeros(d.shape)
-    acc[taut] = (external_force(joint, delta[taut], d[taut])
-                 * (joint.R / MM_PER_M) / joint.inertia_I)
+    # every point is evaluated, the untaut ones at a stand-in deflection
+    acc = (external_force(joint, np.where(taut, delta, 1.0), d)
+           * (joint.R / MM_PER_M) / joint.inertia_I)
+    acc = np.where(taut, acc, 0.0)
     return acc if acc.ndim else float(acc)
 
 

@@ -39,7 +39,9 @@ transform wants all four. A Workspace point wants only the origin: on the
 default arm every a is 0, so the last wrist joint (theta_12) cannot move
 it and is never drawn, and the row before it turns only its z axis. The
 first rows still need every column, so a Workspace slice of FK_CHUNK // 2
-poses peaks there, at about 34 doubles a pose under tracemalloc (1.12 MB).
+poses peaks there, at about 27 doubles a pose under tracemalloc (0.89 MB):
+each step is handed the only reference to its frame and frees the old x
+and y axes once the new axes that mix them are formed.
 """
 
 from __future__ import annotations
@@ -202,7 +204,7 @@ def dh_transform(row: DHRow, joint_value: float) -> np.ndarray:
     if not math.isfinite(joint_value):
         raise ValueError(f"joint value must be finite, got {joint_value}")
     return _transform(_dh_step(row, _liveness((row,), _ALL)[0],
-                               np.array([joint_value]), *_IDENTITY))
+                               np.array([joint_value]), list(_IDENTITY)))
 
 
 def _as_named(chain: KinematicChain,
@@ -298,29 +300,42 @@ def _liveness(rows: Sequence[DHRow], wanted: Tuple[bool, ...]) -> list:
 
 
 def _dh_step(row: DHRow, live: Tuple[bool, Tuple[bool, ...]],
-             q: Optional[np.ndarray], x: np.ndarray, y: np.ndarray,
-             z: np.ndarray, p: np.ndarray) -> Tuple[np.ndarray, ...]:
+             q: Optional[np.ndarray], frame: list) -> Tuple[np.ndarray, ...]:
     """The frames (x, y, z, p), each axis and the origin as (3, n) columns
     of the upper 3x4 of n transforms, times the row's transforms at the
     joint values q (n,). live is the row's (uses_q, out) of _liveness:
     only the columns out flags are computed, the others are None, and q is
-    read only when uses_q is set."""
+    read only when uses_q is set. The step consumes frame, emptying the
+    list, so the old x and y axes are freed as soon as the new axes that
+    mix them are formed, before the other axis and the origin."""
     uses_q, (want_x, want_y, want_z, want_p) = live
+    x, y, z, p = frame
+    frame.clear()
     if uses_q:
         # offset + sign*q, as sign*q is q or -q exactly
         theta = (row.theta_offset + q if row.joint_sign > 0
                  else row.theta_offset - q)
         ct, st = np.cos(theta), np.sin(theta)
-    c0 = x * ct + y * st if want_x or (want_p and row.a) else None
+    # x' and the turned axis (y' at alpha 0, else z') mix x and y by
+    # theta; each is formed in place on its first product, which rounds as
+    # the two-product expression does
+    c0 = turned = None
+    if want_x or (want_p and row.a):
+        c0 = x * ct
+        c0 += y * st
+    if want_y if row.alpha == 0.0 else want_z:
+        if row.alpha > 0.0:
+            turned = x * st
+            turned -= y * ct
+        else:
+            turned = y * ct
+            turned -= x * st
+    del x, y
     if row.alpha == 0.0:
-        c1 = y * ct - x * st if want_y else None
-        c2 = z if want_z else None
-    elif row.alpha > 0.0:
-        c1 = z if want_y else None
-        c2 = x * st - y * ct if want_z else None
+        c1, c2 = turned, z if want_z else None
     else:
-        c1 = -z if want_y else None
-        c2 = y * ct - x * st if want_z else None
+        c1 = (z if row.alpha > 0.0 else -z) if want_y else None
+        c2 = turned
     if want_p:
         # p starts at +0, and a sum is -0 only if every addend is, so p is
         # never -0 and adding a zero a*c0 or d*z, as skipped here, would
@@ -339,12 +354,13 @@ def _fk_frame(chain: KinematicChain, joints: Iterable[Optional[np.ndarray]],
     sample_workspace. joints is any iterable of the columns, such as
     samples.T of an (n, 7) array; each is taken only as its row needs it,
     and one whose row needs no joint value may be None. plan is the
-    chain's _liveness, all four columns by default."""
-    frame = _IDENTITY
+    chain's _liveness, all four columns by default. Each step is handed
+    the only reference to its frame, a list it empties."""
+    frame = list(_IDENTITY)
     for row, live, q in zip(chain.rows,
                             plan or _liveness(chain.rows, _ALL), joints):
-        frame = _dh_step(row, live, q, *frame)
-    return frame
+        frame = list(_dh_step(row, live, q, frame))
+    return tuple(frame)
 
 
 def _transform(frame: Tuple[np.ndarray, ...]) -> np.ndarray:
@@ -382,6 +398,7 @@ def _sample_slices(chain: KinematicChain, points: np.ndarray, first: int,
         max_square = max(max_square,
                          float((p[0] * p[0] + p[1] * p[1]
                                 + p[2] * p[2]).max()))
+        del p       # before the next slice's frames
     return math.sqrt(max_square)
 
 
@@ -413,7 +430,7 @@ def sample_workspace(chain: KinematicChain, n: int, seed: int) -> WorkspaceCloud
     so neither the slicing, the worker count nor the joints left undrawn
     change a bit of the result. Memory is the (n, 3) points, 24 bytes per
     sample, plus the frames and temporaries of one slice per worker: a
-    traced peak of about eleven (3, FK_CHUNK // 2) arrays, 1.12 MB, in the
+    traced peak of about nine (3, FK_CHUNK // 2) arrays, 0.89 MB, in the
     first rows, which need every column.
     Every thread is joined before the call returns or raises.
     The bbox is taken one coordinate column at a time, which is faster

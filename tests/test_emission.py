@@ -204,11 +204,21 @@ def _csv_block_table(n_rows):
              [notes[i % 4] for i in range(n_rows)]])
 
 
-# tables around the block size B: 0, 1, B-1, B, B+1 and 2B+1 rows
-B = emit._BLOCK_ROWS
-TABLES += [_block_table(n, label) for label in (False, True)
-           for n in (0, 1, B - 1, B, B + 1, 2 * B + 1)]
-TABLES += [_csv_block_table(n) for n in (0, 1, B - 1, B, B + 1, 2 * B + 1)]
+def _rows_per_block(header, columns, fmt):
+    """The writer's rows per block of a table in fmt."""
+    form = emit.FORMATS[fmt]
+    return emit._block_rows(form, emit._slot_table(header, columns, form))
+
+
+def _block_tables(fmt):
+    """Each block table around fmt's rows per block B for its own columns:
+    0, 1, B-1, B, B+1 and 2B+1 rows."""
+    tables = []
+    for make in (lambda n: _block_table(n, False),
+                 lambda n: _block_table(n, True), _csv_block_table):
+        B = _rows_per_block(*make(8), fmt)     # 8 rows hold every label
+        tables += [make(n) for n in (0, 1, B - 1, B, B + 1, 2 * B + 1)]
+    return tables
 
 
 # a table without number columns, which the contract test below cannot
@@ -216,7 +226,8 @@ TABLES += [_csv_block_table(n) for n in (0, 1, B - 1, B, B + 1, 2 * B + 1)]
 LABELS_ONLY = [(["stage_label"], [["S1", "a,b", "S1"]])]
 
 
-@pytest.mark.parametrize("header,columns", TABLES + LABELS_ONLY)
+@pytest.mark.parametrize("header,columns",
+                         TABLES + _block_tables("json") + LABELS_ONLY)
 def test_json_rows_equal_json_dump(tmp_path, header, columns):
     path = tmp_path / "t.json"
     _write_rows(path, header, columns, "json")
@@ -227,7 +238,8 @@ def test_json_rows_equal_json_dump(tmp_path, header, columns):
     assert path.read_text() == expected
 
 
-@pytest.mark.parametrize("header,columns", TABLES + LABELS_ONLY)
+@pytest.mark.parametrize("header,columns",
+                         TABLES + _block_tables("csv") + LABELS_ONLY)
 def test_csv_rows_equal_csv_writer_with_12g_cells(tmp_path, header, columns):
     path = tmp_path / "t.csv"
     _write_rows(path, header, columns, "csv")
@@ -245,13 +257,13 @@ def test_csv_rows_equal_csv_writer_with_12g_cells(tmp_path, header, columns):
 # CSV float cells, rendered by numpy, against Python's "%.12g"
 
 def _csv_lines(values):
-    """The CSV rows of one float column holding values."""
+    """The CSV rows of one float column holding values, as bytes."""
     return emit._slot_rows(emit._CSV, [None],
-                           [np.array(values, dtype=float)]).split("\n")
+                           [np.array(values, dtype=float)]).split(b"\n")
 
 
 def test_edge_cells_equal_12g():
-    expected = ["%.12g" % v for v in EDGE_VALUES]
+    expected = [b"%.12g" % v for v in EDGE_VALUES]
     assert _csv_lines(EDGE_VALUES)[:-1] == expected
     assert [_csv_lines([v])[0] for v in EDGE_VALUES] == expected
 
@@ -261,7 +273,7 @@ def test_12g_ties_are_rendered_by_python():
     # so the cell takes Python's "%.12g", which rounds it half to even
     x = np.array([1234567890.125, -1234567890.125])
     assert not emit._significand_12g(np.abs(x))[0].any()
-    assert _csv_lines(x) == ["1234567890.12", "-1234567890.12", ""]
+    assert _csv_lines(x) == [b"1234567890.12", b"-1234567890.12", b""]
 
 
 @settings(max_examples=300, deadline=None)
@@ -272,7 +284,7 @@ def test_12g_ties_are_rendered_by_python():
               st.integers(-10 ** 12, 10 ** 12), st.integers(0, 16))),
     min_size=1, max_size=64))
 def test_float_cells_equal_12g(values):
-    assert _csv_lines(values) == ["%.12g" % v for v in values] + [""]
+    assert _csv_lines(values) == [b"%.12g" % v for v in values] + [b""]
 
 
 def test_csv_writer_holds_one_block_of_text(tmp_path):
@@ -295,9 +307,9 @@ def test_csv_writer_holds_one_block_of_text(tmp_path):
 
 def _json_cells(values):
     """The cell lines of the JSON rows of one float column holding
-    values."""
+    values, as bytes."""
     text = emit._slot_rows(emit._JSON, [None], [np.array(values, dtype=float)])
-    return text.split("\n")[2::3]
+    return text.split(b"\n")[2::3]
 
 
 def _decimal_halfways(n_digits):
@@ -340,7 +352,7 @@ REPR_EDGE_VALUES += [-v for v in REPR_EDGE_VALUES]
 
 
 def test_edge_cells_equal_repr():
-    expected = ["      " + repr(v) for v in REPR_EDGE_VALUES]
+    expected = [b"      %r" % v for v in REPR_EDGE_VALUES]
     assert _json_cells(REPR_EDGE_VALUES) == expected
     assert [_json_cells([v])[0] for v in REPR_EDGE_VALUES] == expected
 
@@ -355,8 +367,8 @@ def test_zero_cells_are_rendered_by_numpy():
     zeros = [0.0, -0.0]
     for significand in (emit._significand_12g, emit._significand_repr):
         assert significand(np.abs(np.array(zeros)))[0].all()
-    assert _csv_lines(zeros) == ["%.12g" % v for v in zeros] + [""]
-    assert _json_cells(zeros) == ["      " + repr(v) for v in zeros]
+    assert _csv_lines(zeros) == [b"%.12g" % v for v in zeros] + [b""]
+    assert _json_cells(zeros) == [b"      %r" % v for v in zeros]
 
 
 @settings(max_examples=300, deadline=None)
@@ -367,7 +379,7 @@ def test_zero_cells_are_rendered_by_numpy():
               st.integers(-10 ** 17, 10 ** 17), st.integers(0, 20))),
     min_size=1, max_size=64))
 def test_float_cells_equal_repr(values):
-    assert _json_cells(values) == ["      " + repr(v) for v in values]
+    assert _json_cells(values) == [b"      %r" % v for v in values]
 
 
 def test_json_writer_holds_one_block_of_text(tmp_path):
@@ -383,6 +395,38 @@ def test_json_writer_holds_one_block_of_text(tmp_path):
         tracemalloc.stop()
     assert path.stat().st_size > 9e6
     assert peak < 5e6
+
+
+@pytest.mark.parametrize("fmt,header", [
+    ("csv", ["x_m", "y_m", "z_m"]),
+    ("json", ["t_s", "theta_rad", "omega_rad_per_s", "tau_Nm",
+              "tau_gravity_Nm", "power_W"]),
+    ("csv", ["d_s_mm", "stage_label", "F_e_N", "K_s_Nmm_per_rad"]),
+], ids=["workspace_csv", "lift_json", "label_csv"])
+def test_a_block_renders_within_a_multiple_of_its_byte_budget(fmt, header):
+    # a block is sized by its slot bytes, so its traced peak, slots,
+    # temporaries and rows alike, is about 3-4 budgets in either format
+    # and for any columns; blocks sized by cells alone let a JSON block of
+    # the Lift's six columns peak at about 11
+    n = 10_000
+    rng = np.random.default_rng(5)
+    stages = ["S1_OpposingSlack", "S2_Controllable", "S3_DrivingAtLimit"]
+    columns = [[stages[i % 3] for i in range(n)] if name.endswith("_label")
+               else rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.integers(-3, 4, n)
+               for name in header]
+    form = emit.FORMATS[fmt]
+    table = emit._slot_table(header, columns, form)
+    rows = emit._block_rows(form, table)
+    assert rows < n
+    cells, slots = zip(*table)
+    block = [c[:rows] for c in cells]
+    tracemalloc.start()
+    try:
+        emit._slot_rows(form, slots, block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * emit._BLOCK_BYTES
 
 
 # --------------------------------------------------------------------------
@@ -409,7 +453,7 @@ def test_schema_violation_writes_no_file(tmp_path, fmt, header, columns,
     assert not path.exists()
 
 
-@pytest.mark.parametrize("header,columns", TABLES)
+@pytest.mark.parametrize("header,columns", TABLES + _block_tables("csv"))
 def test_written_and_on_disk_tables_share_one_contract(tmp_path, header,
                                                        columns):
     path = tmp_path / "t.csv"
@@ -466,7 +510,7 @@ def test_schema_check_memory_is_one_block_for_any_length(tmp_path):
     # the rows are read and checked one block at a time: a table ten times
     # longer peaks within one block's worth of memory of the shorter one
     peaks = {}
-    for n in (emit._BLOCK_ROWS, 20_000, 200_000):
+    for n in (emit._CHECK_ROWS, 20_000, 200_000):
         _time_csv(tmp_path / f"{n}.csv", n)
         tracemalloc.start()
         try:
@@ -474,7 +518,7 @@ def test_schema_check_memory_is_one_block_for_any_length(tmp_path):
             peaks[n] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert abs(peaks[200_000] - peaks[20_000]) < peaks[emit._BLOCK_ROWS]
+    assert abs(peaks[200_000] - peaks[20_000]) < peaks[emit._CHECK_ROWS]
 
 
 @pytest.mark.parametrize("row,cell,fragment", [
@@ -565,8 +609,9 @@ def test_one_table_names_the_data_formats(tmp_path, capsys):
 def test_every_output_file_is_opened_with_one_newline_rule(tmp_path,
                                                            monkeypatch,
                                                            capsys, fmt):
-    """The data file and the summary are both opened with newline="", so
-    their line ends are LF whatever the platform's os.linesep."""
+    """The data file and the summary are each opened once, for writing, in
+    binary mode: their bytes, LF line ends included, are the writer's own
+    whatever the platform's os.linesep."""
     opened = []
 
     def spy(file, mode="r", *args, **kwargs):
@@ -583,7 +628,7 @@ def test_every_output_file_is_opened_with_one_newline_rule(tmp_path,
     for out in written:    # each is written under a temporary name
         assert [(mode, newline) for name, mode, newline in opened
                 if name.startswith(f".{out}.") and name.endswith(".tmp")
-                ] == [("w", "")], out
+                ] == [("wb", None)], out
 
 
 def test_two_writers_of_one_path_do_not_share_a_temp_file(tmp_path,

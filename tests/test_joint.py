@@ -270,6 +270,34 @@ def test_max_acceleration_domain():
         max_allowable_acceleration(j, j.d_m * 1.01)
 
 
+def _masked_acceleration(joint, d):
+    """max_allowable_acceleration as first written: the force map run on
+    the taut points alone, through masked copies."""
+    delta = d / joint.R
+    taut = delta != 0
+    acc = np.zeros(d.shape)
+    acc[taut] = (external_force(joint, delta[taut], d[taut])
+                 * (joint.R / 1000.0) / joint.inertia_I)
+    return acc
+
+
+@pytest.mark.parametrize("make_pair", [torsion_pair, compression_pair])
+def test_max_acceleration_equals_the_masked_form_bit_for_bit(make_pair):
+    # every point is evaluated, the untaut ones at a stand-in deflection
+    # and then zeroed; the grids hold d_s = 0 (first and between taut
+    # points) and subnormal d_s whose d_s/R underflows to 0
+    j = make_pair()
+    grids = [np.linspace(0.0, j.d_m, 1001),
+             np.array([5e-324, 0.0, 1e-300, 2.5e-323, j.d_m / 2.0, 0.0,
+                       j.d_m]),
+             np.array([0.0]), np.array([5e-324])]
+    for d in grids:
+        got = max_allowable_acceleration(j, d)
+        assert got.tobytes() == _masked_acceleration(j, d).tobytes()
+    assert max_allowable_acceleration(j, 0.0) == 0.0
+    assert max_allowable_acceleration(j, 5e-324) == 0.0
+
+
 def test_max_acceleration_kink_sits_at_half_travel():
     j = torsion_pair()
     mid = j.d_m / 2.0

@@ -465,8 +465,10 @@ def test_the_position_alone_keeps_the_bits_of_the_whole_frame(case):
     reference = _reference_frame(chain, joints)
     whole = _fk_frame(chain, joints)
     for got, want in zip(whole, reference):
-        assert (np.broadcast_to(got, want.shape).tobytes()
-                == np.broadcast_to(want, got.shape).tobytes())
+        # a column left at the identity's (3, 1) matches at either shape
+        shape = np.broadcast_shapes(got.shape, want.shape)
+        assert (np.broadcast_to(got, shape).tobytes()
+                == np.broadcast_to(want, shape).tobytes())
     plan = _liveness(chain.rows, _POSITION)
     # a dead joint is never read
     alone = _fk_frame(chain, [q if uses_q else None
@@ -561,25 +563,39 @@ def test_one_slice_starts_no_thread(arm, monkeypatch, n, threads):
     assert len(started) == threads
 
 
+def _traced_peak(arm, n):
+    sample_workspace(arm, 10, seed=7)
+    tracemalloc.start()
+    try:
+        sample_workspace(arm, n, seed=7)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("cpus, slice_bytes", [
     # a slice per worker: the D-H step holds the old and the new frame and
-    # its temporaries, a traced peak of 34.3 doubles a pose (1.12 MB at
-    # FK_CHUNK // 2 poses) on one worker; two workers may peak at once, 2.25
-    # MB. 40 doubles a pose leaves 17% room on one worker and 16% on two
+    # its temporaries, a traced peak of 27.3 doubles a pose (0.89 MB at
+    # FK_CHUNK // 2 poses) on one worker; two workers may peak at once, 1.6
+    # to 1.7 MB. 40 doubles a pose leaves room on either count
     (2, FK_CHUNK * 8 * 40),
     (1, (FK_CHUNK // 2) * 8 * 40)], ids=["two_workers", "one_worker"])
 @pytest.mark.parametrize("n", [100000, 1000000])
 def test_workspace_memory_is_the_points_plus_one_slice(arm, monkeypatch, n,
                                                         cpus, slice_bytes):
     _with_cpus(monkeypatch, cpus)
-    sample_workspace(arm, 10, seed=7)
-    tracemalloc.start()
-    try:
-        sample_workspace(arm, n, seed=7)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 24 * n + slice_bytes
+    assert _traced_peak(arm, n) < 24 * n + slice_bytes
+
+
+@pytest.mark.parametrize("n", [FK_CHUNK, 100000])
+def test_one_worker_frees_the_old_axes_early(arm, monkeypatch, n):
+    # each step is handed the only reference to its frame, frees the old x
+    # and y axes once the new axes that mix them are formed, and a slice's
+    # origin goes before the next slice's frames: 27.3 doubles a pose on
+    # one worker, where a caller that held the old frame through the step,
+    # and the last origin through the next slice, made 34.3
+    _with_cpus(monkeypatch, 1)
+    assert _traced_peak(arm, n) < 24 * n + (FK_CHUNK // 2) * 8 * 30
 
 
 def test_workspace_stats_and_bounds(arm):
