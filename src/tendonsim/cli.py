@@ -114,7 +114,6 @@ class ExperimentSpec:
     seed: Optional[int] = None
     delta: Optional[float] = None      # the spec's delta, else the joint's
     n: Optional[int] = None
-    source: Optional[Path] = None
 
 
 def parse_experiment(path: Union[str, Path]) -> ExperimentSpec:
@@ -159,7 +158,7 @@ def _parse_experiment(doc: dict, path: Path) -> ExperimentSpec:
     if "delta" in read and read["delta"] is None:
         read["delta"] = model.delta
     spec = ExperimentSpec(experiment=kind, model=model, sweeps=sweeps,
-                          output=output, fmt=fmt, source=path, **read)
+                          output=output, fmt=fmt, **read)
     _check_spec(spec, sec._fail)
     return spec
 
@@ -319,13 +318,16 @@ def run_experiment(spec: ExperimentSpec, out_dir: Union[str, Path] = ".",
     out_path = out_dir / f"{spec.output}.{spec.fmt}"
     summary_path = out_dir / f"{spec.output}_summary.json"
     summary = {"experiment": kind.name, "rows": len(columns[0]), **summary}
-    path = out_path
+    # the summary is written first and renamed last, so a failure before
+    # the data file's rename leaves the previous pair as it was
+    path = summary_path
     try:
-        _write_rows(out_path, header, columns, spec.fmt)
-        path = summary_path
         with _replacing(summary_path) as fh:
             fh.write((json.dumps(summary, indent=2, sort_keys=True)
                       + "\n").encode())
+            path = out_path
+            _write_rows(out_path, header, columns, spec.fmt)
+            path = summary_path
     except OSError as exc:
         raise ExperimentError(f"{path}: cannot write: "
                               f"{exc.strerror or exc}") from exc

@@ -216,15 +216,6 @@ class ElasticElementSpec:
             return self.k_ts * _torsion_arm(self.pulley_radius_r)
         return self.k_ts
 
-    @property
-    def tendon_equivalent_stiffness(self) -> float:
-        """k_ts (N/mm). A tabulated element has no single value; use
-        effective_stiffness(actuator, d) for a local secant instead."""
-        _require(self.k_ts is not None, "tabulated element has no single "
-                 "equivalent stiffness; pass a displacement to "
-                 "effective_stiffness")
-        return self.k_ts
-
     def displacement_at(self, F_t):
         """Element-share displacement (mm) at tension F_t (float or array),
         tendon excluded.

@@ -3,9 +3,10 @@
 Conventions:
   * every column name carries a unit suffix from UNIT_SUFFIXES; the writer
     checks the names and the column arrays (nonempty labels, finite
-    numbers) with _check_columns before it opens the file;
-    validate_csv_schema is _check_columns on a CSV file read from disk,
-    after the checks only a file can fail (header, ragged rows, numbers),
+    numbers) in the one pass that lays the columns out, _slot_table,
+    before it opens the file; validate_csv_schema runs that pass on a CSV
+    file read from disk, after the checks only a file can fail (header,
+    ragged rows, numbers),
   * CSV dialect: comma separated, '.' decimal, header row mandatory,
   * every output file (CSV, JSON, summary) is written as UTF-8 bytes with
     LF line ends, opened in binary mode by _replacing, so no platform
@@ -51,51 +52,6 @@ class SchemaError(Exception):
 
 # --------------------------------------------------------------------------
 # emission
-
-
-def _check_columns(path: Path, header: Sequence[str],
-                   columns: Sequence, first_row: int = 0) -> None:
-    """The schema of a table, checked on its columns: every name ends in a
-    known unit suffix, all columns have the same length, *_label cells are
-    nonempty strings and every other cell is finite. Raises SchemaError,
-    prefixed with path, on the first violation; the columns hold the rows
-    after the first first_row of the table."""
-    if not header or len(columns) != len(header):
-        raise SchemaError(f"{path}: {len(header)} column names for "
-                          f"{len(columns)} columns")
-    n = len(columns[0])
-    for name, col in zip(header, columns):
-        if not name.endswith(UNIT_SUFFIXES):
-            raise SchemaError(f"{path}: column '{name}' lacks a known unit "
-                              f"suffix {UNIT_SUFFIXES}")
-        if len(col) != n:
-            raise SchemaError(f"{path}: column '{name}' has {len(col)} "
-                              f"cells, expected {n}")
-        if name.endswith("_label"):
-            bad = None if _all_labels(col) else next(
-                i for i, s in enumerate(col) if not _is_label(s))
-            what = "empty label"
-        else:
-            finite = np.isfinite(col)
-            bad = None if finite.all() else int(np.argmin(finite))
-            what = "non-finite cell"
-        if bad is not None:
-            raise SchemaError(f"{path}: row {first_row + bad + 1}: {what} "
-                              f"in '{name}'")
-
-
-def _is_label(s: object) -> bool:
-    return isinstance(s, str) and s != ""
-
-
-def _all_labels(col: Sequence) -> bool:
-    """Whether every cell of col is a nonempty str, each distinct cell
-    checked once; a cell that cannot be hashed is no label."""
-    try:
-        distinct = dict.fromkeys(col)
-    except TypeError:
-        return False
-    return all(map(_is_label, distinct))
 
 
 def _csv_line(cells: Sequence[str]) -> str:
@@ -355,18 +311,51 @@ def _slot_rows(form: _Format, slots: Sequence[Optional[np.ndarray]],
 _SlotTable = List[Tuple[np.ndarray, Optional[np.ndarray]]]
 
 
-def _slot_table(header: Sequence[str], columns: Sequence,
-                form: _Format) -> _SlotTable:
-    """The columns of a checked table as form renders them."""
+def _is_label(s: object) -> bool:
+    return isinstance(s, str) and s != ""
+
+
+def _slot_table(path: Path, header: Sequence[str], columns: Sequence,
+                form: _Format, first_row: int = 0) -> _SlotTable:
+    """The columns of a table as form renders them, checked against the
+    schema as each is laid out: every name ends in a known unit suffix, all
+    columns have the same length, *_label cells are nonempty strings (each
+    distinct label checked once) and every other cell is finite. Raises
+    SchemaError, prefixed with path, on the first violation; the columns
+    hold the rows after the first first_row of the table."""
+    if not header or len(columns) != len(header):
+        raise SchemaError(f"{path}: {len(header)} column names for "
+                          f"{len(columns)} columns")
+    n = len(columns[0])
     table = []
     for name, col in zip(header, columns):
+        if not name.endswith(UNIT_SUFFIXES):
+            raise SchemaError(f"{path}: column '{name}' lacks a known unit "
+                              f"suffix {UNIT_SUFFIXES}")
+        if len(col) != n:
+            raise SchemaError(f"{path}: column '{name}' has {len(col)} "
+                              f"cells, expected {n}")
         if name.endswith("_label"):
-            labels = list(dict.fromkeys(col))
-            index = {s: i for i, s in enumerate(labels)}
-            table.append((np.array([index[s] for s in col], dtype=np.intp),
-                          _label_slots(labels, form)))
+            try:
+                labels = list(dict.fromkeys(col))
+            except TypeError:   # a cell that cannot be hashed is no label
+                labels = [None]
+            if all(map(_is_label, labels)):
+                index = {s: i for i, s in enumerate(labels)}
+                table.append((np.array([index[s] for s in col], np.intp),
+                              _label_slots(labels, form)))
+                continue
+            bad = next(i for i, s in enumerate(col) if not _is_label(s))
+            what = "empty label"
         else:
-            table.append((np.asarray(col, dtype=float), None))
+            cells = np.asarray(col, dtype=float)
+            finite = np.isfinite(cells)
+            if finite.all():
+                table.append((cells, None))
+                continue
+            bad, what = int(np.argmin(finite)), "non-finite cell"
+        raise SchemaError(f"{path}: row {first_row + bad + 1}: {what} "
+                          f"in '{name}'")
     return table
 
 
@@ -428,9 +417,8 @@ def _write_rows(path: Path, header: Sequence[str], columns: Sequence,
     numpy digits could be wrong. The file appears at path only once it is
     complete.
     """
-    _check_columns(path, header, columns)
     form = FORMATS[fmt]
-    blocks = _row_blocks(form, _slot_table(header, columns, form))
+    blocks = _row_blocks(form, _slot_table(path, header, columns, form))
     if form is _CSV:
         with _replacing(path) as fh:
             fh.write(_csv_line(header).encode())
@@ -453,8 +441,8 @@ def validate_csv_schema(path: Union[str, Path]) -> None:
     """Check a CSV file on disk against the contract of emitted tables:
     the checks only a file can fail (a header row, rows of the header's
     length, numbers that parse outside *_label columns), then the writer's
-    own _check_columns on the columns read. Rows count from the first after
-    the header. Raises SchemaError on the first violation.
+    own _slot_table pass on the columns read. Rows count from the first
+    after the header. Raises SchemaError on the first violation.
 
     The rows are read and checked _CHECK_ROWS at a time, so memory stays
     that many rows', however long the file."""
@@ -495,5 +483,5 @@ def _check_rows(path: Path, header: List[str], rows: List[List[str]],
                                       f"non-numeric cell {cell!r} in "
                                       f"'{name}'") from None
         columns.append(col)
-    _check_columns(path, header, columns, start)
+    _slot_table(path, header, columns, _CSV, start)
 

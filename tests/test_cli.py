@@ -15,7 +15,9 @@ import shutil
 import subprocess
 import sys
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -905,9 +907,47 @@ def test_write_failing_mid_render_leaves_no_data_file(tmp_path, monkeypatch,
     assert list(out.iterdir()) == []
 
 
+def _no_space(*args):
+    raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("failing", ["summary", "data"])
+def test_a_failed_run_leaves_the_previous_files_as_they_were(
+        tmp_path, monkeypatch, capsys, failing):
+    out = tmp_path / "o"
+    assert main(["run", str(_write(tmp_path / "fd.yaml", FD_SPEC)),
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(before) == ["fd_small.csv", "fd_small_summary.json"]
+    if failing == "summary":
+        real = cli._replacing
+
+        @contextmanager
+        def full_summary(path):
+            with real(path):
+                yield SimpleNamespace(write=_no_space)
+
+        monkeypatch.setattr(cli, "_replacing", full_summary)
+        name = "fd_small_summary.json"
+    else:
+        monkeypatch.setattr(emit, "_slot_rows", _no_space)
+        name = "fd_small.csv"
+    # the second run would write 11 rows over the first run's 9
+    spec = _write(tmp_path / "fd2.yaml", FD_SPEC.replace(
+        "{start: 0.0, stop: 40.0, step: 5.0}",
+        "{start: 0.0, stop: 10.0, step: 1.0}"))
+    assert main(["run", str(spec), "--out", str(out)]) == 1
+    assert _one_line_error(capsys, "error: ") == (
+        f"error: {out / name}: cannot write: No space left on device\n")
+    # the same two files, byte for byte, and no temporary file beside them
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 def test_parse_experiment_accepts_a_str_path(tmp_path):
     spec = parse_experiment(str(_write(tmp_path / "fd.yaml", FD_SPEC)))
-    assert spec.source == tmp_path / "fd.yaml"
+    assert spec.output == "fd_small"
+    assert spec.sweeps["d"] == GridSpec(start=0.0, stop=40.0, step=5.0)
 
 
 @pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])

@@ -6,7 +6,8 @@ forms the package documents and imports nothing from tendonsim, so a
 disagreement is a fault on one side. The specs vary the kind, the config,
 the grid (fine around a breakpoint, coarse, off-grid stops, and long enough
 to span several output blocks), the format, the Workspace seed and n, and
-the Lift's dt and t_max.
+the Lift's dt and t_max. Besides the bundled models, they draw D-H chains
+and tabulated actuator curves, written as config files beside the spec.
 """
 
 import importlib.util
@@ -16,7 +17,8 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tendonsim import joint
+from tendonsim import (ActuatorModel, AntagonisticJointConfig,
+                       ElasticElementSpec, joint)
 from tendonsim.cli import (DATA_DIR, parse_config, parse_experiment,
                            run_experiment)
 
@@ -47,6 +49,7 @@ class _Case(oracle.Case):
     def _check_grid(self, t, p, var, name, exact=()):
         super()._check_grid(t, p, var, name, exact)
         return oracle.grid(self.sweeps[var], exact)
+
 
 ACTUATORS = ["ica.yaml", "eca.yaml", "misa_like.yaml"]
 JOINTS = ["ica_joint.yaml", "eca_joint.yaml",
@@ -82,6 +85,57 @@ def _yaml_grid(g):
     return "{" + ", ".join(f"{k}: {v!r}" for k, v in g.items()) + "}"
 
 
+def _fixed(x):
+    """x in fixed notation: the oracle reads YAML 1.1, where 1e-05 is a
+    string, and the program reads the same text."""
+    return f"{x:.9f}"
+
+
+@st.composite
+def chains(draw):
+    """A chain file of seven drawn D-H rows: a and d each zero or drawn,
+    alpha 0 or +-90 degrees, drawn offsets and signs, and ROM widths from
+    0 to 360 degrees. The oracle bounds the reach by b + c + d, so the link
+    lengths cover the sum of |a| + |d|."""
+    length = st.one_of(st.just(0.0), st.floats(-1.0, 1.0))
+    rows, rom, total = [], [], 0.0
+    for i in range(7):
+        a, d = _fixed(draw(length)), _fixed(draw(length))
+        total += abs(float(a)) + abs(float(d))
+        rows.append(f"    - {{joint: q{i}, a: {a}, d: {d}, alpha_deg: "
+                    f"{draw(st.sampled_from([0, 90, -90]))}, "
+                    f"theta_offset_deg: {_fixed(draw(st.floats(-180, 180)))}"
+                    f", joint_sign: {draw(st.sampled_from([1, -1]))}}}")
+        lo = draw(st.floats(-180, 180))
+        hi = lo + draw(st.floats(0, 360))
+        rom.append(f"    q{i}: [{_fixed(lo)}, {_fixed(hi)}]")
+    links = [f"    {name}: {_fixed(total / 3 * draw(st.floats(1, 2)) + 1e-3)}"
+             for name in "bcd"]
+    return "\n".join(["chain:", "  link_lengths:", *links, "  rom_deg:",
+                      *rom, "  rows:", *rows]) + "\n"
+
+
+@st.composite
+def curves(draw):
+    """(files, actuator) of a tabulated actuator "act.yaml": a monotone
+    knot table from (0, 0) of 2 to 40 knots, some segments nearly flat,
+    and a drawn k_t."""
+    segment = st.tuples(st.floats(0.1, 5.0),
+                        st.one_of(st.floats(1e-6, 1e-3), st.floats(0.1, 50.0)))
+    table = [(0.0, 0.0)]
+    for dd, df in draw(st.lists(segment, min_size=1, max_size=39)):
+        table.append((table[-1][0] + dd, table[-1][1] + df))
+    k_t = draw(st.floats(1.0, 1e4))
+    files = {
+        "curve.csv": "displacement_mm,force_N\n" + "".join(
+            f"{d!r},{f!r}\n" for d, f in table),
+        "act.yaml": ("actuator:\n  label: drawn\n  kind: tabulated\n"
+                     "  table: curve.csv\n  rated_force: 250.0\n"
+                     f"  rated_speed: 110.0\n  k_t: {k_t!r}\n")}
+    return files, ActuatorModel(element=ElasticElementSpec.tabulated(table),
+                                k_t=k_t, rated_force=250.0, rated_speed=110.0)
+
+
 @st.composite
 def specs(draw):
     """(spec text, extra files by name, fmt, seed) of a valid spec."""
@@ -92,11 +146,18 @@ def specs(draw):
     fmt = draw(st.sampled_from(["csv", "json"]))
     fields, files, seed = {}, {}, None
     if kind == "ForceDisplacement":
-        config = draw(st.sampled_from(ACTUATORS))
-        d_m = parse_config(DATA_DIR / config).d_max_total
+        config = draw(st.sampled_from(ACTUATORS + ["drawn"]))
+        if config == "drawn":
+            files, actuator = draw(curves())
+            config = "act.yaml"
+        else:
+            actuator = parse_config(DATA_DIR / config)
+        d_m = actuator.d_max_total
         fields["sweep"] = {"d": draw(grids(0.0, 1.5 * d_m, [d_m]))}
     elif kind == "Workspace":
-        config = "arm.yaml"
+        config = draw(st.sampled_from(["arm.yaml", "chain.yaml"]))
+        if config == "chain.yaml":
+            files[config] = draw(chains())
         seed = draw(st.integers(0, 2 ** 64 - 1))
         fields["n"] = draw(st.integers(1, 6000))
         fields["seed"] = seed
@@ -108,15 +169,26 @@ def specs(draw):
         files[config] = (text.replace("dt: 0.0001", f"dt: {dt!r}")
                          .replace("t_max: 5.0", f"t_max: {t_max!r}"))
     else:
-        config = draw(st.sampled_from(JOINTS))
-        loaded = parse_config(DATA_DIR / config)
-        d_m, R = loaded.joint.d_m, loaded.joint.R
+        config = draw(st.sampled_from(JOINTS + ["drawn"]))
+        if config == "drawn":
+            files, actuator = draw(curves())
+            config = "joint.yaml"
+            R = draw(st.floats(2.0, 20.0))
+            mu_s = round(draw(st.floats(0.0, 0.5)), 3)
+            files[config] = (
+                "joint:\n  actuator_1: act.yaml\n  actuator_2: act.yaml\n"
+                f"  R: {R!r}\n  mu_s: {mu_s!r}\n  inertia_I: 0.001\n")
+            pair = AntagonisticJointConfig(actuator, actuator, R, mu_s, 0.001)
+        else:
+            pair = parse_config(DATA_DIR / config).joint
+        d_m, R = pair.d_m, pair.R
         if kind in ("StiffnessVsPretension", "StiffnessRange"):
             # the controllable stage must not be empty: delta*R < d_m/2
-            delta = draw(st.floats(0.01, min(0.3, 0.45 * d_m / R)))
+            top = min(0.3, 0.45 * d_m / R)
+            delta = draw(st.floats(top / 30, top))
             fields["delta"] = delta
         if kind == "StiffnessVsPretension":
-            bounds = joint.stage_boundaries(loaded.joint, delta)
+            bounds = joint.stage_boundaries(pair, delta)
             fields["sweep"] = {"d_s": draw(grids(0.0, 1.2 * d_m, bounds))}
         elif kind in ("MaxAcceleration", "MaxTorqueVsPretension"):
             fields["sweep"] = {"d_s": draw(grids(0.0, d_m,
@@ -139,7 +211,7 @@ def specs(draw):
     return "\n".join(lines) + "\n", files, fmt, seed
 
 
-@settings(max_examples=60, deadline=None, derandomize=True,
+@settings(max_examples=150, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(specs())
 def test_drawn_specs_agree_with_the_oracle(case):

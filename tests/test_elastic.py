@@ -55,8 +55,7 @@ def test_torsion_k_e_and_k_ts_are_equivalent():
         k_e=k_e, pulley_radius_r=T_R, mu_p=T_MUP, F_tm=T_FTM)
     b = ActuatorModel(element=el, k_t=T_KT, rated_force=125.0,
                       rated_speed=220.0)
-    assert b.element.tendon_equivalent_stiffness == pytest.approx(
-        a.element.tendon_equivalent_stiffness, rel=1e-14)
+    assert b.element.k_ts == pytest.approx(a.element.k_ts, rel=1e-14)
     assert b.d_max_total == pytest.approx(a.d_max_total, rel=1e-14)
 
 

@@ -24,7 +24,7 @@ import tendonsim.cli as cli
 import tendonsim.emit as emit
 from tendonsim.cli import (DATA_DIR, SchemaError, main, parse_experiment,
                            run_experiment, validate_csv_schema)
-from tendonsim.emit import _check_columns, _write_rows
+from tendonsim.emit import _write_rows
 
 GOLDEN_SHA256 = {
     "eca_stiffness_range.json":
@@ -207,7 +207,8 @@ def _csv_block_table(n_rows):
 def _rows_per_block(header, columns, fmt):
     """The writer's rows per block of a table in fmt."""
     form = emit.FORMATS[fmt]
-    return emit._block_rows(form, emit._slot_table(header, columns, form))
+    return emit._block_rows(form, emit._slot_table(Path("t"), header,
+                                                   columns, form))
 
 
 def _block_tables(fmt):
@@ -415,7 +416,7 @@ def test_a_block_renders_within_a_multiple_of_its_byte_budget(fmt, header):
                else rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.integers(-3, 4, n)
                for name in header]
     form = emit.FORMATS[fmt]
-    table = emit._slot_table(header, columns, form)
+    table = emit._slot_table(Path("t"), header, columns, form)
     rows = emit._block_rows(form, table)
     assert rows < n
     cells, slots = zip(*table)
@@ -480,7 +481,7 @@ def test_written_and_on_disk_tables_share_one_contract(tmp_path, header,
         with open(bad, "w", newline="") as fh:
             csv.writer(fh, lineterminator="\n").writerows(rows_copy)
         with pytest.raises(SchemaError) as emitted:
-            _check_columns(bad, header, bad_columns)
+            emit._slot_table(bad, header, bad_columns, emit.FORMATS["csv"])
         with pytest.raises(SchemaError) as on_disk:
             validate_csv_schema(bad)
         assert str(on_disk.value) == str(emitted.value)
