@@ -36,7 +36,7 @@ from .config import (DATA_DIR, ENV_CONFIG_DIR, ConfigError, LoadedJoint,
                      _parse_chain, _parse_joint, _parse_lift, _read_config,
                      _resolve, _wrong_type_file)
 from .dynamics import LiftScenario, simulate_lift
-from .elastic import ActuatorModel, force_from_displacement
+from .elastic import MM_PER_M, ActuatorModel, force_from_displacement
 from .emit import SchemaError, _replacing, _write_rows, validate_csv_schema
 from .joint import (classify_stage, controllable_stiffness_range,
                     external_force, joint_stiffness, joint_torque,
@@ -432,9 +432,9 @@ def _run_stiffness_range(spec: ExperimentSpec):
         "K_smin_Nmm_per_rad": rng.K_smin,
         "K_smax_Nmm_per_rad": rng.K_smax,
         "delta_K_Nmm_per_rad": rng.delta_K,
-        "K_smin_Nm_per_rad": rng.K_smin / 1000.0,
-        "K_smax_Nm_per_rad": rng.K_smax / 1000.0,
-        "delta_K_Nm_per_rad": rng.delta_K / 1000.0,
+        "K_smin_Nm_per_rad": rng.K_smin / MM_PER_M,
+        "K_smax_Nm_per_rad": rng.K_smax / MM_PER_M,
+        "delta_K_Nm_per_rad": rng.delta_K / MM_PER_M,
         "evaluated_at_d_s_mm": [delta * joint.R, joint.d_m / 2.0],
     }
     return (["K_smin_Nmm_per_rad", "K_smax_Nmm_per_rad",

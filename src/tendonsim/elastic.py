@@ -55,7 +55,6 @@ __all__ = [
     "ActuatorModel",
     "displacement_from_force",
     "force_from_displacement",
-    "effective_stiffness",
 ]
 
 # the models work in mm; joint and dynamics convert at their SI interfaces
@@ -154,8 +153,9 @@ class ElasticElementSpec:
             r = self.pulley_radius_r
             _require(r is not None and r > 0,
                      "torsion element requires pulley_radius_r > 0 (mm)")
-            if not math.isfinite(self.k_e):  # r enters k_e, never the law
-                raise ValueError(f"k_e = k_ts*2*pi*r^2 is {self.k_e} Nmm/rad "
+            k_e = self.k_ts * _torsion_arm(r)  # r enters k_e, never the law
+            if not math.isfinite(k_e):
+                raise ValueError(f"k_e = k_ts*2*pi*r^2 is {k_e} Nmm/rad "
                                  f"at k_ts={self.k_ts} N/mm and "
                                  f"pulley_radius_r={r} mm; it must be finite")
         # The quoted (d_max, F_tm) pair must agree with the element's own
@@ -208,14 +208,6 @@ class ElasticElementSpec:
 
     # -- element law ------------------------------------------------------
 
-    @property
-    def k_e(self) -> Optional[float]:
-        """Raw element stiffness, derived: k_ts*2*pi*r^2 (Nmm/rad) for the
-        torsion kind, k_cs (N/mm) for compression, None for tabulated."""
-        if self.kind is ElementKind.TORSION_SPRING_INTERNAL:
-            return self.k_ts * _torsion_arm(self.pulley_radius_r)
-        return self.k_ts
-
     def displacement_at(self, F_t):
         """Element-share displacement (mm) at tension F_t (float or array),
         tendon excluded.
@@ -241,14 +233,15 @@ class ActuatorModel:
         k_t: series tendon stiffness (N/mm).
         rated_force: motor-side rated tendon force (N).
         rated_speed: rated tendon contraction speed (mm/s).
-        label: free-form name.
+        label: free-form name; equality ignores it, so two actuators that
+            differ only in label compare equal.
     """
 
     element: ElasticElementSpec
     k_t: float
     rated_force: float
     rated_speed: float
-    label: str = ""
+    label: str = field(default="", compare=False)
     # displacement at F_tm including tendon stretch; derived, see module doc
     d_max_total: float = field(init=False, repr=False, compare=False)
     # series stiffness of element plus tendon (N/mm); None for tabulated
@@ -326,20 +319,3 @@ def force_from_displacement(actuator: ActuatorModel, d):
         raise ValueError(f"the force at d={d_arr[~finite].flat[0]} mm is "
                          f"{F[~finite].flat[0]} N; it must be finite")
     return F if d_arr.ndim else float(F)
-
-
-def effective_stiffness(actuator: ActuatorModel, d: Optional[float] = None) -> float:
-    """Series stiffness k_et (N/mm) of element plus tendon.
-
-    Linear kinds return the working-stage closed form k_et, derived once
-    at construction. A tabulated element requires a displacement argument
-    and returns the local secant stiffness f_d(d)/d there.
-    """
-    if actuator.k_et is not None:
-        return actuator.k_et
-    if d is None:
-        raise ValueError("tabulated element requires a displacement "
-                         "argument for effective_stiffness")
-    if not math.isfinite(d) or d <= 0:
-        raise ValueError(f"secant stiffness needs d > 0, got {d}")
-    return force_from_displacement(actuator, d) / d

@@ -75,13 +75,6 @@ class StageLabel(Enum):
 _STAGES = np.array(list(StageLabel), dtype=object)    # in stage order
 
 
-def _actuators_match(a: ActuatorModel, b: ActuatorModel) -> bool:
-    # labels are free-form names, not parameters
-    return (a.element == b.element and a.k_t == b.k_t
-            and a.rated_force == b.rated_force
-            and a.rated_speed == b.rated_speed)
-
-
 def _out_of_range(name: str, rule: str, v) -> ValueError:
     finite = "" if math.isfinite(v) else " and finite"
     return ValueError(f"{name} must be {rule}{finite}, got {v}")
@@ -127,7 +120,7 @@ class AntagonisticJointConfig:
             raise ValueError(f"mu_s must satisfy 0 <= mu_s < 1, got {self.mu_s}")
         if not (math.isfinite(self.inertia_I) and self.inertia_I > 0):
             raise ValueError(f"inertia_I must be positive, got {self.inertia_I}")
-        if not _actuators_match(self.actuator_1, self.actuator_2):
+        if self.actuator_1 != self.actuator_2:   # labels compare equal
             raise ValueError("actuator_1 and actuator_2 must share identical "
                              "parameters; the stage algebra assumes a "
                              "symmetric pair")

@@ -224,23 +224,17 @@ def _as_named(chain: KinematicChain,
 
 def forward_kinematics(chain: KinematicChain,
                        joint_values: Union[Mapping[str, float], Sequence[float]],
-                       mode: str = "strict") -> FKResult:
+                       ) -> FKResult:
     """Compose the 7 row transforms at the given joint values.
 
     joint_values is a mapping by joint name or a sequence in row order.
-    mode:
-        "strict" - raise RomError naming the joint when a value is outside
-                   its closed ROM interval (the default),
-        "clamp"  - clip values into the interval instead.
+    Raises RomError naming the joint when a value is outside its closed
+    ROM interval or is not a number.
     """
-    if mode not in ("strict", "clamp"):
-        raise ValueError(f"mode must be 'strict' or 'clamp', got {mode!r}")
     values = _as_named(chain, joint_values)
     for name, v in values.items():
         lo, hi = chain.rom[name]
-        if mode == "clamp":
-            values[name] = v = min(max(v, lo), hi)
-        if not lo <= v <= hi:   # after clamping, only a NaN
+        if not lo <= v <= hi:   # a NaN fails both comparisons
             raise RomError(f"joint '{name}' = {v:.6f} rad is outside its "
                            f"ROM [{lo:.6f}, {hi:.6f}] rad")
     T = _transform(_fk_frame(chain, np.array([[values[row.joint_name]]

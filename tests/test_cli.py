@@ -5,6 +5,7 @@ Bare config names must fall back to the bundled data directory so every
 shipped file doubles as a test vector.
 """
 
+import csv
 import dataclasses
 import importlib.util
 import json
@@ -215,6 +216,9 @@ def _misa_with_curve(tmp_path, curve):
                           "finite, got ['inf', '2.01461226852']"),
     ("1,1e400", "misa_like_curve.csv: line 4: cells must be finite, "
                 "got ['1', '1e400']"),
+    pytest.param("1," + "1" * (csv.field_size_limit() + 1),
+                 "misa_like_curve.csv: CSV error: field larger than field "
+                 "limit", id="overlong-cell"),
 ])
 def test_bad_table_rows_are_one_line_errors(tmp_path, capsys, row,
                                             fragment):
@@ -267,6 +271,8 @@ def test_joint_label_difference_is_allowed(tmp_path):
     loaded = parse_config(p)
     assert isinstance(loaded, LoadedJoint)
     assert loaded.delta == 0.087   # documented default test deflection
+    a1, a2 = loaded.joint.actuator_1, loaded.joint.actuator_2
+    assert (a1.label, a2.label) == ("left", "right") and a1 == a2
 
 
 @pytest.mark.parametrize("name", ["ica_joint.yaml", "eca_joint.yaml"])
@@ -1468,6 +1474,13 @@ def test_deeply_nested_yaml_is_a_one_line_error(tmp_path, text):
     ("lift_dumbbell.yaml", "[eca.yaml, eca.yaml]", "eca.yaml",
      "field 'actuators' must be a nonempty list of actuator config files, "
      "got 'eca.yaml'"),
+    ("arm.yaml", "theta_21: [0, 138]", "theta_21: [138, 0]",
+     "section 'chain': empty ROM interval for 'theta_21'"),
+    ("arm.yaml", "  link_lengths:\n", "  link_lengths: 3\n  old_links:\n",
+     "section 'chain.link_lengths' must be a mapping"),
+    ("exp_force_displacement.yaml", "  sweep:\n    d:",
+     "  sweep: [1]\n  old_sweep:\n    d:",
+     "section 'experiment.sweep' must be a mapping"),
 ])
 def test_malformed_configs_are_one_line_errors(tmp_path, capsys, name, old,
                                                new, fragment):

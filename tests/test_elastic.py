@@ -13,8 +13,7 @@ import pytest
 import yaml
 
 from tendonsim import (ActuatorModel, ElasticElementSpec, ElementKind,
-                       displacement_from_force, effective_stiffness,
-                       force_from_displacement)
+                       displacement_from_force, force_from_displacement)
 from tendonsim.cli import DATA_DIR, parse_config
 
 # reference parameter sets used throughout the file (bench-test values,
@@ -304,15 +303,15 @@ def test_round_trip_both_directions():
 
 
 # --------------------------------------------------------------------------
-# effective stiffness
+# series stiffness k_et
 
 
 def test_effective_stiffness_closed_forms():
     a = torsion_actuator()
-    assert effective_stiffness(a) == pytest.approx(
+    assert a.k_et == pytest.approx(
         T_KTS * T_KT / (T_KT * (1.0 - T_MUP) + T_KTS), rel=1e-12)
     c = compression_actuator()
-    assert effective_stiffness(c) == pytest.approx(
+    assert c.k_et == pytest.approx(
         C_KCS * C_KT / (C_KT + C_KCS), rel=1e-12)
 
 
@@ -340,7 +339,7 @@ def test_linear_constants_equal_their_closed_forms_bitwise(tmp_path, name,
         k_ts = raw.get("k_ts", raw.get("k_cs"))
     d_max_total = F_tm * (1 - mu_p) / k_ts + F_tm / k_t
     assert a.d_max_total == d_max_total
-    assert effective_stiffness(a) == k_ts * k_t / (k_t * (1 - mu_p) + k_ts)
+    assert a.k_et == k_ts * k_t / (k_t * (1 - mu_p) + k_ts)
     d = 45.0  # the end of the bundled force/displacement sweep
     assert d > d_max_total
     assert force_from_displacement(a, d) == F_tm + (d - d_max_total) * k_t
@@ -350,7 +349,7 @@ def test_effective_stiffness_approaches_element_for_stiff_tendon():
     el = ElasticElementSpec.compression_external(k_cs=C_KCS, F_tm=C_FTM)
     a = ActuatorModel(element=el, k_t=1e9, rated_force=250.0,
                       rated_speed=110.0)
-    assert effective_stiffness(a) == pytest.approx(C_KCS, rel=1e-6)
+    assert a.k_et == pytest.approx(C_KCS, rel=1e-6)
 
 
 def test_series_stiffness_survives_an_overflowing_product():
@@ -358,18 +357,10 @@ def test_series_stiffness_survives_an_overflowing_product():
     # every force on the law
     a = compression_actuator(k_cs=1e300, k_t=1e300, F_tm=1e300)
     assert a.d_max_total == 2.0
-    assert effective_stiffness(a) == pytest.approx(5e299, rel=1e-15)
+    assert a.k_et == pytest.approx(5e299, rel=1e-15)
     assert force_from_displacement(a, 0.5) == pytest.approx(2.5e299,
                                                             rel=1e-15)
     assert displacement_from_force(a, 5e299) == pytest.approx(1.0, rel=1e-15)
-
-
-def test_effective_stiffness_tabulated_needs_displacement():
-    a = tabulated_actuator()
-    with pytest.raises(ValueError, match="displacement"):
-        effective_stiffness(a)
-    d = 1.2  # knot (1.0, 2.0) plus tendon share 2.0/10
-    assert effective_stiffness(a, d) == pytest.approx(2.0 / 1.2, rel=1e-9)
 
 
 def test_mu_p_stiffens_the_series_stage():
@@ -377,4 +368,4 @@ def test_mu_p_stiffens_the_series_stage():
     a = torsion_actuator(mu_p=0.1)
     # friction takes part of the tension off the element, so the same force
     # needs less element deflection: the series stage looks stiffer
-    assert effective_stiffness(a) > effective_stiffness(frictionless)
+    assert a.k_et > frictionless.k_et

@@ -194,8 +194,6 @@ def test_input_validation(arm):
         forward_kinematics(arm, {"theta_31": 0.0})
     with pytest.raises(ValueError, match="expected 7"):
         forward_kinematics(arm, [0.0] * 6)
-    with pytest.raises(ValueError, match="mode"):
-        forward_kinematics(arm, [0.0] * 7, mode="loose")
 
 
 def test_rom_violation_names_the_joint(arm):
@@ -205,21 +203,9 @@ def test_rom_violation_names_the_joint(arm):
         forward_kinematics(arm, q)
 
 
-def test_clamp_mode_clips_into_rom(arm):
-    q = full_extension_joint_values()
-    q["theta_21"] = -0.1
-    clamped = forward_kinematics(arm, q, mode="clamp")
-    q["theta_21"] = 0.0
-    exact = forward_kinematics(arm, q)
-    np.testing.assert_array_equal(clamped.transform, exact.transform)
-
-
 def test_non_finite_joint_values_are_rejected(arm):
-    # clamping leaves a NaN as it is, and it must not reach the D-H path
+    # a NaN fails every ROM comparison, and it must not reach the D-H path
     q = full_extension_joint_values()
-    q["theta_22"] = math.nan
-    with pytest.raises(ValueError, match="nan"):
-        forward_kinematics(arm, q, mode="clamp")
     for bad in (math.nan, math.inf, -math.inf):
         q["theta_22"] = bad
         with pytest.raises(RomError, match="theta_22"):
