@@ -37,7 +37,8 @@ from .config import (DATA_DIR, ENV_CONFIG_DIR, ConfigError, LoadedJoint,
                      _resolve, _wrong_type_file)
 from .dynamics import LiftScenario, simulate_lift
 from .elastic import MM_PER_M, ActuatorModel, force_from_displacement
-from .emit import SchemaError, _replacing, _write_rows, validate_csv_schema
+from .emit import (SchemaError, _keeping, _replacing, _write_rows,
+                   validate_csv_schema)
 from .joint import (classify_stage, controllable_stiffness_range,
                     external_force, joint_stiffness, joint_torque,
                     max_allowable_acceleration, max_controllable_torque,
@@ -318,11 +319,11 @@ def run_experiment(spec: ExperimentSpec, out_dir: Union[str, Path] = ".",
     out_path = out_dir / f"{spec.output}.{spec.fmt}"
     summary_path = out_dir / f"{spec.output}_summary.json"
     summary = {"experiment": kind.name, "rows": len(columns[0]), **summary}
-    # the summary is written first and renamed last, so a failure before
-    # the data file's rename leaves the previous pair as it was
+    # the summary is written first and renamed last, and _keeping puts the
+    # previous data file back, so a failure leaves the previous pair
     path = summary_path
     try:
-        with _replacing(summary_path) as fh:
+        with _keeping(out_path), _replacing(summary_path) as fh:
             fh.write((json.dumps(summary, indent=2, sort_keys=True)
                       + "\n").encode())
             path = out_path

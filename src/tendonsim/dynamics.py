@@ -11,12 +11,11 @@ I_total = m_limb*L_com^2 + m_payload*L_payload^2 (point-mass limb model).
 
 The actuator interface saturates twice: tendon force is capped at the rated
 force (so tau_act is capped at F_rated_total*joint_R), and tendon speed at
-the commanded contraction speed, which cannot exceed the rated speed. The
-speed cap is kinematic: a taut tendon moves exactly as fast as the motor
-pays it in. So each step applies the torque that lands omega exactly on
-v/joint_R, back-computed from the motion constraint and clamped to the
-force cap; a step rides one cap or the other, and the power accounting
-P = tau*omega stays exact.
+the slowest rated speed v. The speed cap is kinematic: a taut tendon moves
+exactly as fast as the motor pays it in. So each step applies the torque
+that lands omega exactly on v/joint_R, back-computed from the motion
+constraint and clamped to the force cap; a step rides one cap or the
+other, and the power accounting P = tau*omega stays exact.
 
 Integration is explicit Euler: the system is one-dimensional and stiff-free,
 and the energy/convergence checks in the test suite guard the accuracy.
@@ -38,9 +37,7 @@ from .elastic import MM_PER_M, ActuatorModel
 
 __all__ = [
     "LiftScenario",
-    "LiftState",
     "LiftTrace",
-    "step_dynamics",
     "simulate_lift",
     "mechanical_power",
 ]
@@ -125,17 +122,6 @@ class LiftScenario:
 
 
 @dataclass(frozen=True)
-class LiftState:
-    t: float
-    theta: float
-    omega: float
-
-    def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.t, self.theta, self.omega))):
-            raise ValueError("non-finite state; integration fault")
-
-
-@dataclass(frozen=True)
 class LiftTrace:
     """Time series of one lift plus its scalar summary.
 
@@ -205,22 +191,6 @@ _RUN_MIN = 64
 _RUN_MAX = 4096
 
 
-def step_dynamics(scenario: LiftScenario, state: LiftState,
-                  commanded_tendon_speed: float) -> LiftState:
-    """Advance one explicit-Euler step under the given tendon speed command
-    (m/s, signed toward the target; magnitude capped by the rated speed)."""
-    v = abs(commanded_tendon_speed)
-    if not math.isfinite(v):
-        raise ValueError(f"commanded tendon speed must be finite, got "
-                         f"{commanded_tendon_speed}")
-    if v > scenario.rated_tendon_speed * (1 + 1e-12):
-        raise ValueError(f"commanded tendon speed {v} m/s exceeds the rated "
-                         f"{scenario.rated_tendon_speed} m/s")
-    _, _, theta, omega = _step_law(scenario, commanded_tendon_speed)(
-        state.theta, state.omega)
-    return LiftState(t=state.t + scenario.dt, theta=theta, omega=omega)
-
-
 def _ride_speed_cap(s: LiftScenario, step, direction: float, i: int,
                     n_max: int, theta: float, omega: float,
                     columns: Tuple[array, ...]) -> Tuple[int, float]:
@@ -263,7 +233,7 @@ def _ride_speed_cap(s: LiftScenario, step, direction: float, i: int,
 
 
 def simulate_lift(scenario: LiftScenario) -> LiftTrace:
-    """Run the lift at full commanded speed until theta reaches the target
+    """Run the lift at the rated tendon speed until theta reaches the target
     or t_max expires (timeout keeps the partial trace).
 
     Each step is the step law's. Once a step leaves omega unchanged, as

@@ -398,6 +398,33 @@ def _replacing(path: Path) -> Iterator[BinaryIO]:
         raise
 
 
+@contextmanager
+def _keeping(path: Path) -> Iterator[None]:
+    """Put the file at path back as it was if the block raises, from a hard
+    link named as _replacing names its file, or remove the file the block
+    made if there was none. Where os.link fails other than for a missing
+    file, as on a filesystem without hard links, nothing is kept."""
+    link = path.with_name(
+        f".{path.name}.{os.getpid()}.{threading.get_ident()}.keep")
+    try:
+        os.link(path, link)
+        kept = True
+    except OSError as exc:  # None: no file at path; False: no hard links
+        kept = None if isinstance(exc, FileNotFoundError) else False
+    try:
+        yield
+    except BaseException:
+        with suppress(OSError):
+            if kept:
+                os.replace(link, path)
+            elif kept is None:
+                path.unlink()
+        raise
+    finally:
+        with suppress(OSError):
+            link.unlink()
+
+
 def _write_rows(path: Path, header: Sequence[str], columns: Sequence,
                 fmt: str) -> None:
     """Write a table from its columns as CSV (cells formatted "%.12g") or

@@ -917,7 +917,20 @@ def _no_space(*args):
     raise OSError(28, "No space left on device")
 
 
-@pytest.mark.parametrize("failing", ["summary", "data"])
+def _refuse_summary_rename(monkeypatch):
+    """Make the rename onto fd_small_summary.json fail for want of space,
+    after the data file's rename has happened."""
+    real = emit.os.replace
+
+    def replace(src, dst):
+        if Path(dst).name == "fd_small_summary.json":
+            _no_space()
+        real(src, dst)
+
+    monkeypatch.setattr(emit.os, "replace", replace)
+
+
+@pytest.mark.parametrize("failing", ["summary", "data", "summary-rename"])
 def test_a_failed_run_leaves_the_previous_files_as_they_were(
         tmp_path, monkeypatch, capsys, failing):
     out = tmp_path / "o"
@@ -936,6 +949,9 @@ def test_a_failed_run_leaves_the_previous_files_as_they_were(
 
         monkeypatch.setattr(cli, "_replacing", full_summary)
         name = "fd_small_summary.json"
+    elif failing == "summary-rename":
+        _refuse_summary_rename(monkeypatch)
+        name = "fd_small_summary.json"
     else:
         monkeypatch.setattr(emit, "_slot_rows", _no_space)
         name = "fd_small.csv"
@@ -948,6 +964,18 @@ def test_a_failed_run_leaves_the_previous_files_as_they_were(
         f"error: {out / name}: cannot write: No space left on device\n")
     # the same two files, byte for byte, and no temporary file beside them
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_a_failed_first_run_leaves_no_files(tmp_path, monkeypatch, capsys):
+    # no previous data file to put back: the new one is removed
+    _refuse_summary_rename(monkeypatch)
+    out = tmp_path / "o"
+    assert main(["run", str(_write(tmp_path / "fd.yaml", FD_SPEC)),
+                 "--out", str(out)]) == 1
+    assert _one_line_error(capsys, "error: ") == (
+        f"error: {out / 'fd_small_summary.json'}: cannot write: "
+        f"No space left on device\n")
+    assert list(out.iterdir()) == []
 
 
 def test_parse_experiment_accepts_a_str_path(tmp_path):
@@ -1384,6 +1412,27 @@ def test_invalid_utf8_table_is_a_one_line_error(tmp_path, capsys):
                (DATA_DIR / "misa_like.yaml").read_text())
     assert main(["validate", str(p)]) == 1
     assert "misa_like_curve.csv: not UTF-8 text" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("name", ["misa_like.yaml", "misa_like_curve.csv"])
+def test_an_unreadable_file_is_a_one_line_error(tmp_path, monkeypatch,
+                                                capsys, name):
+    # file modes do not bind the superuser, so open itself refuses here
+    for copied in ("misa_like.yaml", "misa_like_curve.csv"):
+        shutil.copy(DATA_DIR / copied, tmp_path / copied)
+    blocked = tmp_path / name
+    real = open
+
+    def refusing(file, *args, **kwargs):
+        if Path(file) == blocked:
+            raise PermissionError(13, "Permission denied", str(file))
+        return real(file, *args, **kwargs)
+
+    monkeypatch.setattr(config, "open", refusing, raising=False)
+    assert main(["validate", str(tmp_path / "misa_like.yaml")]) == 1
+    assert _one_line_error(capsys) == (
+        f"invalid: {blocked}: cannot read: [Errno 13] Permission denied: "
+        f"'{blocked}'\n")
 
 
 @pytest.mark.parametrize("text", [b"a: " + b"[" * 50000,
