@@ -672,3 +672,42 @@ def test_two_writers_of_one_path_do_not_share_a_temp_file(tmp_path,
     assert errors == []
     assert path.read_bytes() in expected
     assert list(tmp_path.iterdir()) == [path]
+
+
+def _refuse_links(monkeypatch):
+    def link(src, dst):
+        raise PermissionError(1, "Operation not permitted")
+
+    monkeypatch.setattr(emit.os, "link", link)
+
+
+@pytest.mark.parametrize("before, fails, no_links, after", [
+    (b"old", False, False, b"new"),
+    (b"old", True, False, b"old"),
+    (None, True, False, None),
+    # without hard links nothing is kept: the block's file stays
+    (b"old", True, True, b"new"),
+], ids=["success", "restored", "removed", "no_hard_links"])
+def test_keeping_puts_back_the_previous_file(tmp_path, monkeypatch, before,
+                                             fails, no_links, after):
+    path = tmp_path / "t.csv"
+    if before is not None:
+        path.write_bytes(before)
+    if no_links:
+        _refuse_links(monkeypatch)
+
+    def block():
+        with emit._keeping(path):
+            with emit._replacing(path) as fh:
+                fh.write(b"new")
+            if fails:
+                raise OSError(28, "No space left on device")
+
+    if fails:
+        with pytest.raises(OSError, match="No space left"):
+            block()
+    else:
+        block()
+    assert (path.read_bytes() if path.exists() else None) == after
+    assert [p.name for p in tmp_path.iterdir()] == (
+        [] if after is None else [path.name])
