@@ -221,7 +221,7 @@ CONFIG_TYPES = {
                   f"{a.d_max_total:.4f} mm)"),
     "joint": _ConfigType(
         _parse_joint, LoadedJoint,
-        lambda j: f"joint pair '{j.joint.actuator_1.label}' "
+        lambda j: f"joint pair '{j.joint.actuator.label}' "
                   f"(R {j.joint.R} mm, delta {j.delta} rad)"),
     "chain": _ConfigType(
         _parse_chain, KinematicChain,
@@ -461,7 +461,7 @@ def _run_lift(spec: ExperimentSpec):
         "peak_power_W": trace.peak_power,
         "peak_torque_Nm": trace.peak_torque,
         "time_to_target_s": trace.time_to_target,
-        "reached_target": trace.reached_target,
+        "reached_target": trace.time_to_target is not None,
     }
     return (["t_s", "theta_rad", "omega_rad_per_s", "tau_Nm",
              "tau_gravity_Nm", "power_W"],

@@ -367,8 +367,12 @@ def _parse_joint(doc: dict, path: Path) -> LoadedJoint:
     delta = sec.take_positive("delta", required=False, default=0.087)
     sec.finish()
     with sec:
-        joint = AntagonisticJointConfig(actuator_1=a1, actuator_2=a2, R=R,
-                                        mu_s=mu_s, inertia_I=inertia)
+        joint = AntagonisticJointConfig(actuator=a1, R=R, mu_s=mu_s,
+                                        inertia_I=inertia)
+    if a1 != a2:   # ActuatorModel equality ignores the label
+        raise sec._fail("actuator_1 and actuator_2 must share identical "
+                        "parameters; the stage algebra assumes a symmetric "
+                        "pair")
     return LoadedJoint(joint=joint, delta=delta)
 
 

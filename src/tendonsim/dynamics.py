@@ -11,11 +11,14 @@ I_total = m_limb*L_com^2 + m_payload*L_payload^2 (point-mass limb model).
 
 The actuator interface saturates twice: tendon force is capped at the rated
 force (so tau_act is capped at F_rated_total*joint_R), and tendon speed at
-the slowest rated speed v. The speed cap is kinematic: a taut tendon moves
-exactly as fast as the motor pays it in. So each step applies the torque
-that lands omega exactly on v/joint_R, back-computed from the motion
-constraint and clamped to the force cap; a step rides one cap or the
-other, and the power accounting P = tau*omega stays exact.
+the slowest rated speed v. Each step applies the torque that would land
+omega exactly on v/joint_R, back-computed from the motion constraint and
+clamped to the force cap; a step rides one cap or the other, and the power
+accounting P = tau*omega stays exact. The speed cap bounds |omega| only
+while the force cap can hold the load: where |tau_g| exceeds the force
+cap, the clamped torque cannot stop gravity from carrying omega past
+v/joint_R (lift_dumbbell.yaml at payload_mass 12, a 28.7 Nm peak load
+against an 18.35 Nm cap, has 547 such rows and never reaches its target).
 
 Integration is explicit Euler: the system is one-dimensional and stiff-free,
 and the energy/convergence checks in the test suite guard the accuracy.
@@ -138,7 +141,6 @@ class LiftTrace:
     peak_power: float
     peak_torque: float
     time_to_target: Optional[float]   # None when t_max ran out
-    reached_target: bool
 
 
 def mechanical_power(tau: float, omega: float) -> float:
@@ -153,10 +155,12 @@ def _step_law(scenario: LiftScenario, tendon_speed: float,
     (m/s), with the scenario constants computed once.
 
     Returns step(theta, omega) -> (tau_g, tau, next theta, next omega).
-    The speed cap omega_cap = tendon_speed/joint_R is kinematic: tau is the
-    torque that lands omega on it after the step, clamped to what the pair
-    can exert (|tau| <= max_torque, negative torque meaning the antagonist
-    brakes). So each step rides the force cap or the speed cap.
+    tau is the torque that would land omega on the speed cap
+    omega_cap = tendon_speed/joint_R after the step, clamped to what the
+    pair can exert (|tau| <= max_torque, negative torque meaning the
+    antagonist brakes). So each step rides the force cap or the speed cap,
+    and omega stays within the speed cap only while max_torque can hold
+    the gravity load tau_g.
 
     theta may be an array of finite angles at one omega with cos=_cos_each
     (math.cos on each element), maximum=np.maximum and minimum=np.minimum;
@@ -257,7 +261,6 @@ def simulate_lift(scenario: LiftScenario) -> LiftTrace:
     step_each = _step_law(s, tendon_speed, _cos_each, np.maximum, np.minimum)
     rides = s.max_torque != 0  # at 0 Nm, np.maximum and max differ on -0.0
     theta, omega = s.theta_start, 0.0
-    reached = False
     time_to_target: Optional[float] = None
     i = 0
     while i <= n_max:
@@ -268,7 +271,6 @@ def simulate_lift(scenario: LiftScenario) -> LiftTrace:
         tau_col.append(tau)
         tg_col.append(tau_g)
         if direction * (theta - s.theta_target) >= 0.0:
-            reached = True
             time_to_target = t
             break
         if t >= s.t_max:
@@ -290,4 +292,4 @@ def simulate_lift(scenario: LiftScenario) -> LiftTrace:
         tau=tau_arr, tau_gravity=tg_arr, power=power,
         peak_power=float(power.max()),
         peak_torque=float(np.abs(tau_arr).max()),
-        time_to_target=time_to_target, reached_target=reached)
+        time_to_target=time_to_target)

@@ -97,18 +97,17 @@ def _require_positive(name: str, value) -> None:
 
 @dataclass(frozen=True)
 class AntagonisticJointConfig:
-    """Two identical actuators on a joint of moment arm R.
+    """A symmetric pair of one actuator model on a joint of moment arm R.
 
     Fields:
-        actuator_1, actuator_2: the pair; parameters must match (the
-            five-stage algebra assumes a symmetric pair).
+        actuator: the model of both actuators of the pair (the five-stage
+            algebra assumes a symmetric pair).
         R: joint moment arm (mm).
         mu_s: static joint friction coefficient, 0 <= mu_s < 1.
         inertia_I: joint rotational inertia (kg*m^2).
     """
 
-    actuator_1: ActuatorModel
-    actuator_2: ActuatorModel
+    actuator: ActuatorModel
     R: float
     mu_s: float
     inertia_I: float
@@ -120,19 +119,15 @@ class AntagonisticJointConfig:
             raise ValueError(f"mu_s must satisfy 0 <= mu_s < 1, got {self.mu_s}")
         if not (math.isfinite(self.inertia_I) and self.inertia_I > 0):
             raise ValueError(f"inertia_I must be positive, got {self.inertia_I}")
-        if self.actuator_1 != self.actuator_2:   # labels compare equal
-            raise ValueError("actuator_1 and actuator_2 must share identical "
-                             "parameters; the stage algebra assumes a "
-                             "symmetric pair")
 
     @property
     def d_m(self) -> float:
         """Displacement limit of either actuator incl. tendon stretch (mm)."""
-        return self.actuator_1.d_max_total
+        return self.actuator.d_max_total
 
     def f_d(self, d):
         """Pair-shared force/displacement map with the slack clamp."""
-        return force_from_displacement(self.actuator_1, d)
+        return force_from_displacement(self.actuator, d)
 
 
 class StiffnessRange(NamedTuple):
@@ -228,19 +223,23 @@ def max_allowable_acceleration(joint: AntagonisticJointConfig, d_s):
     return acc if acc.ndim else float(acc)
 
 
-def joint_torque(joint: AntagonisticJointConfig, d_s, d_t):
-    """Joint output torque (Nmm) for torque displacement d_t at pre-tension
-    d_s: one tendon contracts by d_t, the other pays out by d_t.
-
-    tau = [f_d(d_s + d_t) - f_d(d_s - d_t) - mu_s*f_d(d_s)] * R, clamped at
-    0 since static friction cannot drive the joint.
-    """
-    _require_nonnegative("d_s", d_s)
-    _require_nonnegative("d_t", d_t)
-    raw = (joint.f_d(d_s + d_t) - joint.f_d(d_s - d_t)
+def _torque(joint: AntagonisticJointConfig, driving, trailing, d_s):
+    """The torque law: [f_d(driving) - f_d(trailing) - mu_s*f_d(d_s)] * R
+    (Nmm), clamped at 0 since static friction cannot drive the joint."""
+    raw = (joint.f_d(driving) - joint.f_d(trailing)
            - joint.mu_s * joint.f_d(d_s)) * joint.R
     tau = np.maximum(raw, 0.0)
     return tau if tau.ndim else float(tau)
+
+
+def joint_torque(joint: AntagonisticJointConfig, d_s, d_t):
+    """Joint output torque (Nmm) for torque displacement d_t at pre-tension
+    d_s: one tendon contracts by d_t, the other pays out by d_t, so the
+    driving side sits at d_s + d_t and the trailing side at d_s - d_t.
+    """
+    _require_nonnegative("d_s", d_s)
+    _require_nonnegative("d_t", d_t)
+    return _torque(joint, d_s + d_t, d_s - d_t, d_s)
 
 
 def max_controllable_torque(joint: AntagonisticJointConfig, d_s):
@@ -257,13 +256,10 @@ def max_controllable_torque(joint: AntagonisticJointConfig, d_s):
         raise ValueError(f"d_s={d[d > joint.d_m].flat[0]} mm is past the "
                          f"elastic stage (d_m={joint.d_m} mm)")
     d_m = joint.d_m
-    raw = (joint.f_d(d_m) - joint.f_d(d_s - (d_m - d_s))
-           - joint.mu_s * joint.f_d(d_s)) * joint.R
-    tau = np.maximum(raw, 0.0)
-    return tau if tau.ndim else float(tau)
+    return _torque(joint, d_m, d_s - (d_m - d_s), d_s)
 
 
 def absolute_max_torque(joint: AntagonisticJointConfig) -> float:
     """Torque ceiling R*F_tm (Nmm), reached when the driving tendon carries
     the element limit force and the other is slack."""
-    return joint.R * joint.actuator_1.F_tm
+    return joint.R * joint.actuator.F_tm

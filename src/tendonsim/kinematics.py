@@ -59,7 +59,6 @@ __all__ = [
     "DHRow",
     "KinematicChain",
     "WorkspaceCloud",
-    "FKResult",
     "RomError",
     "JOINT_ORDER",
     "DEFAULT_ROM_DEG",
@@ -185,13 +184,6 @@ class KinematicChain:
 
 
 @dataclass(frozen=True)
-class FKResult:
-    position: np.ndarray    # (3,) m
-    rotation: np.ndarray    # (3, 3)
-    transform: np.ndarray   # (4, 4)
-
-
-@dataclass(frozen=True)
 class WorkspaceCloud:
     """Monte Carlo workspace sample: end-effector points and summary stats."""
 
@@ -224,8 +216,9 @@ def _as_named(chain: KinematicChain,
 
 def forward_kinematics(chain: KinematicChain,
                        joint_values: Union[Mapping[str, float], Sequence[float]],
-                       ) -> FKResult:
-    """Compose the 7 row transforms at the given joint values.
+                       ) -> np.ndarray:
+    """The 4x4 homogeneous end-effector transform: the 7 row transforms
+    composed at the given joint values.
 
     joint_values is a mapping by joint name or a sequence in row order.
     Raises RomError naming the joint when a value is outside its closed
@@ -237,10 +230,8 @@ def forward_kinematics(chain: KinematicChain,
         if not lo <= v <= hi:   # a NaN fails both comparisons
             raise RomError(f"joint '{name}' = {v:.6f} rad is outside its "
                            f"ROM [{lo:.6f}, {hi:.6f}] rad")
-    T = _transform(_fk_frame(chain, np.array([[values[row.joint_name]]
-                                              for row in chain.rows])))
-    return FKResult(position=T[:3, 3].copy(), rotation=T[:3, :3].copy(),
-                    transform=T)
+    return _transform(_fk_frame(chain, np.array([[values[row.joint_name]]
+                                                 for row in chain.rows])))
 
 
 def full_extension_joint_values() -> Dict[str, float]:

@@ -262,6 +262,27 @@ def test_joint_requires_identical_actuators(tmp_path):
         parse_config(p)
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("R", "10.0", "actuator_1 and actuator_2 must share identical "
+                  "parameters; the stage algebra assumes a symmetric pair"),
+    ("R", "0", "R must be positive, got 0.0"),
+    ("mu_s", "1.0", "mu_s must satisfy 0 <= mu_s < 1, got 1.0"),
+    ("inertia_I", "0", "inertia_I must be positive, got 0.0"),
+])
+def test_joint_checks_its_own_fields_before_the_pair(tmp_path, capsys,
+                                                     field, value, message):
+    _write(tmp_path / "a1.yaml", ACT_TPL.format(label="a1"))
+    _write(tmp_path / "a2.yaml",
+           ACT_TPL.format(label="a2").replace("k_cs: 10.0", "k_cs: 12.0"))
+    fields = {"R": "10.0", "mu_s": "0.1", "inertia_I": "0.001", field: value}
+    p = _write(tmp_path / "j.yaml", (
+        "joint:\n  actuator_1: a1.yaml\n  actuator_2: a2.yaml\n"
+        + "".join(f"  {k}: {v}\n" for k, v in fields.items())))
+    assert main(["validate", str(p)]) == 1
+    assert _one_line_error(capsys) == (
+        f"invalid: {p}: section 'joint': {message}\n")
+
+
 def test_joint_label_difference_is_allowed(tmp_path):
     _write(tmp_path / "a1.yaml", ACT_TPL.format(label="left"))
     _write(tmp_path / "a2.yaml", ACT_TPL.format(label="right"))
@@ -271,14 +292,12 @@ def test_joint_label_difference_is_allowed(tmp_path):
     loaded = parse_config(p)
     assert isinstance(loaded, LoadedJoint)
     assert loaded.delta == 0.087   # documented default test deflection
-    a1, a2 = loaded.joint.actuator_1, loaded.joint.actuator_2
-    assert (a1.label, a2.label) == ("left", "right") and a1 == a2
+    assert loaded.joint.actuator.label == "left"   # actuator_1's model
 
 
-@pytest.mark.parametrize("name", ["ica_joint.yaml", "eca_joint.yaml"])
-def test_joint_naming_one_file_twice_shares_the_actuator(name):
-    joint = parse_config(DATA_DIR / name).joint
-    assert joint.actuator_1 is joint.actuator_2
+def test_lift_naming_one_file_twice_shares_the_actuator():
+    actuators = parse_config(DATA_DIR / "lift_dumbbell.yaml").actuators
+    assert actuators[0] is actuators[1]
 
 
 def test_joint_rejects_nonpositive_delta(tmp_path):
@@ -372,7 +391,7 @@ def test_referencing_file_dir_beats_env_dir(tmp_path, monkeypatch):
         "joint:\n  actuator_1: act.yaml\n  actuator_2: act.yaml\n"
         "  R: 10.0\n  mu_s: 0.1\n  inertia_I: 0.001\n"))
     loaded = parse_config(j)
-    assert loaded.joint.actuator_1.label == "local"
+    assert loaded.joint.actuator.label == "local"
 
 
 def test_search_order_is_referencing_dir_env_dir_cwd_then_bundled(

@@ -178,7 +178,7 @@ def specs(draw):
             files[config] = (
                 "joint:\n  actuator_1: act.yaml\n  actuator_2: act.yaml\n"
                 f"  R: {R!r}\n  mu_s: {mu_s!r}\n  inertia_I: 0.001\n")
-            pair = AntagonisticJointConfig(actuator, actuator, R, mu_s, 0.001)
+            pair = AntagonisticJointConfig(actuator, R, mu_s, 0.001)
         else:
             pair = parse_config(DATA_DIR / config).joint
         d_m, R = pair.d_m, pair.R

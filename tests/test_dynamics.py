@@ -175,7 +175,7 @@ def test_negative_zero_command_steps_as_zero(lift, gravity, theta, omega):
 
 def test_bundled_lift_reaches_target(lift):
     tr = simulate_lift(lift)
-    assert tr.reached_target
+    assert tr.time_to_target is not None
     assert len(tr.t) == 7102
     assert tr.time_to_target == tr.t[-1]
     assert tr.time_to_target == pytest.approx(0.7101, abs=1e-9)
@@ -242,7 +242,6 @@ def test_bundled_lift_step_refinement(lift):
 
 def test_timeout_keeps_partial_trace(lift):
     tr = simulate_lift(dataclasses.replace(lift, t_max=0.05))
-    assert not tr.reached_target
     assert tr.time_to_target is None
     assert len(tr.t) == 501
     assert tr.theta[-1] < lift.theta_target
@@ -252,7 +251,7 @@ def test_lowering_reaches_target(lift):
     down = dataclasses.replace(lift, theta_start=0.0,
                                theta_target=math.radians(-90.0))
     tr = simulate_lift(down)
-    assert tr.reached_target
+    assert tr.time_to_target is not None
     assert tr.theta[-1] <= down.theta_target
     assert float(tr.omega.min()) == pytest.approx(-OMEGA_CAP, rel=1e-12)
     assert np.all(np.abs(tr.omega) <= OMEGA_CAP * (1 + 1e-12))
@@ -269,7 +268,7 @@ def test_lift_memory_per_step_is_bounded(lift, n):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert not tr.reached_target
+    assert tr.time_to_target is None
     assert len(tr.t) == n + 1
     assert peak <= 64 * len(tr.t)
 
@@ -312,7 +311,6 @@ def _assert_lift_is_the_scalar_loop(s):
     got = np.column_stack((tr.theta, tr.omega, tr.tau, tr.tau_gravity))
     assert got.tobytes() == np.array(rows).tobytes()
     assert tr.time_to_target == time_to_target
-    assert tr.reached_target == (time_to_target is not None)
 
 
 @pytest.mark.parametrize("changes", [

@@ -29,16 +29,16 @@ def torsion_pair(mu_s=MU_S):
         k_ts=T_KTS, pulley_radius_r=T_R, mu_p=T_MUP, F_tm=T_FTM)
     a = ActuatorModel(element=el, k_t=T_KT, rated_force=125.0,
                       rated_speed=220.0)
-    return AntagonisticJointConfig(actuator_1=a, actuator_2=a, R=R,
-                                   mu_s=mu_s, inertia_I=INERTIA)
+    return AntagonisticJointConfig(actuator=a, R=R, mu_s=mu_s,
+                                   inertia_I=INERTIA)
 
 
 def compression_pair(mu_s=MU_S):
     el = ElasticElementSpec.compression_external(k_cs=C_KCS, F_tm=C_FTM)
     a = ActuatorModel(element=el, k_t=C_KT, rated_force=250.0,
                       rated_speed=110.0)
-    return AntagonisticJointConfig(actuator_1=a, actuator_2=a, R=R,
-                                   mu_s=mu_s, inertia_I=INERTIA)
+    return AntagonisticJointConfig(actuator=a, R=R, mu_s=mu_s,
+                                   inertia_I=INERTIA)
 
 
 def _oracle_map(k, mu_p, k_t, F_tm):
@@ -64,23 +64,6 @@ COMPRESSION_ORACLE = _oracle_map(C_KCS, 0.0, C_KT, C_FTM)
 # configuration
 
 
-def test_pair_must_match():
-    el = ElasticElementSpec.torsion_internal(
-        k_ts=T_KTS, pulley_radius_r=T_R, mu_p=T_MUP, F_tm=T_FTM)
-    a = ActuatorModel(element=el, k_t=T_KT, rated_force=125.0,
-                      rated_speed=220.0)
-    b = ActuatorModel(element=el, k_t=T_KT + 1.0, rated_force=125.0,
-                      rated_speed=220.0)
-    with pytest.raises(ValueError, match="identical"):
-        AntagonisticJointConfig(actuator_1=a, actuator_2=b, R=R, mu_s=MU_S,
-                                inertia_I=INERTIA)
-    # labels are names, not parameters
-    c = ActuatorModel(element=el, k_t=T_KT, rated_force=125.0,
-                      rated_speed=220.0, label="other-name")
-    AntagonisticJointConfig(actuator_1=a, actuator_2=c, R=R, mu_s=MU_S,
-                            inertia_I=INERTIA)
-
-
 @pytest.mark.parametrize("field,value", [
     ("R", 0.0), ("R", -1.0), ("mu_s", -0.1), ("mu_s", 1.0),
     ("inertia_I", 0.0),
@@ -90,8 +73,7 @@ def test_joint_rejects_bad_parameters(field, value):
         k_ts=T_KTS, pulley_radius_r=T_R, mu_p=T_MUP, F_tm=T_FTM)
     a = ActuatorModel(element=el, k_t=T_KT, rated_force=125.0,
                       rated_speed=220.0)
-    kwargs = dict(actuator_1=a, actuator_2=a, R=R, mu_s=MU_S,
-                  inertia_I=INERTIA)
+    kwargs = dict(actuator=a, R=R, mu_s=MU_S, inertia_I=INERTIA)
     kwargs[field] = value
     with pytest.raises(ValueError):
         AntagonisticJointConfig(**kwargs)
@@ -361,7 +343,7 @@ def test_max_controllable_torque_stays_under_the_ceiling_at_d_m_rounding():
         F_tm=19.0)
     a = ActuatorModel(element=el, k_t=136.0, rated_force=el.F_tm,
                       rated_speed=100.0)
-    j = AntagonisticJointConfig(actuator_1=a, actuator_2=a, R=2.0, mu_s=0.0,
+    j = AntagonisticJointConfig(actuator=a, R=2.0, mu_s=0.0,
                                 inertia_I=INERTIA)
     d_s = 0.1796875 * j.d_m
     assert d_s + (j.d_m - d_s) > j.d_m
@@ -384,8 +366,8 @@ def test_absolute_max_torque_reference(ica_pair):
 
 
 def test_joint_operations_take_whole_grids(misa):
-    tabulated = AntagonisticJointConfig(actuator_1=misa, actuator_2=misa,
-                                        R=R, mu_s=MU_S, inertia_I=INERTIA)
+    tabulated = AntagonisticJointConfig(actuator=misa, R=R, mu_s=MU_S,
+                                        inertia_I=INERTIA)
     for j in (torsion_pair(), compression_pair(), tabulated):
         ds = np.linspace(0.0, 1.3 * j.d_m, 11)
         dt = np.linspace(0.0, j.d_m, 7)

@@ -135,22 +135,22 @@ def test_reach_limit_is_link_sum():
 
 
 def test_all_zero_pose(arm):
-    p = forward_kinematics(arm, [0.0] * 7).position
+    p = forward_kinematics(arm, [0.0] * 7)[:3, 3]
     np.testing.assert_allclose(p, [-(B + C), -D, 0.0], atol=1e-12)
 
 
 def test_elbow_right_angle_pose(arm):
     q = {name: 0.0 for name in JOINT_ORDER}
     q["theta_21"] = math.pi / 2.0
-    p = forward_kinematics(arm, q).position
+    p = forward_kinematics(arm, q)[:3, 3]
     np.testing.assert_allclose(p, [-(B - D), -C, 0.0], atol=1e-12)
 
 
 def test_full_extension_pose(arm):
     fk = forward_kinematics(arm, full_extension_joint_values())
-    np.testing.assert_allclose(fk.position, [-(B + C + D), 0.0, 0.0],
+    np.testing.assert_allclose(fk[:3, 3], [-(B + C + D), 0.0, 0.0],
                                atol=1e-12)
-    assert np.linalg.norm(fk.position) == pytest.approx(B + C + D, abs=1e-12)
+    assert np.linalg.norm(fk[:3, 3]) == pytest.approx(B + C + D, abs=1e-12)
 
 
 def test_extension_reach_ignores_non_pinning_joints(arm):
@@ -163,7 +163,7 @@ def test_extension_reach_ignores_non_pinning_joints(arm):
                      "theta_12"):
             lo, hi = arm.rom[name]
             q[name] = float(rng.uniform(lo, hi))
-        reach = np.linalg.norm(forward_kinematics(arm, q).position)
+        reach = np.linalg.norm(forward_kinematics(arm, q)[:3, 3])
         assert reach == pytest.approx(B + C + D, abs=1e-12)
 
 
@@ -171,7 +171,7 @@ def test_rotation_is_orthonormal(arm):
     rng = np.random.default_rng(9)
     for _ in range(100):
         q = {name: float(rng.uniform(*arm.rom[name])) for name in JOINT_ORDER}
-        rot = forward_kinematics(arm, q).rotation
+        rot = forward_kinematics(arm, q)[:3, :3]
         np.testing.assert_allclose(rot.T @ rot, np.eye(3), atol=1e-13)
         assert np.linalg.det(rot) == pytest.approx(1.0, abs=1e-13)
 
@@ -185,8 +185,8 @@ def test_mapping_and_sequence_inputs_agree(arm):
          "theta_21": 0.4, "theta_22": 0.5, "theta_11": -0.6,
          "theta_12": 0.7}
     seq = [q[name] for name in JOINT_ORDER]
-    np.testing.assert_array_equal(forward_kinematics(arm, q).transform,
-                                  forward_kinematics(arm, seq).transform)
+    np.testing.assert_array_equal(forward_kinematics(arm, q),
+                                  forward_kinematics(arm, seq))
 
 
 def test_input_validation(arm):
@@ -250,7 +250,7 @@ def _fk_digest(name):
     poses = np.random.default_rng(3).uniform(lo, hi, (20000, 7))
     h = hashlib.sha256()
     for q in poses:
-        h.update(forward_kinematics(chain, q).transform.tobytes())
+        h.update(forward_kinematics(chain, q).tobytes())
     return h.hexdigest()
 
 
@@ -306,7 +306,7 @@ def test_workspace_batch_matches_single_pose_path(arm):
     cols = [rng.uniform(*arm.rom[row.joint_name], n) for row in arm.rows]
     for i in range(n):
         q = {row.joint_name: cols[j][i] for j, row in enumerate(arm.rows)}
-        p = forward_kinematics(arm, q).position
+        p = forward_kinematics(arm, q)[:3, 3]
         assert cloud.points[i].tobytes() == p.tobytes()
 
 

@@ -62,7 +62,7 @@ def actuators(draw):
 @st.composite
 def joints(draw):
     actuator = draw(actuators())
-    return AntagonisticJointConfig(actuator_1=actuator, actuator_2=actuator,
+    return AntagonisticJointConfig(actuator=actuator,
                                    R=draw(st.floats(2.0, 30.0)),
                                    mu_s=draw(st.floats(0.0, 0.3)),
                                    inertia_I=draw(st.floats(1e-4, 1e-2)))
@@ -208,7 +208,7 @@ def test_stiffness_range_endpoints_are_reachable(joint, frac):
     assert rng.K_smin > 0.0
     # pre-tension only buys stiffness through sheath friction or element
     # nonlinearity; a frictionless linear pair has a flat controllable stage
-    tabulated = joint.actuator_1.element.kind is ElementKind.TABULATED
+    tabulated = joint.actuator.element.kind is ElementKind.TABULATED
     if joint.mu_s >= 1e-6 or tabulated:
         assert rng.K_smax > rng.K_smin
     elif joint.mu_s == 0.0 and not tabulated:
@@ -258,10 +258,10 @@ def test_rotation_orthonormal_and_reach_bounded(fracs):
         lo, hi = arm.rom[name]
         q[name] = min(max(lo + frac * (hi - lo), lo), hi)
     fk = forward_kinematics(arm, q)
-    np.testing.assert_allclose(fk.rotation.T @ fk.rotation, np.eye(3),
-                               atol=1e-12)
-    assert np.linalg.det(fk.rotation) == pytest.approx(1.0, abs=1e-12)
-    assert np.linalg.norm(fk.position) <= arm.reach_limit + 1e-9
+    rot = fk[:3, :3]
+    np.testing.assert_allclose(rot.T @ rot, np.eye(3), atol=1e-12)
+    assert np.linalg.det(rot) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(fk[:3, 3]) <= arm.reach_limit + 1e-9
 
 
 @settings(max_examples=25, deadline=None)
