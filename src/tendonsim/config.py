@@ -109,7 +109,7 @@ def _read_yaml(path: Path) -> dict:
                                 "deeply") from None
     except (yaml.YAMLError, ValueError) as exc:
         # ValueError: a well-formed scalar the constructor cannot build,
-        # such as the date 2001-13-01 or an int of more than 4300 digits
+        # such as an int of more than 4300 digits
         raise ConfigError(path, "YAML parse error: "
                                 + " ".join(str(exc).split())) from exc
     if not isinstance(doc, dict):

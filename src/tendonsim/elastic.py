@@ -186,7 +186,12 @@ class ElasticElementSpec:
         _require((k_e is None) != (k_ts is None),
                  "give exactly one of k_e or k_ts")
         if k_e is not None:
-            k_ts = k_e / _torsion_arm(pulley_radius_r)
+            _require(pulley_radius_r > 0,
+                     "torsion element requires pulley_radius_r > 0 (mm)")
+            arm = _torsion_arm(pulley_radius_r)
+            _require(arm > 0, f"2*pi*r^2 underflows to 0 at pulley_radius_r="
+                              f"{pulley_radius_r} mm, so k_e gives no k_ts")
+            k_ts = k_e / arm
         return cls(kind=ElementKind.TORSION_SPRING_INTERNAL, k_ts=k_ts,
                    pulley_radius_r=pulley_radius_r, mu_p=mu_p,
                    d_max=d_max, F_tm=F_tm)

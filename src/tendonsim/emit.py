@@ -403,9 +403,12 @@ def _keeping(path: Path) -> Iterator[None]:
     """Put the file at path back as it was if the block raises, from a hard
     link named as _replacing names its file, or remove the file the block
     made if there was none. Where os.link fails other than for a missing
-    file, as on a filesystem without hard links, nothing is kept."""
+    file, as on a filesystem without hard links, nothing is kept. A stale
+    link of this name, left by a killed run, is removed first."""
     link = path.with_name(
         f".{path.name}.{os.getpid()}.{threading.get_ident()}.keep")
+    with suppress(OSError):
+        link.unlink()
     try:
         os.link(path, link)
         kept = True

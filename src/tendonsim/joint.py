@@ -172,8 +172,15 @@ def external_force(joint: AntagonisticJointConfig, delta, d_s):
 
 
 def joint_stiffness(joint: AntagonisticJointConfig, delta: float, d_s):
-    """Joint stiffness K_s = F_e*R/delta (Nmm/rad)."""
-    return external_force(joint, delta, d_s) * joint.R / delta
+    """Joint stiffness K_s = F_e*R/delta (Nmm/rad). Raises ValueError if it
+    overflows (a delta near 0), naming delta."""
+    F_e = external_force(joint, delta, d_s)
+    with np.errstate(all="ignore"):  # an overflow fails the check below
+        K_s = F_e * joint.R / delta
+    if not np.isfinite(K_s).all():
+        raise ValueError(f"K_s = F_e*R/delta overflows at delta={delta} rad; "
+                         f"it must be finite")
+    return K_s
 
 
 def controllable_stiffness_range(joint: AntagonisticJointConfig,

@@ -1223,27 +1223,19 @@ def test_c_and_python_loaders_give_equal_documents():
             assert c_doc == yaml.load(text, Loader=reference)
 
 
-# documents of every kind the loaders meet: the direct builder takes the
-# plain ones, PyYAML's constructor the others and every error
+# plain documents, and the errors of the parser and of the scalar
+# constructors, which the loaders must meet as stock PyYAML does
 LOADER_CASES = [
     "a: &x [1, {b: 2}]\nc: *x\nd: &s 1.5\ne: *s\n",
-    "base: &b {x: 1, y: 2}\nchild: {<<: *b, x: 3}\n",
-    "a: &a {x: 1}\nb: &b {x: 2, y: 2}\nc: {<<: [*a, *b], z: 3}\n",
-    "c: &c {x: 0}\nouter: {base: &a {<<: *c, x: 1}}\nchild: {<<: *a}\n",
-    "t: 2001-12-14t21:59:43.10-05:00\nd: 2002-12-14\n",
-    "a: !!str 12\nb: !!float 3\nc: !!binary aGVsbG8=\nd: !!set {x, y}\n",
+    "a: !!str 12\nb: !!float 3\nc: !!int '7'\nd: !!null ''\n",
     "a: '1.5'\nb: \"7\"\nc: '1e-4'\nd: 1e-4\n",
     "a: 0o17\nb: 0x1F\nc: 1:20\nd: 1_000\ne: .inf\nf: -.INF\ng: 017\n",
     "a: {}\nb: []\nc:\nd: ~\ne: [{}, []]\n",
-    "a: yes\nb: Off\nc: null\nd: TRUE\n= : 1\n",
+    "a: yes\nb: Off\nc: null\nd: TRUE\n",
     "? [1, 2]\n: x\n",
     "{[1]: 2}\n",
     "? {a: 1}\n: 2\n",
-    "a: 2001-13-01\n",
     "a: !!int 1" + "0" * 5000 + "\nb: !!bool maybe\n",
-    "a: !!str [1]\n",
-    "a: !!map [1]\n",
-    "a: !!python/name:os.system\n",
     "a: [1\nb: 2\n",
     "- 1\n- [2, 3]\n",
     "just a string\n",
@@ -1258,46 +1250,77 @@ def test_loaders_read_as_stock_pyyaml(text):
         assert _outcome(text, loader) == _outcome(text, reference)
 
 
-def test_deep_document_within_the_nesting_guard_loads(tmp_path):
-    # within the C loader's nesting guard, but deeper than a recursive
-    # build can go: PyYAML's constructor builds it
-    p = _write(tmp_path / "deep.yaml", "a: " + "[" * 990 + "]" * 990)
-    doc, depth = _read_yaml(p)["a"], 1
+# what a plain document does not hold, each with the line of its node
+@pytest.mark.parametrize("text, line", [
+    ("base: &b {x: 1, y: 2}\nchild: {<<: *b, x: 3}\n", 2),
+    ("a: &a {x: 1}\nb: &b {x: 2}\nc: {z: 3,\n  <<: [*a, *b]}\n", 4),
+    ("a: 1\nt: 2001-12-14t21:59:43.10-05:00\n", 2),
+    ("d: 2002-12-14\n", 1),
+    ("a: 2001-13-01\n", 1),
+    ("a: 1\nb: !!timestamp foo\n", 2),
+    ("a: 1\nc: !!binary aGVsbG8=\n", 2),
+    ("d: !!set {x, y}\n", 1),
+    ("o: [1,\n  !!omap [{a: 1}]]\n", 2),
+    ("a: yes\n= : 1\n", 2),
+    ("a: !!str [1]\n", 1),
+    ("a: !!map [1]\n", 1),
+    ("a: 1\nb: !!python/name:os.system\n", 2),
+    ("a: !!python/object/apply:os.system [echo]\n", 1),
+], ids=["merge", "merge_list", "timestamp", "date", "bad_date",
+        "tagged_timestamp", "binary", "set", "omap", "value_key", "str_seq",
+        "map_seq", "python_name", "python_object"])
+def test_loaders_reject_what_a_plain_document_does_not_hold(text, line):
+    for loader, _ in LOADER_PAIRS:
+        with pytest.raises(yaml.constructor.ConstructorError) as exc:
+            yaml.load(text, Loader=loader)
+        assert str(exc.value).startswith("unsupported ")
+        assert exc.value.problem_mark.line + 1 == line
+
+
+@pytest.mark.parametrize("loader", [loader for loader, _ in LOADER_PAIRS],
+                         ids=lambda loader: loader.__bases__[0].__name__)
+def test_document_200_levels_deep_loads(loader):
+    depth = 200
+    doc, n = yaml.load("a: " + "[" * depth + "]" * depth, Loader=loader)["a"], 1
     while doc:
-        doc, depth = doc[0], depth + 1
-    assert doc == [] and depth == 990
+        doc, n = doc[0], n + 1
+    assert doc == [] and n == depth
+
+
+def test_document_past_the_recursion_limit_is_nested_too_deeply(tmp_path):
+    # within the C loader's nesting guard, but deeper than the build, which
+    # recurses once per level, can go
+    p = _write(tmp_path / "deep.yaml", "a: " + "[" * 990 + "]" * 990)
+    with pytest.raises(ConfigError, match="YAML parse error: nested too "
+                                          "deeply$"):
+        _read_yaml(p)
 
 
 def test_aliases_stay_shared():
-    text = "a: &x [1, {b: 2}]\nc: *x\nd: {<<: &m {k: [3]}, e: *x}\nm: *m\n"
-    for loader, _ in LOADER_PAIRS:
+    text = "a: &x [1, {b: 2}]\nc: *x\nd: {k: &m {n: [3]}, e: *x}\nm: *m\n"
+    for loader, reference in LOADER_PAIRS:
         doc = yaml.load(text, Loader=loader)
+        assert doc == yaml.load(text, Loader=reference)
         assert doc["a"] is doc["c"] is doc["d"]["e"]
-        assert doc["d"]["k"] is doc["m"]["k"]
+        assert doc["d"]["k"] is doc["m"]
         doc = yaml.load("a: &x [1]\nb: *x\n", Loader=loader)
         assert doc["a"] is doc["b"]
 
 
 def test_recursive_alias_is_built_as_stock_pyyaml():
-    for loader, _ in LOADER_PAIRS:
-        doc = yaml.load("a: &a [1, *a]\nm: &m {self: *m}\n", Loader=loader)
-        assert doc["a"][0] == 1 and doc["a"][1] is doc["a"]
-        assert doc["m"]["self"] is doc["m"]
+    for loaders in LOADER_PAIRS:
+        for loader in loaders:
+            doc = yaml.load("a: &a [1, *a]\nm: &m {self: *m}\n",
+                            Loader=loader)
+            assert doc["a"][0] == 1 and doc["a"][1] is doc["a"]
+            assert doc["m"]["self"] is doc["m"]
 
 
 @pytest.mark.parametrize("text, key, line", [
     ("a: 1\nb: 2\na: 3\n", "'a'", 3),
     ("a: {x: 1, x: 2}\n", "'x'", 1),
     ("1: a\n0x1: b\n", "1", 2),
-    # documents PyYAML's constructor builds: a merge, a tag
-    ("b: &b {x: 1}\nc: {<<: *b, y: 1,\n    y: 2}\n", "'y'", 3),
-    ("t: !!binary aGk=\nt: 2\n", "'t'", 2),
-    ("s: !!set {a, b, a}\n", "'a'", 1),
-    # a mapping read only as a merge source, which is never built alone
-    ("actuator: {<<: &b {label: x, label: y}, kind: linear}\n", "'label'", 1),
-    ("a: {<<: [{x: 1}, &b {y: 1,\n    y: 2}]}\nc: {<<: *b}\n", "'y'", 2),
-    ("c: &c {x: 0}\nd: {<<: &a {<<: *c, z: 1,\n  z: 2}}\ne: {<<: *a}\n",
-     "'z'", 3),
+    ("a: [{x: 1}, &b {y: 1,\n    y: 2}]\nc: *b\n", "'y'", 2),
 ])
 def test_duplicate_keys_are_rejected(text, key, line):
     for loader, _ in LOADER_PAIRS:
@@ -1317,12 +1340,31 @@ def test_duplicate_key_in_a_config_is_a_one_line_error(tmp_path, capsys):
     assert f"found duplicate key 'k_t' in \"{p}\", line {line}" in err
 
 
+def test_lift_naming_its_actuator_by_alias_validates(tmp_path, capsys):
+    text = (DATA_DIR / "lift_dumbbell.yaml").read_text()
+    assert "[eca.yaml, eca.yaml]" in text
+    p = _write(tmp_path / "lift.yaml",
+               text.replace("[eca.yaml, eca.yaml]", "[&e eca.yaml, *e]"))
+    assert main(["validate", str(p)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_merge_key_in_a_config_is_a_one_line_error(tmp_path, capsys):
+    text = (DATA_DIR / "eca.yaml").read_text()
+    p = _write(tmp_path / "eca.yaml", text.replace(
+        "actuator:\n", "actuator:\n  <<: {rated_speed: 110.0}\n"))
+    assert main(["validate", str(p)]) == 1
+    err = _one_line_error(capsys)
+    line = text.split("\n").index("actuator:") + 2
+    assert "eca.yaml: YAML parse error: unsupported scalar tagged " in err
+    assert f'in "{p}", line {line}' in err
+
+
 # tagged scalars whose constructor fails with a KeyError, IndexError or
 # AttributeError in stock PyYAML
 UNBUILDABLE_SCALARS = [("!!bool maybe", KeyError), ('!!bool ""', KeyError),
                        ('!!int ""', IndexError), ("!!int _", IndexError),
-                       ('!!int "-"', IndexError), ('!!float ""', IndexError),
-                       ("!!timestamp foo", AttributeError)]
+                       ('!!int "-"', IndexError), ('!!float ""', IndexError)]
 
 
 @pytest.mark.parametrize("scalar, stock_error", UNBUILDABLE_SCALARS)
@@ -1359,15 +1401,6 @@ def test_loader_lets_memory_errors_and_interrupts_through(tmp_path,
     p = _write(tmp_path / "a.yaml", "a: !!bool yes\n")
     with pytest.raises(error):
         _read_yaml(p)
-
-
-def test_merged_keys_may_be_overridden():
-    text = ("a: &a {x: 1, y: 1}\nb: &b {x: 2, z: 2}\n"
-            "c: {<<: [*a, *b], x: 3}\nd: {<<: *a, y: 4}\n")
-    for loader, _ in LOADER_PAIRS:
-        doc = yaml.load(text, Loader=loader)
-        assert doc["c"] == {"x": 3, "y": 1, "z": 2}
-        assert doc["d"] == {"x": 1, "y": 4}
 
 
 _yaml_scalars = st.one_of(st.none(), st.booleans(), st.integers(),
@@ -1481,6 +1514,16 @@ def test_deeply_nested_yaml_is_a_one_line_error(tmp_path, text):
      "section 'actuator': k_e = k_ts*2*pi*r^2 is inf Nmm/rad at k_ts=3.2 "
      "N/mm and pulley_radius_r=inf mm; it must be finite"),
     ("ica.yaml", "k_t: 30.0", "k_t: 0", "section 'actuator'"),
+    # k_e given in place of k_ts: r is checked before k_e/(2*pi*r^2)
+    ("ica.yaml", "k_ts: 3.2            # N/mm, tendon-equivalent element "
+     "stiffness\n  pulley_radius_r: 5.0", "k_e: 502.65\n  pulley_radius_r: 0",
+     "section 'actuator': torsion element requires pulley_radius_r > 0 "
+     "(mm)"),
+    ("ica.yaml", "k_ts: 3.2            # N/mm, tendon-equivalent element "
+     "stiffness\n  pulley_radius_r: 5.0",
+     "k_e: 502.65\n  pulley_radius_r: 1e-200",
+     "section 'actuator': 2*pi*r^2 underflows to 0 at "
+     "pulley_radius_r=1e-200 mm"),
     ("ica.yaml", "k_ts: 3.2 ", "k_ts: 1e308 ",
      "section 'actuator': k_e = k_ts*2*pi*r^2 is inf Nmm/rad at "
      "k_ts=1e+308 N/mm and pulley_radius_r=5.0 mm; it must be finite"),
@@ -1640,6 +1683,30 @@ def test_overflowing_force_names_the_sweep_point(tmp_path, capsys):
     actuator = parse_config(tmp_path / "misa_like.yaml")
     with pytest.raises(ValueError, match=r"the force at d=25\.8 mm is inf"):
         elastic.force_from_displacement(actuator, [1.0, 25.8, 30.0])
+
+
+@pytest.mark.parametrize("spec, where", [
+    ("exp_stiffness_range.yaml", "StiffnessRange"),
+    ("exp_stiffness_vs_pretension.yaml", "joint_stiffness at (0.25)"),
+])
+def test_overflowing_stiffness_names_delta(tmp_path, capsys, spec, where):
+    # a tiny delta passes validate; K_s = F_e*R/delta then overflows, and
+    # the error names delta (it once named a cell of the output file)
+    for p in DATA_DIR.iterdir():
+        _write(tmp_path / p.name, p.read_text())
+    for name in ("eca_joint.yaml", "ica_joint.yaml"):
+        text = (DATA_DIR / name).read_text()
+        assert "delta: 0.087 " in text
+        _write(tmp_path / name, text.replace("delta: 0.087 ",
+                                             "delta: 5.0e-324 "))
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would print more lines
+        assert main(["run", str(tmp_path / spec), "--out", str(out)]) == 1
+    assert _one_line_error(capsys, "error: ") == (
+        f"error: {where}: K_s = F_e*R/delta overflows at delta=5e-324 rad; "
+        f"it must be finite\n")
+    assert list(out.iterdir()) == []
 
 
 def test_overflowing_element_law_warns_nothing_before_its_error(tmp_path):

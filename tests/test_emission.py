@@ -11,6 +11,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import threading
 import tracemalloc
 from pathlib import Path
@@ -681,20 +682,25 @@ def _refuse_links(monkeypatch):
     monkeypatch.setattr(emit.os, "link", link)
 
 
-@pytest.mark.parametrize("before, fails, no_links, after", [
-    (b"old", False, False, b"new"),
-    (b"old", True, False, b"old"),
-    (None, True, False, None),
+@pytest.mark.parametrize("before, fails, links, after", [
+    (b"old", False, "yes", b"new"),
+    (b"old", True, "yes", b"old"),
+    (None, True, "yes", None),
     # without hard links nothing is kept: the block's file stays
-    (b"old", True, True, b"new"),
-], ids=["success", "restored", "removed", "no_hard_links"])
+    (b"old", True, "no", b"new"),
+    # the link a killed run of this pid and thread left is replaced
+    (b"old", True, "stale", b"old"),
+], ids=["success", "restored", "removed", "no_hard_links", "stale_link"])
 def test_keeping_puts_back_the_previous_file(tmp_path, monkeypatch, before,
-                                             fails, no_links, after):
+                                             fails, links, after):
     path = tmp_path / "t.csv"
     if before is not None:
         path.write_bytes(before)
-    if no_links:
+    if links == "no":
         _refuse_links(monkeypatch)
+    elif links == "stale":
+        (tmp_path / f".t.csv.{os.getpid()}.{threading.get_ident()}.keep"
+         ).write_bytes(b"stale")
 
     def block():
         with emit._keeping(path):
