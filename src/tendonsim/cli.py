@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import reprlib
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -32,9 +31,9 @@ import numpy as np
 
 from . import config, emit
 from .config import (DATA_DIR, ENV_CONFIG_DIR, ConfigError, LoadedJoint,
-                     _Section, _check_lift_steps, _is_a, _parse_actuator,
-                     _parse_chain, _parse_joint, _parse_lift, _read_config,
-                     _resolve, _wrong_type_file)
+                     _REPR, _Section, _check_lift_steps, _is_a,
+                     _parse_actuator, _parse_chain, _parse_joint, _parse_lift,
+                     _read_config, _resolve, _wrong_type_file)
 from .dynamics import LiftScenario, simulate_lift
 from .elastic import MM_PER_M, ActuatorModel, force_from_displacement
 from .emit import (SchemaError, _keeping, _replacing, _write_rows,
@@ -190,7 +189,7 @@ def _check_spec(spec: ExperimentSpec,
     if (spec.delta is not None or "delta" in kind.reads) and not (
             _is_a(spec.delta, (int, float)) and 0 < spec.delta < math.inf):
         raise fail(f"delta must be a finite number > 0, got "
-                   f"{reprlib.repr(spec.delta)}")
+                   f"{_REPR.repr(spec.delta)}")
     if "n" in kind.reads and not (_is_a(spec.n, int) and 1 <= spec.n <= limit):
         raise fail(f"{kind.name} needs 1 <= n <= {limit}")
     if isinstance(spec.model, LiftScenario):
@@ -198,7 +197,7 @@ def _check_spec(spec: ExperimentSpec,
     if not (isinstance(spec.sweeps, dict) and all(
             isinstance(g, GridSpec) for g in spec.sweeps.values())):
         raise fail(f"sweeps must map variables to GridSpecs, got "
-                   f"{reprlib.repr(spec.sweeps)}")
+                   f"{_REPR.repr(spec.sweeps)}")
     if spec.sweeps.keys() != set(kind.sweeps):
         raise fail(f"{kind.name} needs the sweeps {list(kind.sweeps)}, got "
                    f"{list(spec.sweeps)}")

@@ -31,11 +31,11 @@ from typing import Callable, Dict, Optional, Tuple, Union
 
 import yaml
 
+from . import yaml12
 from .dynamics import LiftScenario
 from .elastic import ActuatorModel, ElasticElementSpec, ElementKind
 from .joint import AntagonisticJointConfig
 from .kinematics import DHRow, KinematicChain, default_arm, DEFAULT_ROM_DEG
-from .yaml12 import _PyYamlLoader, _YamlLoader
 
 DATA_DIR = Path(__file__).parent / "data"
 ENV_CONFIG_DIR = "TENDONSIM_CONFIG_DIR"
@@ -50,6 +50,12 @@ MAX_RUN_POINTS = 10_000_000
 
 # the top-level section of each config type: the keys of cli.CONFIG_TYPES
 CONFIG_SECTIONS = ("actuator", "joint", "chain", "lift", "experiment")
+
+# Prints a value in an error message: two levels of at most three list
+# items, so that a value whose aliases nest it many levels deep still makes
+# a short line.
+_REPR = reprlib.Repr()
+_REPR.maxlevel, _REPR.maxlist = 2, 3
 
 
 class ConfigError(Exception):
@@ -83,30 +89,14 @@ def _resolve(name: Union[str, Path], base_dir: Optional[Path]) -> Path:
                       + ", ".join(str(Path(d, name)) for d in dirs))
 
 
-# The C loader composes nodes by recursing in C, once per nesting level, and
-# overflows the C stack (a crash, not an exception) somewhere past 20000
-# levels on an 8 MB stack. Every level opens with one of these bytes, so a
-# document with few of them goes to the C loader; any other goes to the
-# pure-Python one, whose deepest documents end in RecursionError.
-_NESTING_BYTES = b"[{-?:"
-_C_LOADER_MAX_NESTING_BYTES = 1000
-
-
 def _read_yaml(path: Path) -> dict:
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
-        shallow = (sum(map(data.count, _NESTING_BYTES))
-                   <= _C_LOADER_MAX_NESTING_BYTES)
-        stream = io.BytesIO(data)
+            stream = io.BytesIO(fh.read())
         stream.name = fh.name   # so that error marks name the file
-        doc = yaml.load(stream, Loader=_YamlLoader if shallow
-                        else _PyYamlLoader)
+        doc = yaml12.load(stream)
     except OSError as exc:
         raise ConfigError(path, f"cannot read: {exc}") from exc
-    except RecursionError:
-        raise ConfigError(path, "YAML parse error: nested too "
-                                "deeply") from None
     except (yaml.YAMLError, ValueError) as exc:
         # ValueError: a well-formed scalar the constructor cannot build,
         # such as an int of more than 4300 digits
@@ -150,7 +140,7 @@ class _Section:
 
     def _wrong_type(self, key: str, what: str, v) -> "ConfigError":
         return self._fail(f"field '{key}' must be {what}, got "
-                          f"{reprlib.repr(v)}")
+                          f"{_REPR.repr(v)}")
 
     def __enter__(self) -> "_Section":
         return self
@@ -185,7 +175,7 @@ class _Section:
             return float(v)
         except OverflowError:  # an int past the float range
             raise self._fail(f"field '{key}' is out of range, got "
-                             f"{reprlib.repr(v)}") from None
+                             f"{_REPR.repr(v)}") from None
 
     def take_float(self, key: str, required: bool = True,
                    default: Optional[float] = None) -> Optional[float]:

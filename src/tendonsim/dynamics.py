@@ -42,7 +42,6 @@ __all__ = [
     "LiftScenario",
     "LiftTrace",
     "simulate_lift",
-    "mechanical_power",
 ]
 
 
@@ -141,11 +140,6 @@ class LiftTrace:
     peak_power: float
     peak_torque: float
     time_to_target: Optional[float]   # None when t_max ran out
-
-
-def mechanical_power(tau: float, omega: float) -> float:
-    """Mechanical power P = tau*omega (W for Nm and rad/s)."""
-    return tau * omega
 
 
 def _step_law(scenario: LiftScenario, tendon_speed: float,

@@ -22,7 +22,7 @@ from tendonsim import (ActuatorModel, ElasticElementSpec,
                        force_from_displacement, forward_kinematics,
                        full_extension_joint_values, joint_stiffness,
                        max_allowable_acceleration, max_controllable_torque,
-                       mechanical_power, simulate_lift, stage_boundaries)
+                       simulate_lift, stage_boundaries)
 from tendonsim.cli import (DATA_DIR, parse_experiment, run_experiment,
                            validate_csv_schema)
 from tendonsim.kinematics import JOINT_ORDER
@@ -237,16 +237,18 @@ def test_c08_arm_reach_and_workspace(arm, tmp_path):
 
 def test_c09_lift_saturations_and_power(lift):
     """The dumbbell lift saturates at the kinematic speed cap within 2% of
-    3.0 rad/s, P = tau*omega holds exactly (12 Nm * 3 rad/s = 36 W within
-    5%), peak power stays under the 55 W rated-force*rated-speed bound, and
-    the energy balance closes within 0.5%."""
+    3.0 rad/s, P = tau*omega holds exactly, the simulated peak power lies
+    within 2% below the 55 W rated-force*rated-speed bound, and the energy
+    balance closes within 0.5%."""
     trace = simulate_lift(lift)
     assert trace.time_to_target is not None
     omega_sat = float(trace.omega.max())
     assert omega_sat == pytest.approx(3.0, rel=0.02)
-    assert mechanical_power(12.0, 3.0) == pytest.approx(36.0, rel=0.05)
     np.testing.assert_array_equal(trace.power, trace.tau * trace.omega)
-    assert trace.peak_power < 500.0 * 0.11
+    rated = (sum(a.rated_force for a in lift.actuators)
+             * lift.rated_tendon_speed)
+    assert rated == pytest.approx(2 * 250.0 * 0.11)
+    assert 0.98 * rated <= trace.peak_power < rated
 
     work = float(np.sum(trace.tau[:-1] * trace.omega[:-1]) * lift.dt)
     arm_m = (lift.limb_mass * lift.limb_com_distance

@@ -8,6 +8,7 @@ shipped file doubles as a test vector.
 import csv
 import dataclasses
 import importlib.util
+import io
 import json
 import math
 import os
@@ -26,15 +27,14 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tendonsim import cli, config, default_arm, elastic, emit, joint
+from tendonsim import cli, config, default_arm, elastic, emit, joint, yaml12
 from tendonsim.cli import (DATA_DIR, ENV_CONFIG_DIR, EXPERIMENTS,
                            ConfigError, ExperimentError, ExperimentSpec,
                            GridSpec, LoadedJoint, _merge_exact, _sweep_eval,
                            main, parse_config,
                            parse_experiment, run_experiment,
                            validate_csv_schema)
-from tendonsim.config import (MAX_RUN_POINTS, _PyYamlLoader, _YamlLoader,
-                              _read_yaml)
+from tendonsim.config import MAX_RUN_POINTS, _read_yaml
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH_DATA = ROOT / "bench" / "data"
@@ -1176,14 +1176,13 @@ def test_a_sweep_writes_its_grid_and_breakpoints(tmp_path, kind, grid):
 
 
 def test_c_loader_is_used_when_pyyaml_has_libyaml():
-    assert issubclass(_PyYamlLoader, yaml.SafeLoader)
-    if yaml.__with_libyaml__:
-        assert issubclass(_YamlLoader, yaml.CSafeLoader)
+    base = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+    assert yaml12._Loader.__bases__ == (base,)
 
 
 def _reference_loader(base):
     """Stock PyYAML on base plus the YAML 1.2 exponent floats: what the
-    package's loaders must read alike."""
+    builder must read alike from the events of base's parser."""
     class Reference(base):
         pass
     Reference.add_implicit_resolver(
@@ -1193,10 +1192,23 @@ def _reference_loader(base):
     return Reference
 
 
-# each loader of the package with the stock loader on its base
-LOADER_PAIRS = [(_PyYamlLoader, _reference_loader(yaml.SafeLoader))]
+def _builder_on(loader_class):
+    """A Loader for yaml.load whose document yaml12's builder builds from
+    the events of loader_class's parser."""
+    class Builder(loader_class):
+        def get_single_data(self):
+            return yaml12._build(self)
+    return Builder
+
+
+# the builder on each event source, PyYAML's pure-Python parser and
+# libyaml's, with the stock loader on the same parser
+SOURCES = [(_builder_on(yaml12._with_yaml12_floats(yaml.SafeLoader)),
+            _reference_loader(yaml.SafeLoader))]
 if yaml.__with_libyaml__:
-    LOADER_PAIRS.append((_YamlLoader, _reference_loader(yaml.CSafeLoader)))
+    SOURCES.append((_builder_on(yaml12._Loader),
+                    _reference_loader(yaml.CSafeLoader)))
+SOURCE_IDS = ["python", "libyaml"][:len(SOURCES)]
 
 
 def _outcome(text, loader):
@@ -1216,11 +1228,12 @@ def test_c_and_python_loaders_give_equal_documents():
     texts += [t.encode() for t in (ACT_TPL.format(label="x"), FD_SPEC,
                                    WS_SPEC, "a: 1e-4\nb: -2E+3\nc: '1e-4'\n")]
     for text in texts:
-        c_doc = yaml.load(text, Loader=_YamlLoader)
-        assert c_doc == yaml.load(text, Loader=_PyYamlLoader)
-        assert isinstance(c_doc, dict)
-        for loader, reference in LOADER_PAIRS:
-            assert c_doc == yaml.load(text, Loader=reference)
+        doc = yaml12.load(io.BytesIO(text))
+        assert isinstance(doc, dict)
+        for builder, reference in SOURCES:
+            for other in (yaml.load(text, Loader=builder),
+                          yaml.load(text, Loader=reference)):
+                assert other == doc and repr(other) == repr(doc)
 
 
 # plain documents, and the errors of the parser and of the scalar
@@ -1239,6 +1252,15 @@ LOADER_CASES = [
     "a: [1\nb: 2\n",
     "- 1\n- [2, 3]\n",
     "just a string\n",
+    "",
+    "--- 5\n...\n",
+    "a: ! 12\nb: ! '12'\n",
+    # a parse or composer error is met before a build error, as stock
+    # PyYAML composes the whole document before it builds it
+    "a: !!bool maybe\nb: [1\n",
+    "a: {x: 1, x: 2}\nb: [1, 2\n",
+    "? [1]\n: x\n---\nb: 1\n",
+    "a: !!int 1" + "0" * 5000 + "\n--- 2\n",
 ]
 
 
@@ -1246,8 +1268,8 @@ LOADER_CASES = [
     pytest.param(t, id=f"case{i}") for i, t in enumerate(LOADER_CASES)] + [
     pytest.param(p.read_bytes(), id=p.name) for p in DATA_FILES])
 def test_loaders_read_as_stock_pyyaml(text):
-    for loader, reference in LOADER_PAIRS:
-        assert _outcome(text, loader) == _outcome(text, reference)
+    for builder, reference in SOURCES:
+        assert _outcome(text, builder) == _outcome(text, reference)
 
 
 # what a plain document does not hold, each with the line of its node
@@ -1270,45 +1292,57 @@ def test_loaders_read_as_stock_pyyaml(text):
         "tagged_timestamp", "binary", "set", "omap", "value_key", "str_seq",
         "map_seq", "python_name", "python_object"])
 def test_loaders_reject_what_a_plain_document_does_not_hold(text, line):
-    for loader, _ in LOADER_PAIRS:
+    for builder, _ in SOURCES:
         with pytest.raises(yaml.constructor.ConstructorError) as exc:
-            yaml.load(text, Loader=loader)
+            yaml.load(text, Loader=builder)
         assert str(exc.value).startswith("unsupported ")
         assert exc.value.problem_mark.line + 1 == line
 
 
-@pytest.mark.parametrize("loader", [loader for loader, _ in LOADER_PAIRS],
-                         ids=lambda loader: loader.__bases__[0].__name__)
-def test_document_200_levels_deep_loads(loader):
-    depth = 200
-    doc, n = yaml.load("a: " + "[" * depth + "]" * depth, Loader=loader)["a"], 1
-    while doc:
-        doc, n = doc[0], n + 1
-    assert doc == [] and n == depth
+@pytest.mark.parametrize("builder", [b for b, _ in SOURCES], ids=SOURCE_IDS)
+@pytest.mark.parametrize("nest", [
+    lambda n: "[" * n + "]" * n,
+    lambda n: "a: " + "[" * (n - 1) + "]" * (n - 1),
+    lambda n: "".join(f"{'  ' * i}k:\n" for i in range(n)) + "  " * n + "1\n",
+    lambda n: "".join(f"&a{i} [" for i in range(n)) + "]" * n,
+], ids=["flow", "in_a_mapping", "block", "anchored"])
+def test_depth_limit_is_64_levels(builder, nest):
+    assert yaml12.MAX_DEPTH == 64
+    doc, depth = yaml.load(nest(64), Loader=builder), 0
+    while isinstance(doc, (list, dict)):
+        depth += 1
+        doc = next(iter(doc.values() if isinstance(doc, dict) else doc), None)
+    assert depth == 64
+    with pytest.raises(yaml.YAMLError) as exc:
+        yaml.load(nest(65), Loader=builder)
+    assert type(exc.value) is yaml.YAMLError
+    assert str(exc.value) == "nested too deeply"
 
 
-def test_document_past_the_recursion_limit_is_nested_too_deeply(tmp_path):
-    # within the C loader's nesting guard, but deeper than the build, which
-    # recurses once per level, can go
-    p = _write(tmp_path / "deep.yaml", "a: " + "[" * 990 + "]" * 990)
-    with pytest.raises(ConfigError, match="YAML parse error: nested too "
-                                          "deeply$"):
+@pytest.mark.parametrize("depth", [65, 100_000])
+def test_deep_config_is_nested_too_deeply(tmp_path, capsys, depth):
+    # rejected at the 65th level, however deep the document goes
+    p = _write(tmp_path / "deep.yaml", "a: " + "[" * depth + "]" * depth)
+    with pytest.raises(ConfigError) as exc:
         _read_yaml(p)
+    assert str(exc.value) == f"{p}: YAML parse error: nested too deeply"
+    assert main(["validate", str(p)]) == 1
+    assert _one_line_error(capsys) == f"invalid: {exc.value}\n"
 
 
 def test_aliases_stay_shared():
     text = "a: &x [1, {b: 2}]\nc: *x\nd: {k: &m {n: [3]}, e: *x}\nm: *m\n"
-    for loader, reference in LOADER_PAIRS:
-        doc = yaml.load(text, Loader=loader)
+    for builder, reference in SOURCES:
+        doc = yaml.load(text, Loader=builder)
         assert doc == yaml.load(text, Loader=reference)
         assert doc["a"] is doc["c"] is doc["d"]["e"]
         assert doc["d"]["k"] is doc["m"]
-        doc = yaml.load("a: &x [1]\nb: *x\n", Loader=loader)
+        doc = yaml.load("a: &x [1]\nb: *x\n", Loader=builder)
         assert doc["a"] is doc["b"]
 
 
 def test_recursive_alias_is_built_as_stock_pyyaml():
-    for loaders in LOADER_PAIRS:
+    for loaders in SOURCES:
         for loader in loaders:
             doc = yaml.load("a: &a [1, *a]\nm: &m {self: *m}\n",
                             Loader=loader)
@@ -1323,9 +1357,9 @@ def test_recursive_alias_is_built_as_stock_pyyaml():
     ("a: [{x: 1}, &b {y: 1,\n    y: 2}]\nc: *b\n", "'y'", 2),
 ])
 def test_duplicate_keys_are_rejected(text, key, line):
-    for loader, _ in LOADER_PAIRS:
+    for builder, _ in SOURCES:
         with pytest.raises(yaml.constructor.ConstructorError) as exc:
-            yaml.load(text, Loader=loader)
+            yaml.load(text, Loader=builder)
         assert f"found duplicate key {key}" in str(exc.value)
         assert exc.value.problem_mark.line + 1 == line
 
@@ -1370,11 +1404,11 @@ UNBUILDABLE_SCALARS = [("!!bool maybe", KeyError), ('!!bool ""', KeyError),
 @pytest.mark.parametrize("scalar, stock_error", UNBUILDABLE_SCALARS)
 def test_unbuildable_tagged_scalar_is_a_constructor_error(scalar, stock_error):
     text = f"a: 1\nb: {{c: [1, {scalar}]}}\n"
-    for loader, reference in LOADER_PAIRS:
+    for builder, reference in SOURCES:
         with pytest.raises(stock_error):
             yaml.load(text, Loader=reference)
         with pytest.raises(yaml.constructor.ConstructorError) as exc:
-            yaml.load(text, Loader=loader)
+            yaml.load(text, Loader=builder)
         assert "cannot build" in str(exc.value)
         assert exc.value.problem_mark.line + 1 == 2
 
@@ -1395,12 +1429,14 @@ def test_loader_lets_memory_errors_and_interrupts_through(tmp_path,
                                                           monkeypatch, error):
     def failing(loader, node):
         raise error
-    for loader, _ in LOADER_PAIRS:
-        monkeypatch.setitem(loader.yaml_constructors, "tag:yaml.org,2002:bool",
-                            failing)
-    p = _write(tmp_path / "a.yaml", "a: !!bool yes\n")
+    monkeypatch.setitem(yaml12._Loader.yaml_constructors,
+                        "tag:yaml.org,2002:bool", failing)
+    p = _write(tmp_path / "a.yaml", "a: !!bool yes\nb: [1\n")
     with pytest.raises(error):
         _read_yaml(p)
+    for builder, _ in SOURCES:
+        with pytest.raises(error):
+            yaml.load(p.read_text(), Loader=builder)
 
 
 _yaml_scalars = st.one_of(st.none(), st.booleans(), st.integers(),
@@ -1413,9 +1449,103 @@ _yaml_scalars = st.one_of(st.none(), st.booleans(), st.integers(),
     st.dictionaries(_yaml_scalars, inner, max_size=4)), max_leaves=24))
 def test_loaders_read_dumped_documents_as_stock_pyyaml(doc):
     text = yaml.safe_dump(doc)
-    for loader, reference in LOADER_PAIRS:
-        assert yaml.load(text, Loader=loader) == yaml.load(
+    for builder, reference in SOURCES:
+        assert yaml.load(text, Loader=builder) == yaml.load(
             text, Loader=reference)
+
+
+# scalars that the builder builds itself (decimal ints and floats) and that
+# it hands to SafeConstructor, each in a mapping and in a flow sequence
+SCALARS = ["0", "-0", "+7", "017", "0x1F", "1_000", "190:20:30", "-0.0", "1.",
+           "+.5", "1e-4", "1E+3", ".inf", "-.Inf", ".nan", "~", "null", "yes",
+           "Off", "", "'1.5'", "!!float 1", "!!int 12", "12 ", "1" * 4301]
+
+
+@pytest.mark.parametrize("scalar", SCALARS, ids=lambda s: s if len(s) < 20
+                         else f"int_of_{len(s)}_digits")
+def test_scalars_build_as_stock_pyyaml(scalar):
+    text = f"a: {scalar}\nb: [{scalar}]\n"
+    for builder, reference in SOURCES:
+        got, want = _outcome(text, builder), _outcome(text, reference)
+        if isinstance(want, tuple):     # an int past 4300 digits
+            assert want[0] is ValueError and got == want
+            continue
+        assert repr(got) == repr(want)
+        for value, stock in zip([got["a"], *got["b"]],
+                                [want["a"], *want["b"]]):
+            assert type(value) is type(stock)
+            assert value == stock or value != value != stock
+
+
+@pytest.mark.parametrize("scalar", ["0", "-0", "+7", "-0.0", "1.", ".5",
+                                    "+1.5", "1e-4", "1E+3", "12"])
+def test_decimal_ints_and_floats_are_built_without_safeconstructor(
+        monkeypatch, scalar):
+    def failing(loader, node):
+        raise AssertionError(node.value)
+    for tag in ("int", "float"):
+        monkeypatch.setitem(yaml12._Loader.yaml_constructors,
+                            f"tag:yaml.org,2002:{tag}", failing)
+    for builder, _ in SOURCES:
+        assert yaml.load(f"a: {scalar}\n", Loader=builder)["a"] == float(
+            scalar)
+
+
+def test_huge_int_in_a_config_is_a_one_line_error(tmp_path, capsys):
+    p = _write(tmp_path / "a.yaml", "a: " + "1" * 4301 + "\n")
+    assert main(["validate", str(p)]) == 1
+    assert _one_line_error(capsys).startswith(
+        f"invalid: {p}: YAML parse error: Exceeds the limit (4300 digits)")
+
+
+def _composer_error(text, loader):
+    with pytest.raises(yaml.composer.ComposerError) as exc:
+        yaml.load(text, Loader=loader)
+    e = exc.value
+    return (e.context, e.problem, [(m.line, m.column) if m else None
+                                   for m in (e.context_mark, e.problem_mark)])
+
+
+# the composer's errors, which a later build error does not hide
+@pytest.mark.parametrize("text", [
+    "a: *x\n",
+    "a: [1, {b: *y}]\n",
+    "a: &x 1\nb: &x [2]\n",
+    "a: &x {b: *x, c: &x 1}\n",
+    "a: !!bool maybe\nb: *x\n",
+    "a: {k: 1, k: 2}\nb: &z 1\nc: [&z 2]\n",
+    "a: !!set {x}\n---\nb: 1\n",
+    "a: 1\n--- [2]\n",
+], ids=["undefined_alias", "nested_undefined_alias", "repeated_anchor",
+        "repeated_anchor_inside_it", "undefined_alias_after_a_build_error",
+        "repeated_anchor_after_a_build_error",
+        "second_document_after_a_build_error", "second_document"])
+def test_composer_errors_are_raised_as_stock_pyyaml_raises_them(text):
+    # on either parser the text is that of PyYAML's Python composer, which
+    # names the anchor, and the marks those of the stock loader
+    context, problem, _ = _composer_error(text, SOURCES[0][1])
+    for builder, reference in SOURCES:
+        assert _composer_error(text, builder) == (
+            context, problem, _composer_error(text, reference)[2])
+
+
+def test_value_that_aliases_nest_deeply_is_a_short_error(tmp_path, capsys):
+    # 9 levels of lists, each holding 7 aliases of the one before: 7**8
+    # ints, which reprlib's default 6 levels print in about 106 KB
+    lists = ["&a0 [1, 1, 1, 1, 1, 1, 1]"] + [
+        f"&a{k} [" + ", ".join([f"*a{k - 1}"] * 7) + "]" for k in range(1, 9)]
+    p = _write(tmp_path / "chain.yaml", (
+        "chain:\n  link_lengths: {b: 0.3, c: 0.25, d: 0.08}\n  rows:\n"
+        "    - {joint: t, a: 0, d: 0, alpha_deg: 0, theta_offset_deg: 0,\n"
+        "       joint_sign: [" + ", ".join(lists) + "]}\n"))
+    assert len(p.read_bytes()) < 500
+    assert main(["validate", str(p)]) == 1
+    err = _one_line_error(capsys)
+    assert len(err.encode()) < 300
+    assert err == (f"invalid: {p}: section 'chain.rows[1]': field "
+                   f"'joint_sign' must be an integer, got [[1, 1, 1, ...], "
+                   f"[[...], [...], [...], ...], [[...], [...], [...], ...], "
+                   f"...]\n")
 
 
 @pytest.mark.parametrize("path, reads", [

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tendonsim import LiftScenario, mechanical_power, simulate_lift
+from tendonsim import LiftScenario, simulate_lift
 from tendonsim import dynamics
 from tendonsim.dynamics import _step_law
 
@@ -83,12 +83,6 @@ def test_scenario_validation(lift, changes):
 def test_scenario_rejects_three_actuators(lift):
     with pytest.raises(ValueError, match="1 or 2"):
         dataclasses.replace(lift, actuators=lift.actuators * 3)
-
-
-def test_mechanical_power_is_the_plain_product():
-    assert mechanical_power(12.0, 3.0) == 36.0
-    assert mechanical_power(5.0, -2.0) == -10.0
-    assert mechanical_power(0.0, 4.0) == 0.0
 
 
 # --------------------------------------------------------------------------

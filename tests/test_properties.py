@@ -28,7 +28,7 @@ from tendonsim import (ActuatorModel, AntagonisticJointConfig,
                        force_from_displacement, forward_kinematics,
                        joint_stiffness, joint_torque,
                        max_allowable_acceleration, max_controllable_torque,
-                       mechanical_power, sample_workspace, stage_boundaries)
+                       sample_workspace, stage_boundaries)
 from tendonsim import cli, config
 from tendonsim.cli import DATA_DIR, main
 from tendonsim.joint import StageLabel
@@ -271,12 +271,6 @@ def test_workspace_depends_only_on_seed(seed):
     a = sample_workspace(arm, 16, seed)
     b = sample_workspace(arm, 16, seed)
     np.testing.assert_array_equal(a.points, b.points)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.floats(-1e6, 1e6), st.floats(-1e3, 1e3))
-def test_power_is_the_exact_product(tau, omega):
-    assert mechanical_power(tau, omega) == tau * omega
 
 
 BUNDLED_YAML = sorted(p.name for p in DATA_DIR.glob("*.yaml"))
